@@ -3,6 +3,15 @@
 Replication i always uses stream id i of the master seed, so results are
 bit-identical regardless of execution order and can be reproduced from the
 (config, seed) pair alone.
+
+Both Monte Carlo functions run replications in blocks: the innovations of a chunk of
+replications fill one (rows, n) array, and generation, the DFT, smoothing
+and the covariance kernel each run once over the whole chunk, row by row.
+A row's result does not depend on the chunk it sits in, so a replication's
+statistic equals ``stationarity_test`` on ``generate`` of its stream, bit
+for bit, and results do not depend on the chunk size. A chunk holds at most
+``_CHUNK_ELEMENTS`` innovations (at least one replication), so memory stays
+bounded as the replication count grows.
 """
 
 from __future__ import annotations
@@ -18,16 +27,18 @@ from .errors import (
     InvalidInputError,
     StationarityTestError,
 )
-from .numerics import RngStream, chisq_quantile, trapezoid_2d_values, _trapz
+from .numerics import _gauss_rows, chisq_quantile, trapezoid_2d_values, _trapz
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
-    correction_denominators,
-    dft_covariances,
-    stationarity_test,
+    _TestPlan,
+    _block_covariances,
+    _first_bad_row,
+    _plan,
+    _statistics,
     validate_lags,
 )
-from .simulate import GeneratorConfig, ModelSpec, generate
+from .simulate import GeneratorConfig, ModelSpec, _filter_rows, innovation_count
 
 _TWO_PI = 2.0 * math.pi
 
@@ -70,31 +81,59 @@ class McReport:
     config: McConfig
 
 
-def _run_replication(config: McConfig, i: int) -> float:
-    gen = GeneratorConfig(T=config.T, burn_in=config.burn_in,
-                          rng=RngStream(config.master_seed, i))
-    series = generate(config.model, gen)
-    res = stationarity_test(series, lags=config.lags, kernel=config.kernel,
-                            correction=config.correction,
-                            ridge_factor=config.ridge_factor)
-    return res.statistic
+_CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
+
+
+def _study_plan(model: ModelSpec, T: int, burn_in: int, lags, kernel, correction,
+                ridge_factor) -> _TestPlan:
+    """Per-study checks and constants, done once rather than per replication.
+
+    A failure here would have stopped the first replication, so it is
+    reported as replication 0, as in a replication-by-replication run.
+    """
+    try:
+        GeneratorConfig(T=T, burn_in=burn_in)
+        model.validate()
+        return _plan(T, lags, None, kernel, correction, ridge_factor, True)
+    except StationarityTestError as exc:
+        raise type(exc)(f"replication 0 (stream 0): {exc}") from exc
+
+
+def _replication_chunks(model: ModelSpec, T: int, burn_in: int, master_seed: int,
+                        replications: int, plan: _TestPlan):
+    """Yield (start, C): covariances of replications start, start + 1, ...,
+    one row each, chunk by chunk."""
+    n = innovation_count(model, GeneratorConfig(T=T, burn_in=burn_in))
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, replications, rows):
+        stop = min(start + rows, replications)
+        X = _filter_rows(model, _gauss_rows(master_seed, start, stop, n), T, burn_in)
+        bad = _first_bad_row(X)
+        if bad is not None:
+            i = start + bad[0]
+            raise InvalidInputError(f"replication {i} (stream {i}): {bad[1]}")
+        yield start, _block_covariances(X, plan)
 
 
 def rejection_rate(config: McConfig) -> McReport:
     """Replicate the test and report the exact rejection fraction.
 
     Replication i draws from stream i; a failure in any replication aborts
-    the study with the replication index attached.
+    the study with the lowest failing replication index attached. The
+    replications run in blocks (see the module notes): ``statistics[i]``
+    equals ``stationarity_test`` on ``generate`` of stream i bit for bit,
+    whatever the chunking, and memory does not grow with the replication
+    count beyond the statistics array.
     """
     lags = validate_lags(config.lags, config.T)
     dof = 2 * len(lags)
     threshold = chisq_quantile(1.0 - config.level, dof)
+    plan = _study_plan(config.model, config.T, config.burn_in, lags, config.kernel,
+                       config.correction, config.ridge_factor)
     stats = np.empty(config.replications)
-    for i in range(config.replications):
-        try:
-            stats[i] = _run_replication(config, i)
-        except StationarityTestError as exc:
-            raise type(exc)(f"replication {i} (stream {i}): {exc}") from exc
+    for start, C in _replication_chunks(config.model, config.T, config.burn_in,
+                                        config.master_seed, config.replications, plan):
+        stats[start: start + len(C)] = _statistics(C, plan)
     rate = float(np.count_nonzero(stats > threshold)) / config.replications
     return McReport(
         rejection_rate=rate,
@@ -126,23 +165,20 @@ def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
              ridge_factor: float = 1e-3, burn_in: int = 500) -> np.ndarray:
     """Rejection rate of the single-lag test at each requested lag.
 
-    The DFT and spectral estimate of each replication are shared across all
-    lags, so the scan costs O(T) per extra lag rather than a full test.
+    Each replication's DFT, spectral estimate and standardized transform are
+    shared across all lags, so an extra lag costs one product-mean over T
+    ordinates per replication. Replications run in blocks as in
+    ``rejection_rate``: replication i uses stream i, the rates do not depend
+    on the chunking, and memory stays bounded as the replication count grows.
     """
     lags = validate_lags(lags, T)
     threshold = chisq_quantile(1.0 - level, 2)
-    corr_spec = correction or CorrectionSpec()
+    plan = _study_plan(model, T, burn_in, lags, kernel, correction, ridge_factor)
     rejections = np.zeros(len(lags), dtype=int)
-    for i in range(replications):
-        try:
-            gen = GeneratorConfig(T=T, burn_in=burn_in, rng=RngStream(master_seed, i))
-            series = generate(model, gen)
-            covs = dft_covariances(series, lags=lags, kernel=kernel,
-                                   correction=corr_spec, ridge_factor=ridge_factor)
-            stats = T * np.abs(covs.values) ** 2 / covs.corrections
-            rejections += stats > threshold
-        except StationarityTestError as exc:
-            raise type(exc)(f"replication {i} (stream {i}): {exc}") from exc
+    for _, C in _replication_chunks(model, T, burn_in, master_seed, replications, plan):
+        # single-lag statistics, each equal bit for bit to _statistics of that lag alone
+        stats = T * (np.abs(C) ** 2 / plan.corrections)
+        rejections += np.count_nonzero(stats > threshold, axis=0)
     return rejections / replications
 
 

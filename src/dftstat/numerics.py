@@ -73,14 +73,23 @@ def dft_canonical(series) -> np.ndarray:
         raise InvalidInputError(
             f"dft_canonical needs a 1-d series of length >= 2, got shape {x.shape}"
         )
-    T = x.size
+    return _dft_rows(x)
+
+
+def _dft_rows(x: np.ndarray) -> np.ndarray:
+    """Canonical DFT along the last axis, one transform per row.
+
+    Each row's transform is computed on its own, so a row's result does not
+    depend on how many rows share the block.
+    """
+    T = x.shape[-1]
     # sum_{t=1..T} X_t e^{i t w_k} = e^{i w_k} * sum_{s=0..T-1} X_{s+1} e^{i s w_k}
     # and the inner sum is T * ifft(x)[k] in numpy's convention.
     j = np.arange(T)
     phase = np.exp(2j * np.pi * j / T)
-    vals = T * np.fft.ifft(x) * phase / math.sqrt(_TWO_PI * T)
+    vals = T * np.fft.ifft(x, axis=-1) * phase / math.sqrt(_TWO_PI * T)
     # reorder from k = 0..T-1 to k = 1..T (the k = 0 entry is w_T = 2*pi)
-    return np.roll(vals, -1)
+    return np.roll(vals, -1, axis=-1)
 
 
 def dft_direct(series) -> np.ndarray:
@@ -289,6 +298,14 @@ def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidInputError(f"draw count must be >= 1, got {n}")
     return rng.generator().standard_normal(int(n))
+
+
+def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Row i holds gauss_stream(RngStream(master_seed, start + i), n)."""
+    out = np.empty((stop - start, n))
+    for row, stream in enumerate(range(start, stop)):
+        RngStream(master_seed, stream).generator().standard_normal(out=out[row])
+    return out
 
 
 # ---------------------------------------------------------------------------

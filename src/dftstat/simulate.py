@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from .errors import InvalidInputError, StabilityError
 from .numerics import RngStream, gauss_stream
@@ -171,22 +171,29 @@ def generate(spec: ModelSpec, config: GeneratorConfig, innovations=None,
             raise InvalidInputError(
                 f"innovations must have shape ({n},), got {eps.shape}"
             )
-    T, burn = config.T, config.burn_in
+    return _filter_rows(spec, eps[None, :], config.T, config.burn_in)[0]
 
+
+def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndarray:
+    """Realizations of ``spec`` driven by the innovation rows of ``eps``.
+
+    Row i of the result depends only on row i of ``eps``; ``generate`` is the
+    one-row case. The spec is not validated here.
+    """
     if isinstance(spec, ArmaSpec):
         b = np.concatenate([[1.0], np.asarray(spec.ma, dtype=float)])
         a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
-        return lfilter(b, a, eps)[burn:]
+        return lfilter(b, a, eps, axis=-1)[:, burn:]
 
     if isinstance(spec, ChangepointArSpec):
-        return _generate_changepoint(spec, eps, T, burn)
+        return _changepoint_rows(spec, eps, T, burn)
 
     if isinstance(spec, TvInnovationArSpec):
         t = np.arange(1 - burn, T + 1)
         u = np.clip(t / T, 0.0, 1.0)  # burn-in runs at the initial scale
         scale = np.asarray(spec.sigma(u), dtype=float)
         a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
-        return lfilter([1.0], a, scale * eps)[burn:]
+        return lfilter([1.0], a, scale * eps, axis=-1)[:, burn:]
 
     if isinstance(spec, ModulatedNoiseSpec):
         u = np.arange(1, T + 1) / T
@@ -195,32 +202,43 @@ def generate(spec: ModelSpec, config: GeneratorConfig, innovations=None,
     raise InvalidInputError(f"unsupported model spec {type(spec).__name__}")
 
 
-def _generate_changepoint(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
+_CHANGEPOINT_MEMORY = 16  # past outputs a segment can see at its switch
+
+
+def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
     bounds = [0] + [int(math.floor(frac * T)) for frac, _ in spec.segments]
     bounds[-1] = T  # floor(1.0 * T) == T, kept explicit
-    out = np.empty(T)
-    history = np.zeros(0)
-    pos = 0  # consumed innovations
+    # y holds the burn-in too: the first switch can look back into it
+    y = np.empty((eps.shape[0], burn + T))
+    pos = 0  # consumed innovations == outputs written
     for j, (_, ar) in enumerate(spec.segments):
         a = np.concatenate([[1.0], -np.asarray(ar, dtype=float)])
         n_seg = bounds[j + 1] - bounds[j]
         if j == 0:
-            y = lfilter([1.0], a, eps[: burn + n_seg])
-            out[:n_seg] = y[burn:]
+            y[:, : burn + n_seg] = lfilter([1.0], a, eps[:, : burn + n_seg], axis=-1)
             pos = burn + n_seg
-        else:
-            if n_seg == 0:
-                continue
-            p = len(ar)
-            past = history[::-1][:p]  # most recent first, as lfiltic expects
-            if past.size < p:
-                past = np.concatenate([past, np.zeros(p - past.size)])
-            zi = lfiltic([1.0], a, past)
-            y, _ = lfilter([1.0], a, eps[pos: pos + n_seg], zi=zi)
-            out[bounds[j]: bounds[j + 1]] = y
+        elif n_seg:
+            # continue from the previous segment's last values (no re-initialization)
+            past = y[:, max(0, pos - _CHANGEPOINT_MEMORY): pos][:, ::-1]
+            zi = _ar_initial_state(a, past)
+            y[:, pos: pos + n_seg], _ = lfilter([1.0], a, eps[:, pos: pos + n_seg],
+                                                axis=-1, zi=zi)
             pos += n_seg
-        history = np.concatenate([history, y])[-16:]  # keeps burn-in tail too
-    return out
+    return y[:, burn:]
+
+
+def _ar_initial_state(a: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """Row-wise ``lfiltic([1.0], a, past)``: the transposed direct-form state of
+    the all-pole filter 1/a given past outputs, most recent first (missing
+    values count as zero)."""
+    p = a.size - 1
+    y = np.zeros((past.shape[0], p))
+    k = min(p, past.shape[1])
+    y[:, :k] = past[:, :k]
+    zi = np.empty((past.shape[0], p))
+    for m in range(p):
+        zi[:, m] = -np.sum(a[m + 1:] * y[:, : p - m], axis=-1)
+    return zi
 
 
 # ---------------------------------------------------------------------------

@@ -129,19 +129,34 @@ def smooth_spectral(pgram, kernel: KernelSpec | None = None,
     vals = np.asarray(pgram, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise InvalidInputError("smooth_spectral needs a 1-d periodogram of length >= 2")
+    T = vals.size
+    kern, weights = _smoother(kernel, T, ridge_factor)
+    values, ridge = _smooth_rows(vals, weights, ridge_factor)
+    return SpectralEstimate(values=values, kernel=kern, ridge=float(ridge[0]), T=T)
+
+
+def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
+    """Check ``ridge_factor`` and resolve the kernel for length T.
+
+    Returns the kernel with its bandwidth resolved and its weights; both
+    depend only on T, so a batch of equal-length series shares them.
+    """
     if ridge_factor < 0.0:
         raise InvalidInputError(f"ridge_factor must be >= 0, got {ridge_factor}")
-    T = vals.size
     kern = kernel if kernel is not None else KernelSpec()
     b = kern.resolve_bandwidth(T)
-    w = _kernel_weights(kern.kind, b, T)
+    return KernelSpec(kern.kind, b), _kernel_weights(kern.kind, b, T)
+
+
+def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
+    """Smooth each row of ``pgram`` (last axis) and floor it at its own ridge.
+
+    Returns the floored estimates and the per-row ridges (shape ``(..., 1)``).
+    Rows are smoothed independently, so a row's result does not depend on
+    the rest of the block.
+    """
     # circular (wrap) correlation; the window never exceeds T/2 + 1 points
     # because bandwidth < 1/2
-    smoothed = correlate1d(vals, w, mode="wrap")
-    ridge = ridge_factor * float(vals.mean())
-    return SpectralEstimate(
-        values=np.maximum(smoothed, ridge),
-        kernel=KernelSpec(kern.kind, b),
-        ridge=ridge,
-        T=T,
-    )
+    smoothed = correlate1d(pgram, weights, axis=-1, mode="wrap")
+    ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
+    return np.maximum(smoothed, ridge), ridge

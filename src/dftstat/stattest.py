@@ -31,8 +31,8 @@ from .errors import (
     InvalidLagError,
     SegmentationDepthError,
 )
-from .numerics import chisq_sf, dft_canonical
-from .spectral import KernelSpec, SpectralEstimate, smooth_spectral
+from .numerics import _dft_rows, chisq_sf, dft_canonical
+from .spectral import KernelSpec, SpectralEstimate, _smooth_rows, _smoother
 
 _TWO_PI = 2.0 * math.pi
 
@@ -62,11 +62,21 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cov_from_transform(J: np.ndarray, denom_vals: np.ndarray, lag: int) -> complex:
-    # index i holds frequency k = i + 1; rolling by -lag pairs k with k + lag
-    num = J * np.conj(np.roll(J, -lag))
-    den = np.sqrt(denom_vals * np.roll(denom_vals, -lag))
-    return complex(np.mean(num / den))
+def _lag_covariances(J: np.ndarray, f: np.ndarray, lags) -> np.ndarray:
+    """The covariance kernel: c(r) for every row of J (last axis k = 1..T).
+
+    The transform is standardized once, Z = J / sqrt(f), and each lag is one
+    product-mean c(r) = mean_k Z_k * conj(Z_{k+r}) over the last axis, with
+    k + r taken modulo T. Returns shape ``J.shape[:-1] + (len(lags),)``. Each
+    row is reduced on its own, so its values do not depend on the block.
+    """
+    Z = J / np.sqrt(f)
+    T = Z.shape[-1]
+    Zc2 = np.conj(np.concatenate([Z, Z], axis=-1))  # Zc2[..., k + r] == conj(Z_{(k+r) mod T})
+    out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
+    for n, r in enumerate(lags):
+        out[..., n] = np.mean(Z * Zc2[..., r: r + T], axis=-1)
+    return out
 
 
 def dft_covariance(series, lag: int, spectral: SpectralEstimate) -> complex:
@@ -81,8 +91,8 @@ def dft_covariance(series, lag: int, spectral: SpectralEstimate) -> complex:
         raise InvalidInputError(
             f"spectral estimate built for T={spectral.T}, series has T={T}"
         )
-    (lag,) = validate_lags([lag], T)
-    return _cov_from_transform(dft_canonical(x), np.asarray(spectral.values), lag)
+    lags = validate_lags([lag], T)
+    return complex(_lag_covariances(dft_canonical(x), np.asarray(spectral.values), lags)[0])
 
 
 def dft_covariance_true_spectrum(series, lag: int, spectrum) -> complex:
@@ -98,8 +108,8 @@ def dft_covariance_true_spectrum(series, lag: int, spectrum) -> complex:
         raise InvalidInputError(f"spectrum must have shape ({T},), got {f.shape}")
     if np.any(f <= 0.0):
         raise InvalidInputError("supplied spectrum must be strictly positive")
-    (lag,) = validate_lags([lag], T)
-    return _cov_from_transform(dft_canonical(x), f, lag)
+    lags = validate_lags([lag], T)
+    return complex(_lag_covariances(dft_canonical(x), f, lags)[0])
 
 
 @dataclass(frozen=True)
@@ -255,34 +265,77 @@ class TestResult:
     demeaned: bool
 
 
-def _prepare_transform(series, kernel, ridge_factor, demean):
+@dataclass(frozen=True)
+class _TestPlan:
+    """What a test needs besides the data, worked out once per series length:
+    the lags, the kernel with its bandwidth resolved, its weights and the
+    correction denominators."""
+
+    T: int
+    lags: tuple[int, ...]
+    kernel: KernelSpec
+    weights: np.ndarray
+    corrections: np.ndarray
+    ridge_factor: float
+    demean: bool
+
+
+def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
+    kern, weights = _smoother(kernel, T, ridge_factor)
+    lags = validate_lags(range(1, m + 1) if lags is None else lags, T)
+    corr = correction_denominators(correction or CorrectionSpec(), lags, T)
+    return _TestPlan(T=T, lags=lags, kernel=kern, weights=weights,
+                     corrections=corr, ridge_factor=ridge_factor, demean=demean)
+
+
+def _first_bad_row(X: np.ndarray):
+    """(row, reason) of the lowest row of X that cannot be tested, else None."""
+    finite = np.isfinite(X).all(axis=-1)
+    flat = X.max(axis=-1) == X.min(axis=-1)
+    bad = np.flatnonzero(~finite | flat)
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    if not finite[i]:
+        return i, "series contains non-finite values"
+    return i, "degenerate series: zero variance"
+
+
+def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
+    """Standardized covariances at the plan's lags for each row of X.
+
+    X holds one series per row, already checked by ``_first_bad_row``.
+    Rows are processed independently: row i of the result is bit-identical
+    whether X holds one row or many.
+    """
+    if plan.demean:
+        X = X - X.mean(axis=-1, keepdims=True)
+    J = _dft_rows(X)
+    f, _ = _smooth_rows(np.abs(J) ** 2, plan.weights, plan.ridge_factor)
+    return _lag_covariances(J, f, plan.lags)
+
+
+def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
+    """Portmanteau statistic of each row of covariances C."""
+    return plan.T * np.sum(np.abs(C) ** 2 / plan.corrections, axis=-1)
+
+
+def _checked_series(series) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError(f"series must be 1-d, got shape {x.shape}")
-    T = x.size
-    if T < MIN_SERIES_LENGTH:
+    return x
+
+
+def _checked_rows(X: np.ndarray) -> np.ndarray:
+    if X.shape[-1] < MIN_SERIES_LENGTH:
         raise InvalidInputError(
-            f"series too short for the test: T={T} < {MIN_SERIES_LENGTH}"
+            f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
         )
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("series contains non-finite values")
-    if np.ptp(x) == 0.0:
-        raise InvalidInputError("degenerate series: zero variance")
-    if demean:
-        x = x - x.mean()
-    J = dft_canonical(x)
-    est = smooth_spectral(np.abs(J) ** 2, kernel=kernel, ridge_factor=ridge_factor)
-    return x, J, est
-
-
-def _covariances_and_estimate(series, lags, m, kernel, correction, ridge_factor, demean):
-    x = np.asarray(series, dtype=float)
-    _, J, est = _prepare_transform(x, kernel, ridge_factor, demean)
-    T = x.size
-    lags = validate_lags(range(1, m + 1) if lags is None else lags, T)
-    corr = correction_denominators(correction or CorrectionSpec(), lags, T)
-    vals = np.array([_cov_from_transform(J, est.values, r) for r in lags])
-    return DftCovariances(lags=lags, values=vals, corrections=corr, T=T), est
+    bad = _first_bad_row(X)
+    if bad is not None:
+        raise InvalidInputError(bad[1])
+    return X
 
 
 def dft_covariances(series, lags=None, m: int = 4, kernel: KernelSpec | None = None,
@@ -290,12 +343,41 @@ def dft_covariances(series, lags=None, m: int = 4, kernel: KernelSpec | None = N
                     ridge_factor: float = 1e-3, demean: bool = True) -> DftCovariances:
     """Standardized covariances (and denominators) at several lags.
 
-    The DFT and the spectral estimate are computed once and shared across
-    all lags, so scanning many lags costs O(T) per extra lag.
+    The DFT and the spectral estimate are computed once, and the transform
+    is standardized once; each further lag is one product-mean over the T
+    standardized ordinates.
     """
-    covs, _ = _covariances_and_estimate(series, lags, m, kernel, correction,
-                                        ridge_factor, demean)
-    return covs
+    X = _checked_rows(_checked_series(series)[None, :])
+    plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
+    return DftCovariances(lags=plan.lags, values=_block_covariances(X, plan)[0],
+                          corrections=plan.corrections, T=plan.T)
+
+
+def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
+               levels) -> list[TestResult]:
+    """``stationarity_test`` of every row of X; the rows share one plan."""
+    X = _checked_rows(X)
+    plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
+    stats = _statistics(_block_covariances(X, plan), plan)
+    dof = 2 * len(plan.lags)
+    mode = (correction or CorrectionSpec()).mode
+    results = []
+    for stat in stats:
+        stat = float(stat)
+        p = chisq_sf(stat, dof)
+        results.append(TestResult(
+            statistic=stat,
+            dof=dof,
+            p_value=p,
+            reject_at={float(a): bool(p < a) for a in levels},
+            lags=plan.lags,
+            T=plan.T,
+            kernel=plan.kernel,  # bandwidth resolved against this T
+            ridge_factor=ridge_factor,
+            correction_mode=mode,
+            demeaned=demean,
+        ))
+    return results
 
 
 def stationarity_test(series, lags=None, m: int = 4, kernel: KernelSpec | None = None,
@@ -329,24 +411,16 @@ def stationarity_test(series, lags=None, m: int = 4, kernel: KernelSpec | None =
     -------
     TestResult
         statistic, degrees of freedom 2m, p-value and per-level decisions.
+
+    Notes
+    -----
+    The series runs through the same block pipeline as the Monte Carlo
+    functions, as a block of one row, so a replication's statistic there
+    equals this function's on the same series bit for bit.
     """
-    covs, est = _covariances_and_estimate(series, lags, m, kernel, correction,
-                                          ridge_factor, demean)
-    stat = float(covs.T * np.sum(np.abs(covs.values) ** 2 / covs.corrections))
-    dof = 2 * len(covs.lags)
-    p = chisq_sf(stat, dof)
-    return TestResult(
-        statistic=stat,
-        dof=dof,
-        p_value=p,
-        reject_at={float(a): bool(p < a) for a in levels},
-        lags=covs.lags,
-        T=covs.T,
-        kernel=est.kernel,  # bandwidth resolved against this T
-        ridge_factor=ridge_factor,
-        correction_mode=(correction or CorrectionSpec()).mode,
-        demeaned=demean,
-    )
+    x = _checked_series(series)
+    return _test_rows(x[None, :], lags, m, kernel, correction, ridge_factor, demean,
+                      levels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +469,14 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
     Depth j splits the series into 2**j contiguous blocks of equal length
     (any remainder joins the last block); depth 0 is the full-series test.
     When the kernel bandwidth is automatic it adapts to each block length.
+
+    Each depth runs as one batch: its equal-length blocks are the rows of a
+    single (rows, length) block, and a last block that carries a remainder
+    runs as a batch of one. Rows are tested independently, so every block's
+    result equals ``stationarity_test`` on that block bit for bit. Memory is
+    that of the series plus one transform of it per depth.
     """
-    x = np.asarray(series, dtype=float)
+    x = _checked_series(series)
     T = x.size
     if depth < 0:
         raise InvalidInputError(f"depth must be >= 0, got {depth}")
@@ -407,9 +487,14 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
         )
     blocks = []
     for d in range(depth + 1):
-        for i, (a, b) in enumerate(_block_bounds(T, d)):
-            res = stationarity_test(x[a:b], lags=lags, m=m, kernel=kernel,
-                                    correction=correction, ridge_factor=ridge_factor,
-                                    demean=demean, levels=levels)
-            blocks.append(SegmentBlock(depth=d, index=i, start=a, stop=b, result=res))
+        bounds = _block_bounds(T, d)
+        base = bounds[0][1] - bounds[0][0]
+        equal = len(bounds) if T % len(bounds) == 0 else len(bounds) - 1
+        results = _test_rows(x[: equal * base].reshape(equal, base), lags, m, kernel,
+                             correction, ridge_factor, demean, levels)
+        if equal < len(bounds):
+            results += _test_rows(x[None, bounds[-1][0]:], lags, m, kernel, correction,
+                                  ridge_factor, demean, levels)
+        blocks += [SegmentBlock(depth=d, index=i, start=a, stop=b, result=res)
+                   for i, ((a, b), res) in enumerate(zip(bounds, results))]
     return SegmentReport(T=T, depth=depth, blocks=tuple(blocks))

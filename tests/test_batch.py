@@ -1,0 +1,242 @@
+"""Batched Monte Carlo: replications run as (rows, T) blocks
+through the same pipeline that tests a single series as a block of one row.
+These tests pin the contract that makes the two interchangeable: bit-equal
+statistics per stream, results independent of chunking, bounded memory, and
+the per-replication error messages."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import dftstat.experiments as experiments
+import dftstat.simulate as simulate
+import dftstat.stattest as stattest
+from dftstat import (
+    ArmaSpec,
+    CorrectionSpec,
+    GeneratorConfig,
+    InvalidInputError,
+    KernelSpec,
+    McConfig,
+    PRESET_NAMES,
+    RngStream,
+    StabilityError,
+    TvInnovationArSpec,
+    chisq_quantile,
+    dft_covariances,
+    gauss_stream,
+    generate,
+    lag_scan,
+    model_preset,
+    rejection_rate,
+    segmented_test,
+    stationarity_test,
+)
+from dftstat.numerics import _gauss_rows
+from dftstat.simulate import innovation_count
+from dftstat.stattest import _first_bad_row
+
+BURN_IN = 500
+
+
+def single_path(spec, T, seed, i, **test_kwargs):
+    """Replication i the slow way: generate stream i, then test it alone."""
+    x = generate(spec, GeneratorConfig(T=T, burn_in=BURN_IN, rng=RngStream(seed, i)))
+    return stationarity_test(x, **test_kwargs).statistic
+
+
+def chunk_rows(spec, T):
+    return experiments._CHUNK_ELEMENTS // innovation_count(spec, GeneratorConfig(T=T))
+
+
+# ---------------------------------------------------------------------------
+# replication i of the batch is the single test on stream i
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("T", [64, 257])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_batch_statistics_equal_single_tests(name, T):
+    spec = model_preset(name, T)
+    for kernel in (KernelSpec("daniell"), KernelSpec("bartlett")):
+        for correction in (None, CorrectionSpec.linear([1.0, 0.5, -0.2], 2.0)):
+            cfg = McConfig(model=spec, T=T, lags=(1, 2, 5), replications=4,
+                           master_seed=70, kernel=kernel, correction=correction)
+            stats = rejection_rate(cfg).statistics
+            for i in range(cfg.replications):
+                assert stats[i] == single_path(spec, T, 70, i, lags=(1, 2, 5), kernel=kernel,
+                                               correction=correction)
+
+
+def test_gauss_rows_are_the_streams():
+    for seed in (0, 71, 2 ** 64 - 1):
+        block = _gauss_rows(seed, 5, 12, 300)
+        for row in range(7):
+            assert np.array_equal(block[row], gauss_stream(RngStream(seed, 5 + row), 300))
+
+
+def test_chunk_seams_match_single_tests():
+    spec = model_preset("model3", 64)
+    rows = chunk_rows(spec, 64)
+    n = rows + 5  # two chunks
+    stats = rejection_rate(McConfig(model=spec, T=64, replications=n, master_seed=72)).statistics
+    for i in (0, rows - 2, rows - 1, rows, rows + 1, n - 1):
+        assert stats[i] == single_path(spec, 64, 72, i, lags=(1, 2, 3, 4))
+
+
+def test_results_do_not_depend_on_chunk_size(monkeypatch):
+    spec = model_preset("model6", 128)
+    cfg = McConfig(model=spec, T=128, lags=(1, 3), replications=30, master_seed=73)
+    whole = rejection_rate(cfg).statistics
+    scan_whole = lag_scan(spec, 128, range(1, 30), replications=30, master_seed=73)
+    # seven replications per chunk, so the 30 split 7+7+7+7+2
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS",
+                        7 * innovation_count(spec, GeneratorConfig(T=128)))
+    assert np.array_equal(rejection_rate(cfg).statistics, whole)
+    assert np.array_equal(lag_scan(spec, 128, range(1, 30), replications=30,
+                                   master_seed=73), scan_whole)
+
+
+def test_lag_scan_equals_per_replication_covariance_loop():
+    T, lags, reps = 256, (1, 4, 20, 100), 40
+    spec = model_preset("model6", T)
+    correction = CorrectionSpec.linear([1.0, 0.4], 0.8)
+    rates = lag_scan(spec, T, lags, replications=reps, master_seed=74,
+                     correction=correction)
+    threshold = chisq_quantile(0.95, 2)
+    counts = np.zeros(len(lags), dtype=int)
+    for i in range(reps):
+        x = generate(spec, GeneratorConfig(T=T, burn_in=BURN_IN, rng=RngStream(74, i)))
+        covs = dft_covariances(x, lags=lags, correction=correction)
+        counts += T * (np.abs(covs.values) ** 2 / covs.corrections) > threshold
+    assert np.array_equal(rates, counts / reps)
+
+
+def test_memory_does_not_grow_with_replications():
+    # unchunked, N=4000 at T=1024 would hold 4000 x 1524 innovations alone
+    # (46.5 MiB); chunked, the peak is set by the chunk, not by N
+    bound = 16 * 2 ** 20
+    peaks = {}
+    for n in (500, 4000):
+        cfg = McConfig(model=model_preset("model1", 1024), T=1024, replications=n,
+                       master_seed=75)
+        tracemalloc.start()
+        try:
+            rejection_rate(cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[500] < bound and peaks[4000] < bound
+    assert peaks[4000] - peaks[500] < 2 ** 20  # the statistics array is 31 KiB
+
+
+# ---------------------------------------------------------------------------
+# per-study work is done once per study
+# ---------------------------------------------------------------------------
+
+
+def counting(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def test_study_work_is_hoisted_out_of_replications(monkeypatch):
+    validate = counting(monkeypatch, ArmaSpec, "validate")
+    corrections = counting(monkeypatch, stattest, "correction_denominators")
+    # patch the names the library looks up, which it binds at import
+    sf = counting(monkeypatch, stattest, "chisq_sf")
+    quantile = counting(monkeypatch, experiments, "chisq_quantile")
+    for n in (5, 40):
+        cfg = McConfig(model=model_preset("model1", 128), T=128, replications=n,
+                       master_seed=76, correction=CorrectionSpec.linear([1.0, 0.5], 1.0))
+        rejection_rate(cfg)
+        # once per study whatever the replication count; no per-replication p-values
+        assert (len(validate), len(corrections), len(quantile), len(sf)) == (1, 1, 1, 0)
+        del validate[:], corrections[:], quantile[:], sf[:]
+
+
+# ---------------------------------------------------------------------------
+# the error contract: lowest failing replication, same type and message
+# ---------------------------------------------------------------------------
+
+
+def test_zero_scale_fails_at_replication_zero():
+    spec = TvInnovationArSpec(ar=(0.5,), sigma=lambda u: np.zeros_like(np.asarray(u, float)))
+    cfg = McConfig(model=spec, T=128, replications=10, master_seed=77)
+    msg = r"^replication 0 \(stream 0\): degenerate series: zero variance$"
+    with pytest.raises(InvalidInputError, match=msg):
+        rejection_rate(cfg)
+    with pytest.raises(InvalidInputError, match=msg):
+        lag_scan(spec, 128, [1, 2], replications=10, master_seed=77)
+
+
+def test_failing_replication_is_named_across_chunks(monkeypatch):
+    spec = model_preset("model1", 128)
+    original = experiments._gauss_rows
+
+    def poisoned(seed, start, stop, n):
+        out = original(seed, start, stop, n)
+        for i in (9, 12):  # replication 9 fails first; both sit in the second chunk
+            if start <= i < stop:
+                out[i - start, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(experiments, "_gauss_rows", poisoned)
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS",
+                        7 * innovation_count(spec, GeneratorConfig(T=128)))
+    cfg = McConfig(model=spec, T=128, replications=20, master_seed=78)
+    with pytest.raises(InvalidInputError,
+                       match=r"^replication 9 \(stream 9\): series contains non-finite values$"):
+        rejection_rate(cfg)
+
+
+def test_study_level_failure_is_reported_as_replication_zero():
+    cfg = McConfig(model=ArmaSpec(ar=(1.2,)), T=128, replications=5)
+    with pytest.raises(StabilityError, match=r"^replication 0 \(stream 0\): "):
+        rejection_rate(cfg)
+
+
+def test_first_bad_row_reports_lowest_row_and_first_reason():
+    X = np.random.default_rng(79).standard_normal((6, 40))
+    assert _first_bad_row(X) is None
+    X[5, 3] = np.nan
+    X[3] = 2.0
+    assert _first_bad_row(X) == (3, "degenerate series: zero variance")
+    X[2, 0] = np.inf
+    assert _first_bad_row(X) == (2, "series contains non-finite values")
+    X[1] = np.inf  # constant and non-finite: the non-finite reason wins
+    assert _first_bad_row(X) == (1, "series contains non-finite values")
+
+
+# ---------------------------------------------------------------------------
+# segmentation runs each depth as a block
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("T", [1024, 1003])
+def test_segmented_blocks_equal_separate_tests(T):
+    x = np.random.default_rng(80).standard_normal(T)
+    report = segmented_test(x, depth=3, m=3)
+    for blk in report.blocks:
+        single = stationarity_test(x[blk.start:blk.stop], m=3)
+        assert blk.result == single
+
+
+def test_changepoint_rows_equal_single_generation():
+    # switches read the previous segment's tail per row, including the burn-in
+    spec = simulate.ChangepointArSpec(segments=((0.001, (0.5, 0.2)), (0.6, ()),
+                                                (1.0, tuple([0.02] * 20))))
+    T, burn = 200, 3
+    n = innovation_count(spec, GeneratorConfig(T=T, burn_in=burn))
+    block = simulate._filter_rows(spec, _gauss_rows(81, 0, 5, n), T, burn)
+    for i in range(5):
+        single = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(81, i)))
+        assert np.array_equal(block[i], single)

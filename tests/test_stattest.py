@@ -30,7 +30,7 @@ from dftstat import (
     stationarity_test,
     transfer_phase,
 )
-from dftstat.stattest import _cov_from_transform
+from dftstat.stattest import _lag_covariances
 
 
 def unit_spectral(T):
@@ -68,7 +68,7 @@ def test_covariance_white_noise_second_moment():
         x = x - x.mean()
         J = dft_canonical(x)
         est = smooth_spectral(np.abs(J) ** 2)
-        vals.append(T * abs(_cov_from_transform(J, est.values, 1)) ** 2)
+        vals.append(T * abs(_lag_covariances(J, est.values, (1,))[0]) ** 2)
     assert np.mean(vals) == pytest.approx(2.0, abs=0.2)
 
 
@@ -128,8 +128,8 @@ def test_estimated_close_to_true_spectrum_covariance():
         x = x - x.mean()
         J = dft_canonical(x)
         est = smooth_spectral(np.abs(J) ** 2)
-        gaps.append(math.sqrt(T) * abs(_cov_from_transform(J, est.values, 1)
-                                       - _cov_from_transform(J, f_true, 1)))
+        gaps.append(math.sqrt(T) * abs(_lag_covariances(J, est.values, (1,))[0]
+                                       - _lag_covariances(J, f_true, (1,))[0]))
     assert np.median(gaps) <= 0.5
 
 
