@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidInputError, StabilityError
 from .numerics import RngStream, gauss_stream
@@ -180,13 +179,19 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
     Row i of the result depends only on row i of ``eps``; ``generate`` is the
     one-row case. The spec is not validated here.
     """
+    if isinstance(spec, ModulatedNoiseSpec):
+        u = np.arange(1, T + 1) / T
+        return np.asarray(spec.sigma(u), dtype=float) * eps
+
+    if isinstance(spec, ChangepointArSpec):
+        return _changepoint_rows(spec, eps, T, burn)
+
+    from scipy.signal import lfilter  # deferred: it takes about 1 s to import
+
     if isinstance(spec, ArmaSpec):
         b = np.concatenate([[1.0], np.asarray(spec.ma, dtype=float)])
         a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
         return lfilter(b, a, eps, axis=-1)[:, burn:]
-
-    if isinstance(spec, ChangepointArSpec):
-        return _changepoint_rows(spec, eps, T, burn)
 
     if isinstance(spec, TvInnovationArSpec):
         t = np.arange(1 - burn, T + 1)
@@ -195,10 +200,6 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
         a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
         return lfilter([1.0], a, scale * eps, axis=-1)[:, burn:]
 
-    if isinstance(spec, ModulatedNoiseSpec):
-        u = np.arange(1, T + 1) / T
-        return np.asarray(spec.sigma(u), dtype=float) * eps
-
     raise InvalidInputError(f"unsupported model spec {type(spec).__name__}")
 
 
@@ -206,6 +207,8 @@ _CHANGEPOINT_MEMORY = 16  # past outputs a segment can see at its switch
 
 
 def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
+    from scipy.signal import lfilter  # deferred: it takes about 1 s to import
+
     bounds = [0] + [int(math.floor(frac * T)) for frac, _ in spec.segments]
     bounds[-1] = T  # floor(1.0 * T) == T, kept explicit
     # y holds the burn-in too: the first switch can look back into it

@@ -10,6 +10,10 @@ j / (b*T) and renormalized to sum to exactly one. The index window has
 half-width floor(b*T/2), so the bandwidth b is the covered fraction of the
 whole frequency circle. After smoothing, values are floored at a relative
 ridge to keep the standardization denominators away from zero.
+
+The sum is computed with FFTs, as a linear convolution of the wrap-padded
+periodogram, in O(T log T) time whatever the bandwidth; it agrees with the
+direct sum to rounding (1e-13 relative is checked in the tests).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import BandwidthTooSmallError, BandwidthWarning, InvalidInputError
 from .numerics import dft_canonical
@@ -125,6 +128,12 @@ def smooth_spectral(pgram, kernel: KernelSpec | None = None,
     Returns
     -------
     SpectralEstimate
+
+    Notes
+    -----
+    The circular weighted sum is evaluated by FFT convolution in
+    O(T log T) time, independent of the bandwidth, and agrees with the
+    direct sum to rounding.
     """
     vals = np.asarray(pgram, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
@@ -155,8 +164,18 @@ def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
     Rows are smoothed independently, so a row's result does not depend on
     the rest of the block.
     """
-    # circular (wrap) correlation; the window never exceeds T/2 + 1 points
-    # because bandwidth < 1/2
-    smoothed = correlate1d(pgram, weights, axis=-1, mode="wrap")
+    # The circular weighted sum is the linear convolution of each row padded
+    # with H wrapped values on both sides (H < T/4 since the bandwidth is
+    # below 1/2; the weights are symmetric, so convolution equals
+    # correlation), read at indices 2H .. 2H + T - 1. Zero-padding to a power
+    # of two n >= T + 2H keeps the transform's wrap-around off those indices
+    # and its length fast even for prime T. Cost O(T log T) for any
+    # bandwidth; the result agrees with the direct sum to rounding.
+    T = pgram.shape[-1]
+    H = weights.size // 2
+    padded = np.concatenate([pgram[..., T - H:], pgram, pgram[..., :H]], axis=-1)
+    n = 1 << (T + 2 * H - 1).bit_length()
+    spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
+    smoothed = np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H: 2 * H + T]
     ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
     return np.maximum(smoothed, ridge), ridge

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dftstat
 from dftstat.cli import main, read_series, apply_transform, _parse_lag_list
 from dftstat.errors import InputError
 
@@ -258,3 +264,31 @@ def test_power_time_constant_model_is_flat(tmp_path):
     lines = (tmp_path / "model1_power.csv").read_text().strip().splitlines()
     mags = [float(l.split(",")[3]) for l in lines[1:]]
     assert max(mags) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+    import dftstat, dftstat.cli
+    assert dftstat.cli.main(["test", sys.argv[1]]) == 0
+    heavy = {"scipy.signal", "scipy.ndimage"} & set(sys.modules)
+    assert not heavy, heavy
+    from dftstat import GeneratorConfig, RngStream, generate, model_preset
+    x = generate(model_preset("model3", 256), GeneratorConfig(T=256, rng=RngStream(1, 0)))
+    assert x.shape == (256,) and "scipy.signal" in sys.modules
+""")
+
+
+def test_test_command_loads_no_scipy_signal_or_ndimage(tmp_path):
+    # scipy.signal (which pulls in scipy.ndimage) takes about 1 s to import;
+    # only the simulators need it, and they import it on first use
+    path = tmp_path / "series.txt"
+    write_series(path, np.random.default_rng(3).standard_normal(512).tolist())
+    env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from dftstat import (
     periodogram,
     smooth_spectral,
 )
+from dftstat.spectral import _smooth_rows, _smoother
 
 
 def test_periodogram_zero_series():
@@ -87,6 +88,42 @@ def test_flat_kernel_locality():
         bumped = smooth_spectral(far, KernelSpec("daniell", b), ridge_factor=0.0)
     assert bumped.values[target] == pytest.approx(base.values[target], rel=1e-12)
     assert bumped.values[(target + half + 5) % T] > base.values[(target + half + 5) % T]
+
+
+def _direct_smooth(pg, weights):
+    """fhat_k = sum_j W(j) I_{k+j mod T}, one np.roll per offset."""
+    H = weights.size // 2
+    return sum(weights[H + j] * np.roll(pg, -j) for j in range(-H, H + 1))
+
+
+def _model1_periodogram(T, stream):
+    x = generate(model_preset("model1", T), GeneratorConfig(T=T, rng=RngStream(15, stream)))
+    return periodogram(x)
+
+
+@pytest.mark.parametrize("kind", ["daniell", "bartlett"])
+# at T=230 the default window has H=18 and T + H <= 256 < T + 2H: a transform
+# shorter than T + 2H would wrap the convolution's tail onto its output
+@pytest.mark.parametrize("T", [33, 64, 230, 257, 4093, 4096])
+@pytest.mark.parametrize("b", [None, 0.45])  # default and the widest window
+def test_smoothing_matches_direct_circular_sum(kind, T, b):
+    pg = _model1_periodogram(T, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        est = smooth_spectral(pg, KernelSpec(kind, b), ridge_factor=0.0)
+        direct = _direct_smooth(pg, est.kernel.weights(T))
+    assert np.max(np.abs(est.values - direct) / direct) < 1e-13
+
+
+@pytest.mark.parametrize("T", [64, 257, 4096])
+def test_smoothing_a_block_equals_its_rows(T):
+    pg = np.stack([_model1_periodogram(T, i) for i in range(7)])
+    _, weights = _smoother(KernelSpec("bartlett"), T, 1e-3)
+    block, ridges = _smooth_rows(pg, weights, 1e-3)
+    for i in range(7):
+        row, ridge = _smooth_rows(pg[i], weights, 1e-3)
+        assert np.array_equal(block[i], row)
+        assert np.array_equal(ridges[i], ridge)
 
 
 def test_white_noise_estimate_tracks_flat_spectrum():
