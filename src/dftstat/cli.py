@@ -20,7 +20,14 @@ import numpy as np
 from .errors import ComputationError, InputError, StationarityTestError
 from .numerics import RngStream
 from .spectral import KernelSpec
-from .stattest import CorrectionSpec, SegmentReport, TestResult, segmented_test, stationarity_test
+from .stattest import (
+    DEFAULT_LEVELS,
+    CorrectionSpec,
+    SegmentReport,
+    TestResult,
+    segmented_test,
+    stationarity_test,
+)
 from .simulate import (
     GeneratorConfig,
     PRESET_NAMES,
@@ -232,7 +239,7 @@ def _cmd_test(args) -> int:
     lags, _ = _lags_from_args(args)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
-    levels = tuple(args.level) if args.level else (0.01, 0.05, 0.10)
+    levels = tuple(args.level) if args.level else DEFAULT_LEVELS
     series = apply_transform(read_series(args.input, args.column), args.transform)
     res = stationarity_test(series, lags=lags, kernel=kernel, correction=correction,
                             ridge_factor=args.ridge_factor, demean=not args.keep_mean,
@@ -266,7 +273,7 @@ def _cmd_segment(args) -> int:
     lags, _ = _lags_from_args(args)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
-    levels = tuple(args.level) if args.level else (0.01, 0.05, 0.10)
+    levels = tuple(args.level) if args.level else DEFAULT_LEVELS
     series = apply_transform(read_series(args.input, args.column), args.transform)
     report = segmented_test(series, depth=args.depth, lags=lags, kernel=kernel,
                             correction=correction, ridge_factor=args.ridge_factor,
@@ -309,11 +316,7 @@ def _cmd_simulate(args) -> int:
     series = generate(spec, config)
     lines = [f"# {name} T={args.T} seed={args.seed} stream={args.stream}"]
     lines.extend(_fmt(v) for v in series)
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, newline="\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -401,11 +404,14 @@ def _cmd_power(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_test_options(p: argparse.ArgumentParser):
+def _add_lag_options(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=None,
                    help="number of consecutive lags 1..m (default 4)")
     p.add_argument("--lags", default=None,
                    help="explicit lag list, e.g. 3,17,40 or 1..10")
+
+
+def _add_model_options(p: argparse.ArgumentParser):
     p.add_argument("--bandwidth", default="auto",
                    help="kernel bandwidth in (0, 1/2), or 'auto' for T^(-1/3)")
     p.add_argument("--kernel", choices=("daniell", "bartlett"), default="daniell")
@@ -442,14 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="test a series read from a file")
     p.add_argument("input")
-    _add_test_options(p)
+    _add_lag_options(p)
+    _add_model_options(p)
     _add_io_options(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("segment", help="test nested dyadic blocks of a series")
     p.add_argument("input")
     p.add_argument("--depth", type=int, default=3)
-    _add_test_options(p)
+    _add_lag_options(p)
+    _add_model_options(p)
     _add_io_options(p)
     p.set_defaults(func=_cmd_segment)
 
@@ -470,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", dest="level_single", type=float, default=0.05)
     p.add_argument("--outdir", default=None)
     p.add_argument("--tag", default=None)
-    _add_test_options(p)
+    _add_lag_options(p)
+    _add_model_options(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("scan", help="single-lag rejection rate at each lag")
@@ -482,15 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", dest="level_single", type=float, default=0.05)
     p.add_argument("--outdir", default=None)
     p.add_argument("--tag", default=None)
-    p.add_argument("--bandwidth", default="auto")
-    p.add_argument("--kernel", choices=("daniell", "bartlett"), default="daniell")
-    p.add_argument("--ridge-factor", dest="ridge_factor", type=float, default=1e-3)
-    p.add_argument("--correction", choices=("gaussian", "linear", "user"),
-                   default="gaussian")
-    p.add_argument("--psi", default=None)
-    p.add_argument("--kappa4", type=float, default=None)
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
+    _add_model_options(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("power", help="noncentrality profile of a model preset")

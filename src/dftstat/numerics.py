@@ -10,9 +10,10 @@ returned by :func:`dft_canonical` are ordered k = 1..T, so index arithmetic
 on frequencies is modulo T (w_{k+T} is the same frequency as w_k).
 
 The chi-square functions are implemented from the regularized incomplete
-gamma function (series expansion below the mode, continued fraction above),
-so they carry no dependency beyond ``math`` and are testable against a
-quadrature oracle to 1e-10.
+gamma function Q(dof/2, x/2): a power series below x/2 = dof/2 + 1 and,
+above it, the finite sum of Poisson-type terms (plus erfc for odd dof),
+which is exact for the integer dof the API takes. They need nothing beyond
+``math`` (no scipy) and match a quadrature oracle to 1e-10.
 """
 
 from __future__ import annotations
@@ -27,25 +28,6 @@ from .errors import InvalidInputError, NumericalError
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Canonical frequency grid w_k = 2*pi*k/T, k = 1..T."""
-
-    T: int
-
-    def __post_init__(self):
-        if self.T < 2:
-            raise InvalidInputError(f"series length must be >= 2, got {self.T}")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return _TWO_PI * np.arange(1, self.T + 1) / self.T
-
-    def omega(self, k: int) -> float:
-        """Frequency at index k, reduced modulo T."""
-        return _TWO_PI * (k % self.T) / self.T
 
 
 def dft_canonical(series) -> np.ndarray:
@@ -92,22 +74,6 @@ def _dft_rows(x: np.ndarray) -> np.ndarray:
     return np.roll(vals, -1, axis=-1)
 
 
-def dft_direct(series) -> np.ndarray:
-    """Direct O(T^2) evaluation of the canonical DFT, k = 1..T order.
-
-    Slow reference implementation kept as an independent check of
-    :func:`dft_canonical`.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidInputError("dft_direct needs a 1-d series of length >= 2")
-    T = x.size
-    t = np.arange(1, T + 1)
-    k = np.arange(1, T + 1)
-    kernel = np.exp(2j * np.pi * np.outer(t, k) / T)
-    return x @ kernel / math.sqrt(_TWO_PI * T)
-
-
 # ---------------------------------------------------------------------------
 # chi-square distribution via the regularized incomplete gamma function
 # ---------------------------------------------------------------------------
@@ -136,37 +102,25 @@ def _lower_reg_gamma(a: float, x: float) -> float:
 
 
 def _upper_reg_gamma(a: float, x: float) -> float:
-    """Q(a, x) by modified Lentz continued fraction; accurate for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    else:
-        raise NumericalError(f"incomplete gamma fraction failed to converge at a={a}, x={x}")
-    log_scale = -x + a * math.log(x) - math.lgamma(a)
-    return h * math.exp(log_scale)
+    """Q(a, x) for integer or half-integer a by its finite sum; used for x >= a + 1.
+
+    Q(a, x) = [erfc(sqrt(x)) if a is a half-integer] +
+    sum_{k < a - a0} x**(a0 + k) * exp(-x) / Gamma(a0 + k + 1), a0 = a mod 1.
+    """
+    a0 = a % 1.0
+    head = math.erfc(math.sqrt(x)) if a0 else 0.0
+    log_x = math.log(x)
+    return head + sum(math.exp((a0 + k) * log_x - x - math.lgamma(a0 + k + 1.0))
+                      for k in range(int(a - a0)))
 
 
 def chisq_sf(x: float, dof: int) -> float:
     """Survival function P(chi^2_dof > x).
 
-    Absolute error below 1e-10 over the whole domain. Raises on negative
-    ``x`` or nonpositive ``dof``.
+    Computed as Q(dof/2, x/2): 1 minus the lower power series for
+    x/2 < dof/2 + 1, else the finite sum that is exact for integer dof, with
+    no scipy. Absolute error below 1e-10 over the whole domain. Raises on
+    negative ``x`` or nonpositive ``dof``.
     """
     if not math.isfinite(x) or x < 0.0:
         raise InvalidInputError(f"chisq_sf requires x >= 0, got {x}")
@@ -208,9 +162,12 @@ def chisq_quantile(p: float, dof: int) -> float:
         if hi > 1e12:
             raise NumericalError("chisq_quantile bracket growth failed")
 
+    # deferred: only the Monte Carlo drivers need quantiles, not `dftstat test`
+    from statistics import NormalDist
+
     # Newton from the Wilson-Hilferty start, safeguarded by the bracket
     c = 2.0 / (9.0 * dof)
-    z = _normal_quantile(p)
+    z = NormalDist().inv_cdf(p)
     x = dof * (1.0 - c + z * math.sqrt(c)) ** 3
     if not (lo < x < hi):
         x = 0.5 * (lo + hi)
@@ -226,39 +183,11 @@ def chisq_quantile(p: float, dof: int) -> float:
         x_new = x + step
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-14 * max(1.0, x):
+        if abs(x_new - x) < 1e-14 * x:
             x = x_new
             break
         x = x_new
     return x
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile (Acklam's rational approximation).
-
-    Only used as a Newton starting point; a few decimal digits suffice.
-    """
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +240,6 @@ def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # composite trapezoid quadrature on a rectangle
 # ---------------------------------------------------------------------------
-
-
-def trapezoid_2d(f, x_span=(0.0, 1.0), y_span=(0.0, _TWO_PI), nx: int = 128, ny: int = 256):
-    """Composite trapezoid approximation of a double integral.
-
-    Parameters
-    ----------
-    f : callable
-        Integrand f(x, y). Should broadcast over numpy arrays; a scalar-only
-        callable is accepted and vectorized.
-    x_span, y_span : (float, float)
-        Integration limits per axis.
-    nx, ny : int
-        Number of grid points per axis, at least 16 each.
-
-    Returns
-    -------
-    float or complex
-        The quadrature value; complex when the integrand is complex.
-    """
-    if nx < 16 or ny < 16:
-        raise InvalidInputError(f"trapezoid_2d needs grid sizes >= 16, got ({nx}, {ny})")
-    x = np.linspace(x_span[0], x_span[1], int(nx))
-    y = np.linspace(y_span[0], y_span[1], int(ny))
-    try:
-        vals = np.asarray(f(x[:, None], y[None, :]))
-        if vals.shape != (x.size, y.size):
-            vals = np.broadcast_to(vals, (x.size, y.size))
-    except Exception:
-        vals = np.vectorize(f)(x[:, None], y[None, :])
-    return trapezoid_2d_values(vals, x, y)
 
 
 def trapezoid_2d_values(values, x, y):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dftstat
-from dftstat.cli import main, read_series, apply_transform, _parse_lag_list
+from dftstat.cli import main, read_series, apply_transform, _parse_lag_list, build_parser
 from dftstat.errors import InputError
 
 
@@ -244,6 +244,23 @@ def test_scan_command_schema(tmp_path, capsys):
     assert lags == [1, 2, 3, 4, 5]
 
 
+def test_scan_accepts_every_model_option_with_mc_defaults():
+    parser = build_parser()
+    model_options = ("bandwidth", "kernel", "ridge_factor", "correction", "psi",
+                     "kappa4", "kappa", "burn_in")
+    mc = vars(parser.parse_args(["mc", "model1", "--T", "64"]))
+    scan = vars(parser.parse_args(["scan", "model1", "--T", "64", "--lags", "1..3"]))
+    assert {k: scan[k] for k in model_options} == {k: mc[k] for k in model_options}
+    given = ["--bandwidth", "0.2", "--kernel", "bartlett", "--ridge-factor", "0.01",
+             "--correction", "user", "--psi", "0.5", "--kappa4", "1.5",
+             "--kappa", "1,2,3", "--burn-in", "50"]
+    scan = vars(parser.parse_args(["scan", "model1", "--T", "64", "--lags", "1..3", *given]))
+    assert {k: scan[k] for k in model_options} == {
+        "bandwidth": "0.2", "kernel": "bartlett", "ridge_factor": 0.01,
+        "correction": "user", "psi": "0.5", "kappa4": 1.5, "kappa": "1,2,3",
+        "burn_in": 50}
+
+
 def test_power_command_schema(tmp_path, capsys):
     rc = main(["power", "model6", "--lags", "1..8", "--outdir", str(tmp_path)])
     assert rc == 0
@@ -275,7 +292,7 @@ _IMPORT_GUARD = textwrap.dedent("""
     import sys
     import dftstat, dftstat.cli
     assert dftstat.cli.main(["test", sys.argv[1]]) == 0
-    heavy = {"scipy.signal", "scipy.ndimage"} & set(sys.modules)
+    heavy = {"scipy", "statistics"} & {name.partition(".")[0] for name in sys.modules}
     assert not heavy, heavy
     from dftstat import GeneratorConfig, RngStream, generate, model_preset
     x = generate(model_preset("model3", 256), GeneratorConfig(T=256, rng=RngStream(1, 0)))

@@ -4,22 +4,29 @@ import numpy as np
 import pytest
 
 from dftstat import (
-    FrequencyGrid,
     InvalidInputError,
     NumericalError,
     RngStream,
     chisq_quantile,
     chisq_sf,
     dft_canonical,
-    dft_direct,
     gauss_stream,
-    trapezoid_2d,
 )
+from dftstat.numerics import trapezoid_2d_values
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def dft_direct(series):
+    """Direct O(T^2) evaluation of the canonical DFT, k = 1..T order."""
+    x = np.asarray(series, dtype=float)
+    T = x.size
+    t = np.arange(1, T + 1)
+    kernel = np.exp(2j * np.pi * np.outer(t, t) / T)
+    return x @ kernel / math.sqrt(2 * np.pi * T)
 
 
 def chisq_sf_simpson(x, dof, points=200001):
@@ -128,15 +135,6 @@ def test_dft_rejects_short_input():
         dft_canonical([1.0])
 
 
-def test_frequency_grid():
-    g = FrequencyGrid(8)
-    assert g.frequencies[-1] == pytest.approx(2 * np.pi)
-    assert len(g.frequencies) == 8
-    assert g.omega(9) == pytest.approx(g.omega(1))
-    with pytest.raises(InvalidInputError):
-        FrequencyGrid(1)
-
-
 # ---------------------------------------------------------------------------
 # chi-square
 # ---------------------------------------------------------------------------
@@ -160,6 +158,20 @@ def test_chisq_sf_against_quadrature_oracle():
     for x, dof in pairs:
         oracle = chisq_sf_simpson(x, dof)
         assert abs(chisq_sf(x, dof) - oracle) <= 1e-10, (x, dof)
+
+
+def test_chisq_sf_large_dof_against_quadrature_oracle():
+    # --lags 1..120 gives dof 240; the 1% and 50% points fall in the lower
+    # series' range, the 99.9% point in the finite sum's
+    for dof in (60, 61, 240, 241):
+        for p in (0.01, 0.5, 0.999):
+            x = chisq_quantile(p, dof)
+            oracle = chisq_sf_simpson(x, dof)
+            assert abs(chisq_sf(x, dof) - oracle) <= 1e-10, (p, dof)
+    xs = np.linspace(0.0, 600.0, 3001)
+    for dof in (60, 240):
+        vals = [chisq_sf(x, dof) for x in xs]
+        assert all(a >= b for a, b in zip(vals, vals[1:])), dof
 
 
 def test_chisq_sf_dof2_closed_form():
@@ -194,6 +206,15 @@ def test_chisq_quantile_round_trip():
         for dof in (2, 8, 20):
             x = chisq_quantile(p, dof)
             assert chisq_sf(x, dof) == pytest.approx(1.0 - p, abs=1e-9)
+
+
+def test_chisq_quantile_round_trip_tiny_p():
+    # for dof 1 the quantile at p = 1e-9 is 1.6e-18, so the Newton stop rule
+    # must be relative to x, not absolute near zero
+    for dof in (1, 2, 3):
+        for p in (1e-12, 1e-9, 1e-6):
+            x = chisq_quantile(p, dof)
+            assert chisq_sf(x, dof) == pytest.approx(1.0 - p, abs=1e-9), (p, dof)
 
 
 def test_chisq_quantile_against_bisected_oracle():
@@ -256,44 +277,41 @@ def test_gauss_stream_validation():
 
 
 def test_trapezoid_constant():
-    val = trapezoid_2d(lambda u, w: 1.0, (0.0, 1.0), (0.0, 2 * np.pi), 64, 64)
+    u = np.linspace(0.0, 1.0, 64)
+    w = np.linspace(0.0, 2 * np.pi, 64)
+    val = trapezoid_2d_values(np.ones((64, 64)), u, w)
     assert val == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_trapezoid_pure_cosine_cancels():
-    val = trapezoid_2d(lambda u, w: np.cos(2 * np.pi * u) * np.ones_like(w),
-                       (0.0, 1.0), (0.0, 2 * np.pi), 128, 64)
+    u = np.linspace(0.0, 1.0, 128)
+    w = np.linspace(0.0, 2 * np.pi, 64)
+    val = trapezoid_2d_values(np.cos(2 * np.pi * u[:, None]) * np.ones_like(w), u, w)
     assert abs(val) < 1e-10
 
 
 def test_trapezoid_hand_integrated_value():
     # integral of u*sin(w)^2 over [0,1]x[0,2pi] is (1/2)*pi
-    val = trapezoid_2d(lambda u, w: u * np.sin(w) ** 2,
-                       (0.0, 1.0), (0.0, 2 * np.pi), 128, 256)
+    u = np.linspace(0.0, 1.0, 128)
+    w = np.linspace(0.0, 2 * np.pi, 256)
+    val = trapezoid_2d_values(u[:, None] * np.sin(w[None, :]) ** 2, u, w)
     assert val == pytest.approx(np.pi / 2, rel=1e-10)
 
 
 def test_trapezoid_grid_refinement_stability():
-    f = lambda u, w: np.exp(-u) * (1 + 0.3 * np.cos(w))
-    coarse = trapezoid_2d(f, (0, 1), (0, 2 * np.pi), 64, 64)
-    fine = trapezoid_2d(f, (0, 1), (0, 2 * np.pi), 128, 128)
-    assert fine == pytest.approx(coarse, rel=1e-4)
+    def on_grid(n):
+        u = np.linspace(0.0, 1.0, n)
+        w = np.linspace(0.0, 2 * np.pi, n)
+        vals = np.exp(-u[:, None]) * (1 + 0.3 * np.cos(w[None, :]))
+        return trapezoid_2d_values(vals, u, w)
 
-
-def test_trapezoid_scalar_only_callable():
-    val = trapezoid_2d(lambda u, w: float(u) * float(w), (0, 1), (0, 2), 32, 32)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
-def test_trapezoid_rejects_small_grid():
-    with pytest.raises(InvalidInputError):
-        trapezoid_2d(lambda u, w: 1.0, (0, 1), (0, 1), 8, 64)
+    assert on_grid(128) == pytest.approx(on_grid(64), rel=1e-4)
 
 
 def test_trapezoid_reports_nonfinite_location():
-    def f(u, w):
-        return np.where(u > 0.5, np.inf, 1.0) * np.ones_like(w)
-
+    u = np.linspace(0.0, 1.0, 32)
+    w = np.linspace(0.0, 2 * np.pi, 32)
+    vals = np.where(u[:, None] > 0.5, np.inf, 1.0) * np.ones_like(w)
     with pytest.raises(NumericalError) as err:
-        trapezoid_2d(f, (0, 1), (0, 2 * np.pi), 32, 32)
+        trapezoid_2d_values(vals, u, w)
     assert "grid point" in str(err.value)
