@@ -25,9 +25,10 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     InvalidInputError,
+    NumericalError,
     StationarityTestError,
 )
-from .numerics import _gauss_rows, chisq_quantile, trapezoid_2d_values, _trapz
+from .numerics import _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
@@ -200,12 +201,24 @@ def fourier_coefficient(fn: Callable, r: int, grid: int = 512) -> complex:
     return complex(np.mean(vals * np.exp(-2j * np.pi * r * t / grid)))
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights v with v @ y the composite trapezoid rule of y over the grid x."""
+    half = 0.5 * np.diff(x)
+    v = np.zeros(x.size)
+    v[:-1] += half
+    v[1:] += half
+    return v
+
+
 def integrated_spectrum(f_local: Callable, omega_grid, u_points: int = 257) -> np.ndarray:
-    """Time average of the local spectral density at each frequency."""
+    """Time average of the local spectral density at each frequency.
+
+    f is evaluated once on the (u_points, len(omega_grid)) grid and averaged
+    over u by the trapezoid weight row, as in ``noncentrality``.
+    """
     w = np.asarray(omega_grid, dtype=float)
     u = np.linspace(0.0, 1.0, int(u_points))
-    vals = _eval_local(f_local, u, w)
-    out = _trapz(vals, u, axis=0)
+    out = _trapezoid_weights(u) @ _eval_local(f_local, u, w)
     if np.any(out <= 0.0):
         raise DegenerateSpectrumError("integrated spectrum is not strictly positive")
     return out
@@ -222,6 +235,53 @@ def _eval_local(f_local, u, w) -> np.ndarray:
     return vals
 
 
+def _time_average(wu: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """fbar = wu @ vals, checked to be at least 1e-10 at every frequency."""
+    fbar = wu @ vals
+    if np.any(fbar < 1e-10):
+        raise DegenerateSpectrumError("integrated spectrum below 1e-10")
+    return fbar
+
+
+def _noncentralities(f_local: Callable, lags, u_points: int, omega_points: int,
+                     T: Optional[int]) -> np.ndarray:
+    """B(r) for every lag in ``lags`` by one trapezoid quadrature.
+
+    f is evaluated once on the (u, w) grid. The u-integrals of all lags are
+    one product: the rows exp(-2*pi*i*r*u) times the u weights, (lags x u),
+    times the grid, (u x w); fbar is the weight row times the grid. With
+    ``T`` given, fbar(w + 2*pi*r/T) costs one more grid evaluation per lag,
+    reduced to its row before the next, so memory stays at one grid.
+    """
+    if u_points < 128 or omega_points < 256:
+        raise InvalidInputError(
+            f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
+        )
+    r = np.asarray(lags, dtype=float)
+    if np.any(r == 0):
+        raise InvalidInputError("lag r must be nonzero")
+    u = np.linspace(0.0, 1.0, int(u_points))
+    w = np.linspace(0.0, _TWO_PI, int(omega_points))
+    wu = _trapezoid_weights(u)
+    vals = _eval_local(f_local, u, w)
+    fbar = _time_average(wu, vals)
+    inner = (np.exp(np.multiply.outer(-2j * np.pi * r, u)) * wu) @ vals
+    if T is None:
+        integrand = inner / fbar
+    else:
+        shifted = np.array([
+            _time_average(wu, _eval_local(f_local, u, (w + _TWO_PI * lag / T) % _TWO_PI))
+            for lag in r]).reshape(r.size, w.size)
+        integrand = inner / np.sqrt(fbar * shifted)
+    bad = ~np.isfinite(integrand)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NumericalError(
+            f"non-finite integrand value at lag r={r[i]:g}, omega={w[j]!r}"
+        )
+    return integrand @ _trapezoid_weights(w) / _TWO_PI
+
+
 def noncentrality(f_local: Callable, r: int, u_points: int = 257,
                   omega_points: int = 513, T: Optional[int] = None) -> complex:
     """Limit of the standardized DFT covariance under local stationarity.
@@ -236,30 +296,12 @@ def noncentrality(f_local: Callable, r: int, u_points: int = 257,
     otherwise w_r = 0, the limit for fixed r as T grows. B vanishes exactly
     when f does not depend on u, and its magnitude at lag r drives the
     test's power there.
+
+    This is the one-lag case of ``power_profile``: a trapezoid rule on a
+    (u_points, omega_points) grid, with f evaluated once on it (twice with
+    ``T`` given) and memory of one grid.
     """
-    if u_points < 128 or omega_points < 256:
-        raise InvalidInputError(
-            f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
-        )
-    if r == 0:
-        raise InvalidInputError("lag r must be nonzero")
-    u = np.linspace(0.0, 1.0, int(u_points))
-    w = np.linspace(0.0, _TWO_PI, int(omega_points))
-    vals = _eval_local(f_local, u, w)
-    fbar = _trapz(vals, u, axis=0)
-    if np.any(fbar < 1e-10):
-        raise DegenerateSpectrumError("integrated spectrum below 1e-10")
-    if T is None:
-        denom = fbar
-    else:
-        w_r = _TWO_PI * r / T
-        shifted = _eval_local(f_local, u, (w + w_r) % _TWO_PI)
-        fbar_shift = _trapz(shifted, u, axis=0)
-        if np.any(fbar_shift < 1e-10):
-            raise DegenerateSpectrumError("integrated spectrum below 1e-10")
-        denom = np.sqrt(fbar * fbar_shift)
-    integrand = vals * np.exp(-2j * np.pi * r * u)[:, None] / denom[None, :]
-    return complex(trapezoid_2d_values(integrand, u, w) / _TWO_PI)
+    return complex(_noncentralities(f_local, (r,), u_points, omega_points, T)[0])
 
 
 @dataclass(frozen=True)
@@ -281,9 +323,18 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
                   sigma: Optional[Callable] = None,
                   sigma_grid: int = 512) -> PowerProfile:
     """Noncentrality B(r) per lag, with optional scale-function Fourier
-    coefficients for comparison."""
+    coefficients for comparison.
+
+    All lags share one quadrature (see ``noncentrality`` for B): f is
+    evaluated once on the (u_points, omega_points) grid and the u-integrals
+    of all L lags are one (L x u_points) @ (u_points x omega_points) matrix
+    product, so the cost is one grid evaluation plus O(L * u_points *
+    omega_points) multiply-adds. With ``T`` given, each lag adds one grid
+    evaluation of f at the shifted frequencies, taken one lag at a time, so
+    memory stays at about one grid for any number of lags.
+    """
     lags = tuple(int(r) for r in lags)
-    B = np.array([noncentrality(f_local, r, u_points, omega_points, T) for r in lags])
+    B = _noncentralities(f_local, lags, u_points, omega_points, T)
     mu = np.empty(2 * len(lags))
     mu[0::2] = B.real
     mu[1::2] = B.imag

@@ -1,5 +1,5 @@
 """Numerical primitives: canonical-frequency DFT, chi-square distribution
-functions, composite trapezoid quadrature, and seeded Gaussian streams.
+functions and seeded Gaussian streams.
 
 The DFT convention used throughout the package is
 
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _TWO_PI = 2.0 * math.pi
 
@@ -143,8 +141,10 @@ def _chisq_logpdf(x: float, dof: int) -> float:
 def chisq_quantile(p: float, dof: int) -> float:
     """Inverse of the chi-square CDF: x with chisq_sf(x, dof) = 1 - p.
 
-    Accepts p in [0, 1); strictly increasing in p. Accuracy: the returned
-    point satisfies the defining equation to 1e-9 in sf value.
+    Accepts p in [0, 1); strictly increasing in p. Accuracy: the Newton
+    iteration stops when the sf value is within 1e-13 of 1 - p relative to
+    1 - p, so the returned point satisfies the defining equation to 1e-9
+    relative in sf value, also far in the upper tail (1 - p down to 1e-14).
     """
     if not (0.0 <= p < 1.0):
         raise InvalidInputError(f"chisq_quantile requires p in [0, 1), got {p}")
@@ -177,7 +177,7 @@ def chisq_quantile(p: float, dof: int) -> float:
             lo = x
         else:
             hi = x
-        if abs(fx) < 1e-13:
+        if abs(fx) < 1e-13 * target:
             break
         step = fx / math.exp(_chisq_logpdf(x, dof)) if x > 0.0 else 0.0
         x_new = x + step
@@ -235,22 +235,3 @@ def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
     for row, stream in enumerate(range(start, stop)):
         RngStream(master_seed, stream).generator().standard_normal(out=out[row])
     return out
-
-
-# ---------------------------------------------------------------------------
-# composite trapezoid quadrature on a rectangle
-# ---------------------------------------------------------------------------
-
-
-def trapezoid_2d_values(values, x, y):
-    """Trapezoid rule over precomputed values on a rectangular grid."""
-    vals = np.asarray(values)
-    bad = ~np.isfinite(vals.real) | ~np.isfinite(vals.imag) if np.iscomplexobj(vals) \
-        else ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NumericalError(
-            f"non-finite integrand value at grid point (x={x[i]!r}, y={y[j]!r})"
-        )
-    inner = _trapz(vals, y, axis=1)
-    return _trapz(inner, x, axis=0)

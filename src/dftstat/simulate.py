@@ -289,15 +289,9 @@ def local_spectrum(spec: ModelSpec) -> Callable[[np.ndarray, np.ndarray], np.nda
         def f(u, omega):
             u = np.atleast_1d(np.asarray(u, dtype=float))
             w = np.asarray(omega, dtype=float)
-            uu, ww = np.broadcast_arrays(u, w)
-            out = np.empty(uu.shape)
-            seg = np.searchsorted(fracs, uu, side="left")
-            seg = np.clip(seg, 0, len(fns) - 1)
-            for j in range(len(fns)):
-                mask = seg == j
-                if mask.any():
-                    out[mask] = fns[j](ww[mask])
-            return out
+            seg = np.clip(np.searchsorted(fracs, u, side="left"), 0, len(fns) - 1)
+            # each segment's spectrum once on w, picked per u by broadcasting
+            return np.select([seg == j for j in range(len(fns))], [fn(w) for fn in fns])
 
         return f
 

@@ -136,22 +136,6 @@ def _transfer(psi: np.ndarray, omega):
     return vals
 
 
-def transfer_phase(psi, omega):
-    """Phase of the filter transfer function via the two-argument arctangent.
-
-    Raises when the transfer modulus drops below 1e-12 (phase undefined).
-    Accepts scalar or array omega.
-    """
-    p = np.asarray(psi, dtype=float)
-    if p.ndim != 1 or p.size == 0 or p[0] == 0.0:
-        raise InvalidInputError("psi must be a nonempty coefficient vector with psi[0] != 0")
-    a = _transfer(p, omega)
-    if np.any(np.abs(a) < 1e-12):
-        raise DegenerateTransferError("transfer function modulus below 1e-12")
-    phases = np.arctan2(a.imag, a.real)
-    return float(phases) if np.isscalar(omega) else phases
-
-
 def phase_coherence(psi, x: float, grid: int = 2048) -> float:
     """Squared modulus of the mean phase twist over one frequency period.
 

