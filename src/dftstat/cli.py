@@ -50,9 +50,15 @@ EXIT_NUMERICAL = 3
 OUTDIR_ENV = "DFTSTAT_OUTDIR"
 
 
-def _fmt(x: float) -> str:
-    """CSV float formatting pinned to 17 significant digits."""
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """CSV field: floats pinned to 17 significant digits, anything else by str."""
+    return format(float(x), ".17g") if isinstance(x, float) else str(x)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line of fields per row."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +72,8 @@ def read_series(path: str, column: int | None = None) -> np.ndarray:
     With ``column`` the file is split on commas and the 0-based field is
     taken; a non-numeric first data row is treated as a header.
     """
+    if column is not None and column < 0:
+        raise InputError(f"column must be >= 0, got {column}")
     p = Path(path)
     try:
         text = p.read_text()
@@ -174,29 +182,25 @@ def _correction_from_args(args) -> CorrectionSpec:
             raise InputError("--correction linear needs --psi and --kappa4")
         psi = tuple(float(v) for v in args.psi.split(","))
         return CorrectionSpec.linear(psi, args.kappa4)
-    if mode == "user":
-        if not args.kappa:
-            raise InputError("--correction user needs --kappa")
-        return CorrectionSpec.user(tuple(float(v) for v in args.kappa.split(",")))
-    raise InputError(f"unknown correction mode {mode!r}")
+    if not args.kappa:  # argparse's choices leave only mode "user" here
+        raise InputError("--correction user needs --kappa")
+    return CorrectionSpec.user(tuple(float(v) for v in args.kappa.split(",")))
 
 
-def _lags_from_args(args, default_m: int = 4):
+def _lags_from_args(args) -> tuple[int, ...]:
     if args.lags is not None and args.m is not None:
         raise InputError("give either --m or --lags, not both")
     if args.lags is not None:
-        return _parse_lag_list(args.lags), None
-    m = args.m if args.m is not None else default_m
+        return _parse_lag_list(args.lags)
+    m = 4 if args.m is None else args.m
     if m < 1:
         raise InputError(f"--m must be >= 1, got {m}")
-    return tuple(range(1, m + 1)), m
+    return tuple(range(1, m + 1))
 
 
 def _outdir(args) -> Path:
-    base = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV) or "."
-    d = Path(base)
-    if not d.exists():
-        d.mkdir(parents=True, exist_ok=True)
+    d = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    d.mkdir(parents=True, exist_ok=True)
     return d
 
 
@@ -236,7 +240,7 @@ def _write_text(path_or_none, text: str):
 
 
 def _cmd_test(args) -> int:
-    lags, _ = _lags_from_args(args)
+    lags = _lags_from_args(args)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     levels = tuple(args.level) if args.level else DEFAULT_LEVELS
@@ -259,18 +263,18 @@ def _cmd_test(args) -> int:
         payload = {"command": "test", "config": config, "result": _result_payload(res)}
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        header = "statistic,dof,p_value," + ",".join(
-            f"reject_{level:g}" for level in sorted(res.reject_at))
-        row = ",".join([_fmt(res.statistic), str(res.dof), _fmt(res.p_value)]
-                       + [str(int(res.reject_at[level])) for level in sorted(res.reject_at)])
-        _write_text(args.output, header + "\n" + row + "\n")
+        levels = sorted(res.reject_at)
+        header = "statistic,dof,p_value," + ",".join(f"reject_{level:g}" for level in levels)
+        row = [res.statistic, res.dof, res.p_value,
+               *(int(res.reject_at[level]) for level in levels)]
+        _write_text(args.output, _csv(header, [row]))
     else:
         _print_test_text(res, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_segment(args) -> int:
-    lags, _ = _lags_from_args(args)
+    lags = _lags_from_args(args)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     levels = tuple(args.level) if args.level else DEFAULT_LEVELS
@@ -294,13 +298,9 @@ def _cmd_segment(args) -> int:
         }
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        lines = ["depth,index,start,end,statistic,dof,p_value"]
-        for b in report.blocks:
-            lines.append(",".join([
-                str(b.depth), str(b.index), str(b.start), str(b.stop),
-                _fmt(b.result.statistic), str(b.result.dof), _fmt(b.result.p_value),
-            ]))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        rows = ((b.depth, b.index, b.start, b.stop, b.result.statistic, b.result.dof,
+                 b.result.p_value) for b in report.blocks)
+        _write_text(args.output, _csv("depth,index,start,end,statistic,dof,p_value", rows))
     else:
         for b in report.blocks:
             flag = "reject" if b.result.p_value < 0.05 else "      "
@@ -314,14 +314,13 @@ def _cmd_simulate(args) -> int:
     config = GeneratorConfig(T=args.T, burn_in=args.burn_in,
                              rng=RngStream(args.seed, args.stream))
     series = generate(spec, config)
-    lines = [f"# {name} T={args.T} seed={args.seed} stream={args.stream}"]
-    lines.extend(_fmt(v) for v in series)
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = f"# {name} T={args.T} seed={args.seed} stream={args.stream}"
+    _write_text(args.output, _csv(header, ([v] for v in series)))
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
-    lags, _ = _lags_from_args(args)
+    lags = _lags_from_args(args)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     spec, name = _resolve_model(args.model, args.T)
@@ -329,9 +328,9 @@ def _cmd_mc(args) -> int:
                       replications=args.N, master_seed=args.seed, kernel=kernel,
                       correction=correction, ridge_factor=args.ridge_factor,
                       burn_in=args.burn_in)
+    report = rejection_rate(config)
     outdir = _outdir(args)
     tag = args.tag or name
-    report = rejection_rate(config)
 
     edges, density = report.histogram
     payload = {
@@ -346,17 +345,11 @@ def _cmd_mc(args) -> int:
         "threshold": report.threshold,
         "histogram": {"edges": list(edges), "density": list(density)},
     }
-    (outdir / f"{tag}_report.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                               newline="\n")
-    stats_lines = ["replication,statistic"]
-    stats_lines += [f"{i},{_fmt(s)}" for i, s in enumerate(report.statistics)]
-    (outdir / f"{tag}_statistics.csv").write_text("\n".join(stats_lines) + "\n",
-                                                  newline="\n")
-    hist_lines = ["bin_left,bin_right,density"]
-    hist_lines += [f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(density[i])}"
-                   for i in range(len(density))]
-    (outdir / f"{tag}_histogram.csv").write_text("\n".join(hist_lines) + "\n",
-                                                 newline="\n")
+    _write_text(outdir / f"{tag}_report.json", json.dumps(payload, indent=2) + "\n")
+    _write_text(outdir / f"{tag}_statistics.csv",
+                _csv("replication,statistic", enumerate(report.statistics)))
+    _write_text(outdir / f"{tag}_histogram.csv",
+                _csv("bin_left,bin_right,density", zip(edges[:-1], edges[1:], density)))
     print(f"{name}: T={args.T} lags={','.join(map(str, lags))} N={args.N} "
           f"rejection_rate={report.rejection_rate:.4f}")
     return EXIT_OK
@@ -367,16 +360,12 @@ def _cmd_scan(args) -> int:
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     spec, name = _resolve_model(args.model, args.T)
-    outdir = _outdir(args)
-    tag = args.tag or name
     rates = lag_scan(spec, args.T, lags, level=args.level_single,
                      replications=args.N, master_seed=args.seed, kernel=kernel,
                      correction=correction, ridge_factor=args.ridge_factor,
                      burn_in=args.burn_in)
-    lines = ["lag,rejection_rate"]
-    lines += [f"{r},{_fmt(v)}" for r, v in zip(lags, rates)]
-    path = outdir / f"{tag}_scan.csv"
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    path = _outdir(args) / f"{args.tag or name}_scan.csv"
+    _write_text(path, _csv("lag,rejection_rate", zip(lags, rates)))
     print(f"{name}: wrote per-lag rejection rates for {len(lags)} lags to {path}")
     return EXIT_OK
 
@@ -384,17 +373,12 @@ def _cmd_scan(args) -> int:
 def _cmd_power(args) -> int:
     lags = _parse_lag_list(args.lags)
     spec, name = _resolve_model(args.model, args.T)
-    f_local = local_spectrum(spec)
-    outdir = _outdir(args)
-    tag = args.tag or name
-    profile = power_profile(f_local, lags, u_points=args.u_grid,
+    profile = power_profile(local_spectrum(spec), lags, u_points=args.u_grid,
                             omega_points=args.omega_grid,
                             T=args.T if args.finite_lag_shift else None)
-    lines = ["lag,re,im,abs"]
-    for r, b in zip(profile.lags, profile.B_values):
-        lines.append(f"{r},{_fmt(b.real)},{_fmt(b.imag)},{_fmt(abs(b))}")
-    path = outdir / f"{tag}_power.csv"
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    path = _outdir(args) / f"{args.tag or name}_power.csv"
+    rows = ((r, b.real, b.imag, abs(b)) for r, b in zip(profile.lags, profile.B_values))
+    _write_text(path, _csv("lag,re,im,abs", rows))
     print(f"{name}: wrote noncentrality profile for {len(lags)} lags to {path}")
     return EXIT_OK
 
@@ -425,6 +409,15 @@ def _add_model_options(p: argparse.ArgumentParser):
     p.add_argument("--kappa", default=None,
                    help="comma-separated per-lag kappa values for --correction user")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
+
+
+def _add_study_options(p: argparse.ArgumentParser):
+    """Replication, seed, level and output options of the Monte Carlo commands."""
+    p.add_argument("--N", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--level", dest="level_single", type=float, default=0.05)
+    p.add_argument("--outdir", default=None)
+    p.add_argument("--tag", default=None)
 
 
 def _add_io_options(p: argparse.ArgumentParser):
@@ -473,11 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate study")
     p.add_argument("model")
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", dest="level_single", type=float, default=0.05)
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--tag", default=None)
+    _add_study_options(p)
     _add_lag_options(p)
     _add_model_options(p)
     p.set_defaults(func=_cmd_mc)
@@ -486,11 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--lags", required=True, help="e.g. 1..120")
-    p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", dest="level_single", type=float, default=0.05)
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--tag", default=None)
+    _add_study_options(p)
     _add_model_options(p)
     p.set_defaults(func=_cmd_scan)
 

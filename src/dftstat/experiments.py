@@ -34,6 +34,7 @@ from .stattest import (
     CorrectionSpec,
     _TestPlan,
     _block_covariances,
+    _checked_level,
     _first_bad_row,
     _plan,
     _statistics,
@@ -60,10 +61,7 @@ class McConfig:
     burn_in: int = 500
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
-        if not (0.0 < self.level < 1.0):
-            raise InvalidInputError(f"level must be in (0, 1), got {self.level}")
+        _check_study(self.replications, self.level)
         object.__setattr__(self, "lags", tuple(int(r) for r in self.lags))
 
     def with_m(self, m: int) -> "McConfig":
@@ -83,6 +81,13 @@ class McReport:
 
 
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
+
+
+def _check_study(replications: int, level: float):
+    """The replication count and level every Monte Carlo study must have."""
+    if replications < 1:
+        raise InvalidInputError("replications must be >= 1")
+    _checked_level(level)
 
 
 def _study_plan(model: ModelSpec, T: int, burn_in: int, lags, kernel, correction,
@@ -172,6 +177,7 @@ def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
     ``rejection_rate``: replication i uses stream i, the rates do not depend
     on the chunking, and memory stays bounded as the replication count grows.
     """
+    _check_study(replications, level)
     lags = validate_lags(lags, T)
     threshold = chisq_quantile(1.0 - level, 2)
     plan = _study_plan(model, T, burn_in, lags, kernel, correction, ridge_factor)
@@ -260,6 +266,8 @@ def _noncentralities(f_local: Callable, lags, u_points: int, omega_points: int,
     r = np.asarray(lags, dtype=float)
     if np.any(r == 0):
         raise InvalidInputError("lag r must be nonzero")
+    if T is not None and not (T >= 1 and float(T).is_integer()):
+        raise InvalidInputError(f"T must be a positive integer, got {T!r}")
     u = np.linspace(0.0, 1.0, int(u_points))
     w = np.linspace(0.0, _TWO_PI, int(omega_points))
     wu = _trapezoid_weights(u)
@@ -272,7 +280,7 @@ def _noncentralities(f_local: Callable, lags, u_points: int, omega_points: int,
         shifted = np.array([
             _time_average(wu, _eval_local(f_local, u, (w + _TWO_PI * lag / T) % _TWO_PI))
             for lag in r]).reshape(r.size, w.size)
-        integrand = inner / np.sqrt(fbar * shifted)
+        integrand = inner / (np.sqrt(fbar) * np.sqrt(shifted))
     bad = ~np.isfinite(integrand)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -306,24 +314,15 @@ def noncentrality(f_local: Callable, r: int, u_points: int = 257,
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Noncentrality diagnostics over a set of lags.
-
-    ``mu`` stores the mean vector with real and imaginary parts interleaved:
-    (Re B(r_1), Im B(r_1), Re B(r_2), Im B(r_2), ...).
-    """
+    """Noncentrality B(r) over a set of lags."""
 
     lags: tuple[int, ...]
     B_values: np.ndarray
-    mu: np.ndarray
-    sigma_fourier: Optional[np.ndarray] = None
 
 
 def power_profile(f_local: Callable, lags, u_points: int = 257,
-                  omega_points: int = 513, T: Optional[int] = None,
-                  sigma: Optional[Callable] = None,
-                  sigma_grid: int = 512) -> PowerProfile:
-    """Noncentrality B(r) per lag, with optional scale-function Fourier
-    coefficients for comparison.
+                  omega_points: int = 513, T: Optional[int] = None) -> PowerProfile:
+    """Noncentrality B(r) per lag.
 
     All lags share one quadrature (see ``noncentrality`` for B): f is
     evaluated once on the (u_points, omega_points) grid and the u-integrals
@@ -335,10 +334,4 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     """
     lags = tuple(int(r) for r in lags)
     B = _noncentralities(f_local, lags, u_points, omega_points, T)
-    mu = np.empty(2 * len(lags))
-    mu[0::2] = B.real
-    mu[1::2] = B.imag
-    coeffs = None
-    if sigma is not None:
-        coeffs = np.array([fourier_coefficient(sigma, r, sigma_grid) for r in lags])
-    return PowerProfile(lags=lags, B_values=B, mu=mu, sigma_fourier=coeffs)
+    return PowerProfile(lags=lags, B_values=B)

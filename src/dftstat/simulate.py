@@ -328,7 +328,7 @@ _SIGMA6_LEVELS = np.array(
 )
 
 
-def sigma_piecewise6(u):
+def _sigma_piecewise6(u):
     """Three-level piecewise scale function on [0, 1] used by model6."""
     u = np.asarray(u, dtype=float)
     idx = np.clip(np.floor(u * 20.0).astype(int), 0, 19)
@@ -435,7 +435,7 @@ def model_preset(name: str, T: int = 512) -> ModelSpec:
     if name == "model5":
         return ChangepointArSpec(segments=((0.5, (0.8,)), (1.0, (0.6,))))
     if name == "model6":
-        return ModulatedNoiseSpec(sigma=sigma_piecewise6)
+        return ModulatedNoiseSpec(sigma=_sigma_piecewise6)
     raise InvalidInputError(
         f"unknown model {name!r}; presets are {', '.join(PRESET_NAMES)}"
     )

@@ -31,8 +31,8 @@ from .errors import (
     InvalidLagError,
     SegmentationDepthError,
 )
-from .numerics import _dft_rows, chisq_sf, dft_canonical
-from .spectral import KernelSpec, SpectralEstimate, _smooth_rows, _smoother
+from .numerics import _dft_rows, chisq_sf
+from .spectral import KernelSpec, _smooth_rows, _smoother
 
 _TWO_PI = 2.0 * math.pi
 
@@ -57,6 +57,13 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _checked_level(level) -> float:
+    """A significance level, which must lie in (0, 1)."""
+    if not (0.0 < level < 1.0):
+        raise InvalidInputError(f"level must be in (0, 1), got {level}")
+    return float(level)
+
+
 # ---------------------------------------------------------------------------
 # standardized DFT covariances
 # ---------------------------------------------------------------------------
@@ -77,39 +84,6 @@ def _lag_covariances(J: np.ndarray, f: np.ndarray, lags) -> np.ndarray:
     for n, r in enumerate(lags):
         out[..., n] = np.mean(Z * Zc2[..., r: r + T], axis=-1)
     return out
-
-
-def dft_covariance(series, lag: int, spectral: SpectralEstimate) -> complex:
-    """Standardized empirical covariance of the DFT at one lag.
-
-    ``spectral`` must come from the same series (same grid length); the
-    estimate's ridge guarantees a positive denominator.
-    """
-    x = np.asarray(series, dtype=float)
-    T = x.size
-    if spectral.T != T:
-        raise InvalidInputError(
-            f"spectral estimate built for T={spectral.T}, series has T={T}"
-        )
-    lags = validate_lags([lag], T)
-    return complex(_lag_covariances(dft_canonical(x), np.asarray(spectral.values), lags)[0])
-
-
-def dft_covariance_true_spectrum(series, lag: int, spectrum) -> complex:
-    """Covariance standardized by a caller-supplied spectral density.
-
-    ``spectrum`` holds exact values f(w_k) on the canonical grid in k = 1..T
-    order; useful when the true (or integrated) spectrum is known.
-    """
-    x = np.asarray(series, dtype=float)
-    f = np.asarray(spectrum, dtype=float)
-    T = x.size
-    if f.shape != (T,):
-        raise InvalidInputError(f"spectrum must have shape ({T},), got {f.shape}")
-    if np.any(f <= 0.0):
-        raise InvalidInputError("supplied spectrum must be strictly positive")
-    lags = validate_lags([lag], T)
-    return complex(_lag_covariances(dft_canonical(x), f, lags)[0])
 
 
 @dataclass(frozen=True)
@@ -340,6 +314,7 @@ def dft_covariances(series, lags=None, m: int = 4, kernel: KernelSpec | None = N
 def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
                levels) -> list[TestResult]:
     """``stationarity_test`` of every row of X; the rows share one plan."""
+    levels = tuple(_checked_level(a) for a in levels)
     X = _checked_rows(X)
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
     stats = _statistics(_block_covariances(X, plan), plan)
@@ -353,7 +328,7 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
             statistic=stat,
             dof=dof,
             p_value=p,
-            reject_at={float(a): bool(p < a) for a in levels},
+            reject_at={a: bool(p < a) for a in levels},
             lags=plan.lags,
             T=plan.T,
             kernel=plan.kernel,  # bandwidth resolved against this T

@@ -113,10 +113,9 @@ def test_criterion_4c_piecewise_variance():
 
 def test_criterion_5_lag_power_alignment():
     lags = tuple(range(1, 121))
-    rates = ds.lag_scan(ds.model_preset("model6", 512), 512, lags,
-                        replications=600, master_seed=0)
-    coeffs = np.array([abs(ds.fourier_coefficient(ds.sigma_piecewise6, r, 512))
-                       for r in lags])
+    spec = ds.model_preset("model6", 512)
+    rates = ds.lag_scan(spec, 512, lags, replications=600, master_seed=0)
+    coeffs = np.array([abs(ds.fourier_coefficient(spec.sigma, r, 512)) for r in lags])
     rho = float(spearmanr(rates, coeffs).statistic)
     report("5 lag-power alignment", rho >= 0.5,
            f"spearman {rho:.3f} over 120 lags, 600 replications, need >= 0.5")

@@ -51,6 +51,13 @@ def test_read_series_non_numeric_row(tmp_path):
         read_series(str(p))
 
 
+def test_read_series_rejects_a_negative_column(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_text("1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(InputError, match="column"):
+        read_series(str(p), column=-1)
+
+
 def test_read_series_missing_and_empty(tmp_path):
     with pytest.raises(InputError):
         read_series(str(tmp_path / "nope.txt"))
@@ -139,6 +146,31 @@ def test_conflicting_lag_flags_rejected_before_output(model1_file, tmp_path, cap
     assert rc == 2
     assert not out.exists()
     assert "not both" in capsys.readouterr().err
+
+
+# Arguments that at one time gave a silent wrong answer: a level outside
+# (0, 1), a negative CSV column, no replications, a non-positive T for the
+# finite lag shift. Each must exit 2 before anything is written.
+BAD_ARGV = [
+    "test {series} --level 2 --format csv --output {out}/report.csv",
+    "test {series} --level 0.05 --level 0 --format json --output {out}/report.json",
+    "test {series} --column -1 --format csv --output {out}/report.csv",
+    "segment {series} --depth 1 --level 1.5 --format csv --output {out}/report.csv",
+    "scan model6 --T 64 --lags 1..3 --N 0 --outdir {out}",
+    "power model6 --lags 1..3 --T 0 --finite-lag-shift --outdir {out}",
+    "power model3 --lags 1..3 --T 0 --finite-lag-shift --outdir {out}",
+    "power model6 --lags 1..3 --T -512 --finite-lag-shift --outdir {out}",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV)
+def test_bad_arguments_exit_2_and_write_nothing(argv, tmp_path, capsys):
+    series = tmp_path / "series.txt"
+    write_series(series, np.random.default_rng(4).standard_normal(128).tolist())
+    rc = main(argv.format(series=series, out=tmp_path / "out").split())
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [series]
 
 
 def test_correction_flag_validation(model1_file, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_mc_config_validation():
         McConfig(model=spec, T=256, level=1.5)
     cfg = McConfig(model=spec, T=256).with_m(3)
     assert cfg.lags == (1, 2, 3)
+
+
+@pytest.mark.parametrize("bad", [{"replications": 0}, {"replications": -3},
+                                 {"level": 0.0}, {"level": 1.5}, {"level": math.nan}])
+def test_lag_scan_checks_replications_and_level_as_mc_config(bad):
+    spec = model_preset("model1", 256)
+    with pytest.raises(InvalidInputError) as scan_error:
+        lag_scan(spec, 256, [1, 2], **bad)
+    with pytest.raises(InvalidInputError) as config_error:
+        McConfig(model=spec, T=256, **bad)
+    assert str(scan_error.value) == str(config_error.value)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +295,10 @@ def test_integrated_spectrum_separable_model4():
 
 
 def test_power_profile_layout():
-    prof = power_profile(flat_modulated, [1, 2], sigma=lambda u: 1 + np.cos(2 * np.pi * u))
+    prof = power_profile(flat_modulated, [1, 2])
     assert prof.lags == (1, 2)
-    assert prof.mu.shape == (4,)
-    assert prof.mu[0] == pytest.approx(prof.B_values[0].real)
-    assert prof.mu[1] == pytest.approx(prof.B_values[0].imag)
-    assert prof.mu[2] == pytest.approx(prof.B_values[1].real)
-    assert prof.sigma_fourier is not None
-    assert abs(prof.sigma_fourier[0]) == pytest.approx(0.5, abs=1e-3)
+    assert prof.B_values.shape == (2,)
+    assert prof.B_values[0] == pytest.approx(0.5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +374,27 @@ def test_power_profile_rejects_lag_zero_anywhere():
         for T in (None, 512):
             with pytest.raises(InvalidInputError):
                 power_profile(flat_modulated, lags, T=T)
+
+
+@pytest.mark.parametrize("T", [0, -512, 2.5, math.nan, math.inf])
+def test_power_profile_rejects_a_T_that_is_not_a_positive_integer(T):
+    with pytest.raises(InvalidInputError, match="T must be a positive integer"):
+        power_profile(flat_modulated, [1, 2], T=T)
+    with pytest.raises(InvalidInputError, match="T must be a positive integer"):
+        noncentrality(flat_modulated, 1, T=T)
+
+
+@pytest.mark.parametrize("T", [None, 512])
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_power_profile_is_scale_invariant(scale, T):
+    # B is homogeneous of degree 0 in f; the finite-shift denominator must
+    # not overflow once f * f does
+    f = local_spectrum(model_preset("model3", 512))
+    want = power_profile(f, [1, 2, 5, -3], T=T).B_values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = power_profile(lambda u, w: scale * f(u, w), [1, 2, 5, -3], T=T).B_values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def shaped(value):

@@ -14,7 +14,6 @@ from dftstat import (
     generate,
     local_spectrum,
     model_preset,
-    sigma_piecewise6,
     spec_from_dict,
 )
 from dftstat.simulate import _arma_spectrum_fn, innovation_count
@@ -31,6 +30,7 @@ def ar1_spectrum(a, w):
 
 def test_piecewise_scale_lookup():
     # bin [6/20, 7/20) holds level 3, bin [5/20, 6/20) holds level 1
+    sigma_piecewise6 = model_preset("model6").sigma
     assert sigma_piecewise6(0.3) == 3.0
     assert sigma_piecewise6(0.27) == 1.0
     assert sigma_piecewise6(0.25) == 1.0
@@ -260,7 +260,7 @@ def test_local_spectrum_broadcasts():
     w = np.linspace(0, 2 * np.pi, 13)[None, :]
     vals = f(u, w)
     assert vals.shape == (11, 13)
-    assert np.allclose(vals, sigma_piecewise6(u) ** 2 / (2 * np.pi) * np.ones((1, 13)))
+    assert np.allclose(vals, model_preset("model6").sigma(u) ** 2 / (2 * np.pi) * np.ones((1, 13)))
 
 
 # ---------------------------------------------------------------------------

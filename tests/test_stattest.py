@@ -11,15 +11,11 @@ from dftstat import (
     InvalidCorrectionError,
     InvalidInputError,
     InvalidLagError,
-    KernelSpec,
     RngStream,
     SegmentationDepthError,
-    SpectralEstimate,
     chisq_sf,
     correction_denominators,
     dft_canonical,
-    dft_covariance,
-    dft_covariance_true_spectrum,
     dft_covariances,
     gauss_stream,
     generate,
@@ -30,11 +26,6 @@ from dftstat import (
     stationarity_test,
 )
 from dftstat.stattest import _lag_covariances, _transfer
-
-
-def unit_spectral(T):
-    return SpectralEstimate(values=np.ones(T), kernel=KernelSpec("daniell", 0.2),
-                            ridge=0.0, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +42,10 @@ def test_covariance_single_frequency_pair_by_hand():
     x = np.cos(2 * np.pi * t * 3 / T)
     j = dft_canonical(x)
     expected = j[3 - 1] * np.conj(j[13 - 1]) / T
-    got = dft_covariance(x, 10, unit_spectral(T))
+    got, cold = _lag_covariances(j, np.ones(T), (10, 3))
     assert got == pytest.approx(expected, abs=1e-12)
     # and lags pairing a hot bin with a cold one give zero
-    assert abs(dft_covariance(x, 3, unit_spectral(T))) < 1e-15
+    assert abs(cold) < 1e-15
 
 
 def test_covariance_white_noise_second_moment():
@@ -82,7 +73,7 @@ def test_covariance_modulated_noise_known_mean():
     acc = 0.0
     for i in range(500):
         x = scale * gauss_stream(RngStream(12, i), T)
-        acc += dft_covariance_true_spectrum(x, 1, f_const)
+        acc += _lag_covariances(dft_canonical(x), f_const, (1,))[0]
     assert abs(acc / 500 - 0.5 / 1.125) < 0.02
 
 
@@ -90,8 +81,8 @@ def test_covariance_with_supplied_spectrum_matches_estimated():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(128)
     est = smooth_spectral(periodogram_of(x))
-    a = dft_covariance(x, 3, est)
-    b = dft_covariance_true_spectrum(x, 3, est.values)
+    a = dft_covariances(x, lags=[3], demean=False).values[0]
+    b = _lag_covariances(dft_canonical(x), est.values, (3,))[0]
     assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -112,7 +103,7 @@ def test_covariance_direct_summation_oracle():
         jk = j[k - 1]
         jkr = j[(k + r - 1) % T]
         acc += jk * np.conj(jkr) / math.sqrt(f[k - 1] * f[(k + r - 1) % T])
-    assert dft_covariance_true_spectrum(x, r, f) == pytest.approx(acc / T, abs=1e-12)
+    assert _lag_covariances(j, f, (r,))[0] == pytest.approx(acc / T, abs=1e-12)
 
 
 def test_estimated_close_to_true_spectrum_covariance():
@@ -134,14 +125,9 @@ def test_estimated_close_to_true_spectrum_covariance():
 
 def test_covariance_lag_validation():
     x = np.arange(64.0)
-    est = unit_spectral(64)
     for bad in (0, 32, 64, -1):
         with pytest.raises(InvalidLagError):
-            dft_covariance(x, bad, est)
-    with pytest.raises(InvalidInputError):
-        dft_covariance(x, 1, unit_spectral(32))
-    with pytest.raises(InvalidInputError):
-        dft_covariance_true_spectrum(x, 1, np.zeros(64))
+            dft_covariances(x, lags=[bad])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +300,15 @@ def test_lag_and_length_validation():
         stationarity_test(x2)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])
+def test_levels_outside_the_unit_interval_are_rejected(level):
+    x = np.random.default_rng(25).standard_normal(128)
+    with pytest.raises(InvalidInputError, match="level"):
+        stationarity_test(x, levels=(0.05, level))
+    with pytest.raises(InvalidInputError, match="level"):
+        segmented_test(x, depth=1, levels=(level,))
+
+
 def test_covariance_scale_is_tight_across_lengths():
     # sqrt(T)|c(1)| stays bounded as T grows for a stationary process
     spec = model_preset("model1", 256)
@@ -332,7 +327,8 @@ def test_dft_covariances_shared_transform_matches_single_lag():
     covs = dft_covariances(x, lags=[1, 4, 9])
     est = smooth_spectral(np.abs(dft_canonical(x - x.mean())) ** 2)
     for lag, val in zip(covs.lags, covs.values):
-        assert val == pytest.approx(dft_covariance(x - x.mean(), lag, est), abs=1e-14)
+        want = _lag_covariances(dft_canonical(x - x.mean()), est.values, (lag,))[0]
+        assert val == pytest.approx(want, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
