@@ -200,7 +200,10 @@ def _lags_from_args(args) -> tuple[int, ...]:
 
 def _outdir(args) -> Path:
     d = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that is one
+        raise InputError(f"cannot use {d} as the output directory: {exc}") from exc
     return d
 
 
@@ -509,6 +512,9 @@ def main(argv=None) -> int:
     except StationarityTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # e.g. an oversized --u-grid/--omega-grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

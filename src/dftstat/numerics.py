@@ -45,8 +45,9 @@ def dft_canonical(series) -> np.ndarray:
 
     Notes
     -----
-    Internally uses the FFT (mixed radix, any length), so T need not be a
-    power of two. Equals the direct O(T^2) summation to 1e-9 relative.
+    Internally one real FFT (mixed radix, any length) gives k = 0..T//2 and
+    conjugate symmetry the rest, so T need not be a power of two. Equals the
+    direct O(T^2) summation to 1e-9 relative.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -63,13 +64,16 @@ def _dft_rows(x: np.ndarray) -> np.ndarray:
     depend on how many rows share the block.
     """
     T = x.shape[-1]
-    # sum_{t=1..T} X_t e^{i t w_k} = e^{i w_k} * sum_{s=0..T-1} X_{s+1} e^{i s w_k}
-    # and the inner sum is T * ifft(x)[k] in numpy's convention.
-    j = np.arange(T)
-    phase = np.exp(2j * np.pi * j / T)
-    vals = T * np.fft.ifft(x, axis=-1) * phase / math.sqrt(_TWO_PI * T)
-    # reorder from k = 0..T-1 to k = 1..T (the k = 0 entry is w_T = 2*pi)
-    return np.roll(vals, -1, axis=-1)
+    h = T // 2
+    # Rolling by one puts X_T at s = 0, where e^{i T w_k} = 1, so
+    # sum_{t=1..T} X_t e^{i t w_k} is conj(rfft) of the rolled row for
+    # k = 0..h; real input gives the rest as J(w_{T-k}) = conj(J(w_k)).
+    half = np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(_TWO_PI * T)
+    out = np.empty(x.shape[:-1] + (T,), dtype=complex)
+    np.conjugate(half[..., 1:h + 1], out=out[..., :h])  # k = 1..h
+    out[..., h:T - 1] = half[..., T - h - 1:0:-1]  # k = h+1..T-1
+    out[..., T - 1] = half[..., 0]  # k = T, the zero frequency
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +107,21 @@ def _upper_reg_gamma(a: float, x: float) -> float:
     """Q(a, x) for integer or half-integer a by its finite sum; used for x >= a + 1.
 
     Q(a, x) = [erfc(sqrt(x)) if a is a half-integer] +
-    sum_{k < a - a0} x**(a0 + k) * exp(-x) / Gamma(a0 + k + 1), a0 = a mod 1.
+    sum_{k < a - a0} x**(a0 + k) * exp(-x) / Gamma(a0 + k + 1), a0 = a mod 1,
+    with one exp and one lgamma per call whatever the dof.
     """
     a0 = a % 1.0
-    head = math.erfc(math.sqrt(x)) if a0 else 0.0
-    log_x = math.log(x)
-    return head + sum(math.exp((a0 + k) * log_x - x - math.lgamma(a0 + k + 1.0))
-                      for k in range(int(a - a0)))
+    total = math.erfc(math.sqrt(x)) if a0 else 0.0
+    k = int(a - a0) - 1
+    # Since x > a0 + k, the terms grow with k: start from the largest in log
+    # space and recur down, term_{k-1} = term_k * (a0 + k) / x, so no term
+    # that matters underflows.
+    term = math.exp((a0 + k) * math.log(x) - x - math.lgamma(a0 + k + 1.0))
+    while k >= 0:
+        total += term
+        term *= (a0 + k) / x
+        k -= 1
+    return total
 
 
 def chisq_sf(x: float, dof: int) -> float:

@@ -423,7 +423,11 @@ def model_preset(name: str, T: int = 512) -> ModelSpec:
             see above).
     model5  AR(1) 0.8 switching to 0.6 at t = 0.5 T (small change).
     model6  independent noise with three-level piecewise scale.
+
+    Raises InvalidInputError unless T is a positive integer.
     """
+    if not (T >= 1 and float(T).is_integer()):
+        raise InvalidInputError(f"T must be a positive integer, got {T!r}")
     if name == "model1":
         return ArmaSpec(ar=(0.8,))
     if name == "model2":

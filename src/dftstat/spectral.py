@@ -11,9 +11,10 @@ half-width floor(b*T/2), so the bandwidth b is the covered fraction of the
 whole frequency circle. After smoothing, values are floored at a relative
 ridge to keep the standardization denominators away from zero.
 
-The sum is computed with FFTs, as a linear convolution of the wrap-padded
-periodogram, in O(T log T) time whatever the bandwidth; it agrees with the
-direct sum to rounding (1e-13 relative is checked in the tests).
+The sum is computed with real FFTs, as a linear convolution of the
+wrap-padded periodogram zero-padded to a 5-smooth length, in O(T log T)
+time whatever the bandwidth; it agrees with the direct sum to rounding
+(1e-13 relative is checked in the tests).
 """
 
 from __future__ import annotations
@@ -167,15 +168,33 @@ def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
     # The circular weighted sum is the linear convolution of each row padded
     # with H wrapped values on both sides (H < T/4 since the bandwidth is
     # below 1/2; the weights are symmetric, so convolution equals
-    # correlation), read at indices 2H .. 2H + T - 1. Zero-padding to a power
-    # of two n >= T + 2H keeps the transform's wrap-around off those indices
-    # and its length fast even for prime T. Cost O(T log T) for any
-    # bandwidth; the result agrees with the direct sum to rounding.
+    # correlation), read at indices 2H .. 2H + T - 1. Zero-padding to a
+    # 5-smooth n >= T + 2H keeps the transform's wrap-around off those
+    # indices and its length fast even for prime T; n is within 16% of
+    # T + 2H, where the next power of two can be nearly twice it.
     T = pgram.shape[-1]
     H = weights.size // 2
     padded = np.concatenate([pgram[..., T - H:], pgram, pgram[..., :H]], axis=-1)
-    n = 1 << (T + 2 * H - 1).bit_length()
+    n = _fast_length(T + 2 * H)
     spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
     smoothed = np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H: 2 * H + T]
     ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
     return np.maximum(smoothed, ridge), ridge
+
+
+def _fast_length(m: int) -> int:
+    """Smallest n = 2**a * 3**b * 5**c with n >= m (m >= 1).
+
+    numpy's FFT factors a length into small radices, so these lengths
+    transform fast; for m >= 8 the result is below 1.16 * m.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best

@@ -160,6 +160,7 @@ BAD_ARGV = [
     "power model6 --lags 1..3 --T 0 --finite-lag-shift --outdir {out}",
     "power model3 --lags 1..3 --T 0 --finite-lag-shift --outdir {out}",
     "power model6 --lags 1..3 --T -512 --finite-lag-shift --outdir {out}",
+    "power model4 --lags 1..3 --T 0 --outdir {out}",
 ]
 
 
@@ -171,6 +172,31 @@ def test_bad_arguments_exit_2_and_write_nothing(argv, tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [series]
+
+
+@pytest.mark.parametrize("argv", [
+    "power model6 --lags 1..2 --outdir {file}",
+    "mc model1 --T 64 --N 2 --m 1 --outdir {file}",
+    "scan model6 --T 64 --lags 1..2 --N 2 --outdir {file}",
+])
+def test_outdir_naming_a_file_exits_2(argv, tmp_path, capsys):
+    file = tmp_path / "taken"
+    file.write_text("keep\n")
+    assert main(argv.format(file=file).split()) == 2
+    assert "error:" in capsys.readouterr().err
+    assert file.read_text() == "keep\n"
+
+
+def test_out_of_memory_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 382. GiB")
+
+    monkeypatch.setattr("dftstat.cli.power_profile", exhausted)
+    rc = main(["power", "model6", "--lags", "1..2", "--u-grid", "100000000",
+               "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "error: out of memory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_correction_flag_validation(model1_file, capsys):

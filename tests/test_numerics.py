@@ -12,6 +12,7 @@ from dftstat import (
     dft_canonical,
     gauss_stream,
 )
+from dftstat.numerics import _dft_rows
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,22 @@ def test_dft_matches_direct_sum_prime_and_composite():
         slow = dft_direct(x)
         rel = np.max(np.abs(fast - slow)) / np.max(np.abs(slow))
         assert rel < 1e-9
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_dft_shortest_series_match_direct_sum(T):
+    # no mirrored half (T = 2) and a one-entry one (T = 3)
+    x = np.random.default_rng(T).standard_normal(T)
+    slow = dft_direct(x)
+    assert np.max(np.abs(dft_canonical(x) - slow)) < 1e-12 * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("T", [32, 33, 257, 4096])
+def test_dft_a_block_equals_its_rows(T):
+    x = np.random.default_rng(T).standard_normal((7, T))
+    block = _dft_rows(x)
+    for i in range(7):
+        assert np.array_equal(block[i], _dft_rows(x[i]))
 
 
 def test_dft_cosine_concentrates_at_two_bins():

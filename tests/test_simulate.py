@@ -69,6 +69,13 @@ def test_unknown_preset():
         model_preset("model9", 512)
 
 
+@pytest.mark.parametrize("T", [0, -512, 2.5, float("nan"), float("inf")])
+def test_preset_rejects_a_T_that_is_not_a_positive_integer(T):
+    for name in ("model1", "model4", "model6"):
+        with pytest.raises(InvalidInputError, match="positive integer"):
+            model_preset(name, T)
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------

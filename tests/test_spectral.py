@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from dftstat import (
     periodogram,
     smooth_spectral,
 )
-from dftstat.spectral import _smooth_rows, _smoother
+from dftstat.spectral import _fast_length, _smooth_rows, _smoother
 
 
 def test_periodogram_zero_series():
@@ -102,8 +103,9 @@ def _model1_periodogram(T, stream):
 
 
 @pytest.mark.parametrize("kind", ["daniell", "bartlett"])
-# at T=230 the default window has H=18 and T + H <= 256 < T + 2H: a transform
-# shorter than T + 2H would wrap the convolution's tail onto its output
+# at T=230 the default window has H=18, so the transform length is
+# _fast_length(266) = 270; the 5-smooth 250 in [T + H, T + 2H) = [248, 266)
+# is too short and would wrap the convolution's tail onto its output
 @pytest.mark.parametrize("T", [33, 64, 230, 257, 4093, 4096])
 @pytest.mark.parametrize("b", [None, 0.45])  # default and the widest window
 def test_smoothing_matches_direct_circular_sum(kind, T, b):
@@ -113,6 +115,19 @@ def test_smoothing_matches_direct_circular_sum(kind, T, b):
         est = smooth_spectral(pg, KernelSpec(kind, b), ridge_factor=0.0)
         direct = _direct_smooth(pg, est.kernel.weights(T))
     assert np.max(np.abs(est.values - direct) / direct) < 1e-13
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length_is_the_smallest_5_smooth_length():
+    for m in range(1, 5001):
+        assert _fast_length(m) == next(n for n in itertools.count(m) if _is_5_smooth(n))
+    assert _fast_length(266238) == 270000  # T = 2**18 with its default window
 
 
 @pytest.mark.parametrize("T", [64, 257, 4096])
