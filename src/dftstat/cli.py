@@ -23,7 +23,6 @@ from .spectral import KernelSpec
 from .stattest import (
     DEFAULT_LEVELS,
     CorrectionSpec,
-    SegmentReport,
     TestResult,
     segmented_test,
     stationarity_test,
@@ -233,8 +232,11 @@ def _print_test_text(res: TestResult, out):
 def _write_text(path_or_none, text: str):
     if path_or_none is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path_or_none).write_text(text, newline="\n")
+    except OSError as exc:  # e.g. a directory that does not exist
+        raise InputError(f"cannot write {path_or_none}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +244,22 @@ def _write_text(path_or_none, text: str):
 # ---------------------------------------------------------------------------
 
 
+def _test_kwargs(args) -> dict:
+    """Library keyword arguments of the flags that ``test`` and ``segment`` share."""
+    return {
+        "lags": _lags_from_args(args),
+        "kernel": _kernel_from_args(args),
+        "correction": _correction_from_args(args),
+        "ridge_factor": args.ridge_factor,
+        "demean": not args.keep_mean,
+        "levels": tuple(args.level) if args.level else DEFAULT_LEVELS,
+    }
+
+
 def _cmd_test(args) -> int:
-    lags = _lags_from_args(args)
-    kernel = _kernel_from_args(args)
-    correction = _correction_from_args(args)
-    levels = tuple(args.level) if args.level else DEFAULT_LEVELS
+    kwargs = _test_kwargs(args)
     series = apply_transform(read_series(args.input, args.column), args.transform)
-    res = stationarity_test(series, lags=lags, kernel=kernel, correction=correction,
-                            ridge_factor=args.ridge_factor, demean=not args.keep_mean,
-                            levels=levels)
+    res = stationarity_test(series, **kwargs)
     config = {
         "input": args.input,
         "transform": args.transform,
@@ -277,14 +286,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    lags = _lags_from_args(args)
-    kernel = _kernel_from_args(args)
-    correction = _correction_from_args(args)
-    levels = tuple(args.level) if args.level else DEFAULT_LEVELS
+    kwargs = _test_kwargs(args)
     series = apply_transform(read_series(args.input, args.column), args.transform)
-    report = segmented_test(series, depth=args.depth, lags=lags, kernel=kernel,
-                            correction=correction, ridge_factor=args.ridge_factor,
-                            demean=not args.keep_mean, levels=levels)
+    report = segmented_test(series, depth=args.depth, **kwargs)
     rows = [
         {
             "depth": b.depth, "index": b.index, "start": b.start, "end": b.stop,
@@ -296,7 +300,7 @@ def _cmd_segment(args) -> int:
         payload = {
             "command": "segment",
             "config": {"input": args.input, "transform": args.transform,
-                       "T": report.T, "depth": report.depth, "lags": list(lags)},
+                       "T": report.T, "depth": report.depth, "lags": list(kwargs["lags"])},
             "blocks": rows,
         }
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
@@ -411,16 +415,17 @@ def _add_model_options(p: argparse.ArgumentParser):
                    help="innovation fourth cumulant for --correction linear")
     p.add_argument("--kappa", default=None,
                    help="comma-separated per-lag kappa values for --correction user")
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
 
 
 def _add_study_options(p: argparse.ArgumentParser):
-    """Replication, seed, level and output options of the Monte Carlo commands."""
+    """Replication, seed, level, output and burn-in options of the Monte Carlo
+    commands."""
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", dest="level_single", type=float, default=0.05)
     p.add_argument("--outdir", default=None)
     p.add_argument("--tag", default=None)
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
 
 
 def _add_io_options(p: argparse.ArgumentParser):
@@ -503,9 +508,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ComputationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

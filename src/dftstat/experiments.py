@@ -95,14 +95,16 @@ def _study_plan(model: ModelSpec, T: int, burn_in: int, lags, kernel, correction
     """Per-study checks and constants, done once rather than per replication.
 
     A failure here would have stopped the first replication, so it is
-    reported as replication 0, as in a replication-by-replication run.
+    reported as replication 0, as in a replication-by-replication run: the
+    same exception, with its attributes, under a prefixed message.
     """
     try:
         GeneratorConfig(T=T, burn_in=burn_in)
         model.validate()
         return _plan(T, lags, None, kernel, correction, ridge_factor, True)
     except StationarityTestError as exc:
-        raise type(exc)(f"replication 0 (stream 0): {exc}") from exc
+        exc.args = (f"replication 0 (stream 0): {exc}",)
+        raise
 
 
 def _replication_chunks(model: ModelSpec, T: int, burn_in: int, master_seed: int,
@@ -144,17 +146,17 @@ def rejection_rate(config: McConfig) -> McReport:
     return McReport(
         rejection_rate=rate,
         statistics=stats,
-        histogram=empirical_density(stats),
+        histogram=_empirical_density(stats),
         threshold=threshold,
         config=config,
     )
 
 
-def empirical_density(statistics, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def _empirical_density(statistics, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Normalized histogram (area one) of test statistics over [0, max]."""
     stats = np.asarray(statistics, dtype=float)
     if stats.size == 0:
-        raise InvalidInputError("empirical_density needs at least one statistic")
+        raise InvalidInputError("the empirical density needs at least one statistic")
     if bins < 2:
         raise InvalidInputError(f"bins must be >= 2, got {bins}")
     top = float(stats.max())
@@ -194,19 +196,6 @@ def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
 # ---------------------------------------------------------------------------
 
 
-def fourier_coefficient(fn: Callable, r: int, grid: int = 512) -> complex:
-    """Riemann-sum Fourier coefficient of a function on [0, 1]:
-
-        a_r = (1/n) * sum_{t=1..n} fn(t/n) * exp(-2*pi*i*r*t/n).
-    """
-    if grid < 64:
-        raise InvalidInputError(f"grid must be >= 64, got {grid}")
-    t = np.arange(1, grid + 1)
-    u = t / grid
-    vals = np.asarray(fn(u), dtype=float)
-    return complex(np.mean(vals * np.exp(-2j * np.pi * r * t / grid)))
-
-
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights v with v @ y the composite trapezoid rule of y over the grid x."""
     half = 0.5 * np.diff(x)
@@ -214,20 +203,6 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     v[:-1] += half
     v[1:] += half
     return v
-
-
-def integrated_spectrum(f_local: Callable, omega_grid, u_points: int = 257) -> np.ndarray:
-    """Time average of the local spectral density at each frequency.
-
-    f is evaluated once on the (u_points, len(omega_grid)) grid and averaged
-    over u by the trapezoid weight row, as in ``noncentrality``.
-    """
-    w = np.asarray(omega_grid, dtype=float)
-    u = np.linspace(0.0, 1.0, int(u_points))
-    out = _trapezoid_weights(u) @ _eval_local(f_local, u, w)
-    if np.any(out <= 0.0):
-        raise DegenerateSpectrumError("integrated spectrum is not strictly positive")
-    return out
 
 
 def _eval_local(f_local, u, w) -> np.ndarray:
@@ -249,16 +224,37 @@ def _time_average(wu: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return fbar
 
 
-def _noncentralities(f_local: Callable, lags, u_points: int, omega_points: int,
-                     T: Optional[int]) -> np.ndarray:
-    """B(r) for every lag in ``lags`` by one trapezoid quadrature.
+@dataclass(frozen=True)
+class PowerProfile:
+    """Noncentrality B(r) over a set of lags."""
 
-    f is evaluated once on the (u, w) grid. The u-integrals of all lags are
-    one product: the rows exp(-2*pi*i*r*u) times the u weights, (lags x u),
-    times the grid, (u x w); fbar is the weight row times the grid. With
-    ``T`` given, fbar(w + 2*pi*r/T) costs one more grid evaluation per lag,
-    reduced to its row before the next, so memory stays at one grid.
+    lags: tuple[int, ...]
+    B_values: np.ndarray
+
+
+def power_profile(f_local: Callable, lags, u_points: int = 257,
+                  omega_points: int = 513, T: Optional[int] = None) -> PowerProfile:
+    """Limit B(r) of the standardized DFT covariance under local stationarity,
+    per lag:
+
+        B(r) = (2*pi)**-1 * integral over [0, 2pi] of
+               [fbar(w) * fbar(w + w_r)]**-0.5
+               * integral_0^1 f(u, w) exp(-2*pi*i*r*u) du  dw
+
+    where fbar(w) = integral_0^1 f(u, w) du. With ``T`` given,
+    w_r = 2*pi*r/T; otherwise w_r = 0, the limit for fixed r as T grows.
+    B vanishes exactly when f does not depend on u, and its magnitude at
+    lag r drives the test's power there.
+
+    All lags share one trapezoid quadrature on the (u_points, omega_points)
+    grid: f is evaluated once on it, fbar is the u weight row times the
+    grid, and the u-integrals of all L lags are one product, the rows
+    exp(-2*pi*i*r*u) times the u weights, (L x u), times the grid, (u x w).
+    With ``T`` given, fbar(w + w_r) costs one more grid evaluation per lag,
+    reduced to its row before the next, so memory stays at about one grid
+    for any number of lags.
     """
+    lags = tuple(int(r) for r in lags)
     if u_points < 128 or omega_points < 256:
         raise InvalidInputError(
             f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
@@ -287,51 +283,4 @@ def _noncentralities(f_local: Callable, lags, u_points: int, omega_points: int,
         raise NumericalError(
             f"non-finite integrand value at lag r={r[i]:g}, omega={w[j]!r}"
         )
-    return integrand @ _trapezoid_weights(w) / _TWO_PI
-
-
-def noncentrality(f_local: Callable, r: int, u_points: int = 257,
-                  omega_points: int = 513, T: Optional[int] = None) -> complex:
-    """Limit of the standardized DFT covariance under local stationarity.
-
-    Computes
-
-        B(r) = (2*pi)**-1 * integral over [0, 2pi] of
-               [fbar(w) * fbar(w + w_r)]**-0.5
-               * integral_0^1 f(u, w) exp(-2*pi*i*r*u) du  dw
-
-    where fbar is the integrated spectrum. With ``T`` given, w_r = 2*pi*r/T;
-    otherwise w_r = 0, the limit for fixed r as T grows. B vanishes exactly
-    when f does not depend on u, and its magnitude at lag r drives the
-    test's power there.
-
-    This is the one-lag case of ``power_profile``: a trapezoid rule on a
-    (u_points, omega_points) grid, with f evaluated once on it (twice with
-    ``T`` given) and memory of one grid.
-    """
-    return complex(_noncentralities(f_local, (r,), u_points, omega_points, T)[0])
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """Noncentrality B(r) over a set of lags."""
-
-    lags: tuple[int, ...]
-    B_values: np.ndarray
-
-
-def power_profile(f_local: Callable, lags, u_points: int = 257,
-                  omega_points: int = 513, T: Optional[int] = None) -> PowerProfile:
-    """Noncentrality B(r) per lag.
-
-    All lags share one quadrature (see ``noncentrality`` for B): f is
-    evaluated once on the (u_points, omega_points) grid and the u-integrals
-    of all L lags are one (L x u_points) @ (u_points x omega_points) matrix
-    product, so the cost is one grid evaluation plus O(L * u_points *
-    omega_points) multiply-adds. With ``T`` given, each lag adds one grid
-    evaluation of f at the shifted frequencies, taken one lag at a time, so
-    memory stays at about one grid for any number of lags.
-    """
-    lags = tuple(int(r) for r in lags)
-    B = _noncentralities(f_local, lags, u_points, omega_points, T)
-    return PowerProfile(lags=lags, B_values=B)
+    return PowerProfile(lags=lags, B_values=integrand @ _trapezoid_weights(w) / _TWO_PI)

@@ -26,9 +26,9 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def _ar_root_check(ar, unsafe: bool, context: str):
+def _ar_root_check(ar, context: str):
     """Stationarity check: roots of 1 - a1 z - ... - ap z^p outside the unit
-    circle. ``unsafe=True`` downgrades the failure to a pass-through."""
+    circle."""
     a = np.asarray(ar, dtype=float)
     if a.size == 0:
         return
@@ -37,10 +37,10 @@ def _ar_root_check(ar, unsafe: bool, context: str):
     if roots.size == 0:
         return
     min_mod = float(np.min(np.abs(roots)))
-    if min_mod <= 1.0 + 1e-10 and not unsafe:
+    if min_mod <= 1.0 + 1e-10:
         raise StabilityError(
             f"{context}: AR polynomial has a root of modulus {min_mod:.6g} "
-            "on or inside the unit circle (pass unsafe=True to override)",
+            "on or inside the unit circle",
             root_modulus=min_mod,
         )
 
@@ -52,8 +52,8 @@ class ArmaSpec:
     ar: tuple = ()
     ma: tuple = ()
 
-    def validate(self, unsafe: bool = False):
-        _ar_root_check(self.ar, unsafe, "ArmaSpec")
+    def validate(self):
+        _ar_root_check(self.ar, "ArmaSpec")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ChangepointArSpec:
 
     segments: tuple
 
-    def validate(self, unsafe: bool = False):
+    def validate(self):
         if len(self.segments) < 1:
             raise InvalidInputError("at least one segment is required")
         prev = 0.0
@@ -78,7 +78,7 @@ class ChangepointArSpec:
                     f"segment fractions must increase strictly within (0, 1], got {frac}"
                 )
             prev = frac
-            _ar_root_check(ar, unsafe, f"segment ending at {frac}")
+            _ar_root_check(ar, f"segment ending at {frac}")
         if self.segments[-1][0] != 1.0:
             raise InvalidInputError("the last segment fraction must be 1.0")
 
@@ -94,8 +94,8 @@ class TvInnovationArSpec:
     ar: tuple
     sigma: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, unsafe: bool = False):
-        _ar_root_check(self.ar, unsafe, "TvInnovationArSpec")
+    def validate(self):
+        _ar_root_check(self.ar, "TvInnovationArSpec")
         if not callable(self.sigma):
             raise InvalidInputError("sigma must be callable on [0, 1]")
 
@@ -106,11 +106,11 @@ class ModulatedNoiseSpec:
 
     sigma: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, unsafe: bool = False):
+    def validate(self):
         if not callable(self.sigma):
             raise InvalidInputError("sigma must be callable on [0, 1]")
         probe = np.asarray(self.sigma(np.linspace(0.0, 1.0, 1025)), dtype=float)
-        if np.any(probe <= 0.0) and not unsafe:
+        if np.any(probe <= 0.0):
             raise InvalidInputError("modulated-noise sigma must be positive on [0, 1]")
 
 
@@ -144,32 +144,19 @@ def innovation_count(spec: ModelSpec, config: GeneratorConfig) -> int:
     return config.T + config.burn_in
 
 
-def generate(spec: ModelSpec, config: GeneratorConfig, innovations=None,
-             unsafe: bool = False) -> np.ndarray:
+def generate(spec: ModelSpec, config: GeneratorConfig) -> np.ndarray:
     """Draw one length-T realization of the given model.
 
     Parameters
     ----------
     spec : ModelSpec
-        Process description; AR polynomials are checked for stationarity
-        (override with ``unsafe=True``).
+        Process description; AR polynomials are checked for stationarity.
     config : GeneratorConfig
-        Length, burn-in and stream identity.
-    innovations : array_like, optional
-        Externally supplied innovation sequence of length
-        ``innovation_count(spec, config)``; replaces the Gaussian stream.
-        Lets callers reuse identical noise across model variants.
+        Length, burn-in and stream identity. A stream's draws do not depend
+        on the model, so model variants driven by one stream share their noise.
     """
-    spec.validate(unsafe=unsafe)
-    n = innovation_count(spec, config)
-    if innovations is None:
-        eps = gauss_stream(config.rng, n)
-    else:
-        eps = np.asarray(innovations, dtype=float)
-        if eps.shape != (n,):
-            raise InvalidInputError(
-                f"innovations must have shape ({n},), got {eps.shape}"
-            )
+    spec.validate()
+    eps = gauss_stream(config.rng, innovation_count(spec, config))
     return _filter_rows(spec, eps[None, :], config.T, config.burn_in)[0]
 
 

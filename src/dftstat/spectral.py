@@ -1,4 +1,4 @@
-"""Periodogram and kernel-smoothed spectral density estimation.
+"""Kernel-smoothed spectral density estimation from the periodogram.
 
 The estimator is a circular weighted average of the periodogram on the
 canonical frequency grid,
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthTooSmallError, BandwidthWarning, InvalidInputError
-from .numerics import dft_canonical
 
 _KERNEL_KINDS = ("daniell", "bartlett")
 
@@ -70,12 +69,9 @@ class KernelSpec:
             )
         return b
 
-    def weights(self, T: int) -> np.ndarray:
-        """Discrete smoothing weights over index offsets -H..H, summing to 1."""
-        return _kernel_weights(self.kind, self.resolve_bandwidth(T), T)
-
 
 def _kernel_weights(kind: str, b: float, T: int) -> np.ndarray:
+    """Discrete smoothing weights over index offsets -H..H, summing to 1."""
     bT = b * T
     if bT < 3.0:
         raise BandwidthTooSmallError(
@@ -104,12 +100,6 @@ class SpectralEstimate:
     kernel: KernelSpec
     ridge: float
     T: int
-
-
-def periodogram(series) -> np.ndarray:
-    """|J(w_k)|^2 for k = 1..T; nonnegative by construction."""
-    j = dft_canonical(series)
-    return np.abs(j) ** 2
 
 
 def smooth_spectral(pgram, kernel: KernelSpec | None = None,

@@ -110,7 +110,7 @@ def _transfer(psi: np.ndarray, omega):
     return vals
 
 
-def phase_coherence(psi, x: float, grid: int = 2048) -> float:
+def _phase_coherence(psi, x: float, grid: int = 2048) -> float:
     """Squared modulus of the mean phase twist over one frequency period.
 
     Computes |(2*pi)**-1 * integral_0^2pi exp(i*(phi(w) - phi(w+x))) dw|^2
@@ -143,9 +143,9 @@ class CorrectionSpec:
         kappa_r = 0 for every lag (the default; exact for Gaussian
         innovations, whose fourth cumulant vanishes).
     linear_plugin
-        The linear-process form kappa_r = kappa4 * phase_coherence(psi, w_r)
-        with user-supplied MA(inf) coefficients psi and innovation fourth
-        cumulant kappa4.
+        The linear-process form kappa_r = kappa4 * (phase coherence of psi
+        at w_r) with user-supplied MA(inf) coefficients psi and innovation
+        fourth cumulant kappa4.
     user
         Explicit kappa_r values, one per lag.
     """
@@ -181,14 +181,14 @@ class CorrectionSpec:
         return cls(mode="user", kappa=tuple(float(v) for v in kappa))
 
 
-def correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
+def _correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
     """Denominators 1 + kappa_r / 2 for each requested lag."""
     lags = tuple(int(r) for r in lags)
     if spec.mode == "gaussian":
         denom = np.ones(len(lags))
     elif spec.mode == "linear_plugin":
         denom = np.array(
-            [1.0 + 0.5 * spec.kappa4 * phase_coherence(spec.psi, _TWO_PI * r / T)
+            [1.0 + 0.5 * spec.kappa4 * _phase_coherence(spec.psi, _TWO_PI * r / T)
              for r in lags]
         )
     else:  # user
@@ -241,7 +241,7 @@ class _TestPlan:
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     kern, weights = _smoother(kernel, T, ridge_factor)
     lags = validate_lags(range(1, m + 1) if lags is None else lags, T)
-    corr = correction_denominators(correction or CorrectionSpec(), lags, T)
+    corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
     return _TestPlan(T=T, lags=lags, kernel=kern, weights=weights,
                      corrections=corr, ridge_factor=ridge_factor, demean=demean)
 

@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import dftstat as ds
+from dftstat.stattest import _phase_coherence
 
 SEED = 2026
 
@@ -115,7 +116,8 @@ def test_criterion_5_lag_power_alignment():
     lags = tuple(range(1, 121))
     spec = ds.model_preset("model6", 512)
     rates = ds.lag_scan(spec, 512, lags, replications=600, master_seed=0)
-    coeffs = np.array([abs(ds.fourier_coefficient(spec.sigma, r, 512)) for r in lags])
+    # |a_r| of the scale's Riemann-sum Fourier coefficients on t/512, t = 1..512
+    coeffs = np.abs(np.fft.fft(spec.sigma(np.arange(1, 513) / 512)))[list(lags)] / 512
     rho = float(spearmanr(rates, coeffs).statistic)
     report("5 lag-power alignment", rho >= 0.5,
            f"spearman {rho:.3f} over 120 lags, 600 replications, need >= 0.5")
@@ -130,14 +132,14 @@ def test_criterion_6_noncentrality_oracle():
         ds.local_spectrum(ds.model_preset("model1", 512)),
         ds.local_spectrum(ds.model_preset("model2", 512)),
     ]
-    worst_flat = max(abs(ds.noncentrality(f, r))
+    worst_flat = max(abs(ds.power_profile(f, (r,)).B_values[0])
                      for f in flat_cases for r in (1, 2, 5))
 
     def modulated(u, w):
         return (1 + np.cos(2 * np.pi * np.asarray(u, float))) / (2 * np.pi) \
             * np.ones_like(np.asarray(w, float))
 
-    b1 = ds.noncentrality(modulated, 1)
+    b1 = ds.power_profile(modulated, (1,)).B_values[0]
     ok = worst_flat <= 1e-8 and abs(b1 - 0.5) <= 1e-6
     report("6 noncentrality oracle", ok,
            f"max |B| over u-constant spectra {worst_flat:.2e} <= 1e-8; "
@@ -243,11 +245,11 @@ def test_criterion_9_invariance_suite():
     worst_scale = max(abs(ds.stationarity_test(c * x, m=4).statistic - base)
                       for c in (0.1, 7.3))
 
-    coherence_at_zero = ds.phase_coherence([1.0, -0.3, 0.2], 0.0)
+    coherence_at_zero = _phase_coherence([1.0, -0.3, 0.2], 0.0)
     in_range = True
     for _ in range(100):
         psi = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, 3)])
-        v = ds.phase_coherence(psi, rng.uniform(0, 2 * np.pi))
+        v = _phase_coherence(psi, rng.uniform(0, 2 * np.pi))
         in_range &= 0.0 <= v <= 1.0
 
     excluded_ok = True

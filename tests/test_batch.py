@@ -150,7 +150,7 @@ def counting(monkeypatch, owner, attr):
 
 def test_study_work_is_hoisted_out_of_replications(monkeypatch):
     validate = counting(monkeypatch, ArmaSpec, "validate")
-    corrections = counting(monkeypatch, stattest, "correction_denominators")
+    corrections = counting(monkeypatch, stattest, "_correction_denominators")
     # patch the names the library looks up, which it binds at import
     sf = counting(monkeypatch, stattest, "chisq_sf")
     quantile = counting(monkeypatch, experiments, "chisq_quantile")
@@ -199,9 +199,14 @@ def test_failing_replication_is_named_across_chunks(monkeypatch):
 
 
 def test_study_level_failure_is_reported_as_replication_zero():
-    cfg = McConfig(model=ArmaSpec(ar=(1.2,)), T=128, replications=5)
-    with pytest.raises(StabilityError, match=r"^replication 0 \(stream 0\): "):
-        rejection_rate(cfg)
+    spec = ArmaSpec(ar=(1.2,))  # root 1 / 1.2 inside the unit circle
+    with pytest.raises(StabilityError, match=r"^replication 0 \(stream 0\): ") as mc_error:
+        rejection_rate(McConfig(model=spec, T=128, replications=5))
+    with pytest.raises(StabilityError, match=r"^replication 0 \(stream 0\): ") as scan_error:
+        lag_scan(spec, 128, [1, 2], replications=5)
+    # the same exception, so it keeps its attributes
+    for err in (mc_error, scan_error):
+        assert err.value.root_modulus == pytest.approx(0.8333, abs=1e-4)
 
 
 def test_first_bad_row_reports_lowest_row_and_first_reason():

@@ -148,9 +148,10 @@ def test_conflicting_lag_flags_rejected_before_output(model1_file, tmp_path, cap
     assert "not both" in capsys.readouterr().err
 
 
-# Arguments that at one time gave a silent wrong answer: a level outside
-# (0, 1), a negative CSV column, no replications, a non-positive T for the
-# finite lag shift. Each must exit 2 before anything is written.
+# Arguments that at one time gave a silent wrong answer or a traceback: a
+# level outside (0, 1), a negative CSV column, no replications, a
+# non-positive T for the finite lag shift, an --output in a missing
+# directory. Each must exit 2 before anything is written.
 BAD_ARGV = [
     "test {series} --level 2 --format csv --output {out}/report.csv",
     "test {series} --level 0.05 --level 0 --format json --output {out}/report.json",
@@ -161,6 +162,8 @@ BAD_ARGV = [
     "power model3 --lags 1..3 --T 0 --finite-lag-shift --outdir {out}",
     "power model6 --lags 1..3 --T -512 --finite-lag-shift --outdir {out}",
     "power model4 --lags 1..3 --T 0 --outdir {out}",
+    "test {series} --format json --output {out}/missing/r.json",
+    "simulate model1 --T 64 --output {out}/missing/x.csv",
 ]
 
 
@@ -317,6 +320,14 @@ def test_scan_accepts_every_model_option_with_mc_defaults():
         "bandwidth": "0.2", "kernel": "bartlett", "ridge_factor": 0.01,
         "correction": "user", "psi": "0.5", "kappa4": 1.5, "kappa": "1,2,3",
         "burn_in": 50}
+
+
+@pytest.mark.parametrize("command", ["test", "segment"])
+def test_burn_in_is_a_usage_error_where_nothing_is_simulated(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:  # argparse stops before the file is read
+        main([command, "series.txt", "--burn-in", "5"])
+    assert exit_info.value.code == 2
+    assert "--burn-in" in capsys.readouterr().err
 
 
 def test_power_command_schema(tmp_path, capsys):

@@ -13,18 +13,20 @@ from dftstat import (
     RngStream,
     chisq_quantile,
     chisq_sf,
-    empirical_density,
-    fourier_coefficient,
-    integrated_spectrum,
     lag_scan,
     local_spectrum,
     model_preset,
-    noncentrality,
     power_profile,
     rejection_rate,
     stationarity_test,
     generate,
     GeneratorConfig,
+)
+from dftstat.experiments import (
+    _empirical_density,
+    _eval_local,
+    _time_average,
+    _trapezoid_weights,
 )
 
 BLOCKED_CHANGEPOINT = (
@@ -124,7 +126,7 @@ def test_lag_scan_checks_replications_and_level_as_mc_config(bad):
 
 
 def test_density_constant_vector():
-    edges, density = empirical_density(np.full(20, 4.0), bins=10)
+    edges, density = _empirical_density(np.full(20, 4.0), bins=10)
     occupied = density > 0
     assert occupied.sum() == 1
     widths = np.diff(edges)
@@ -133,7 +135,7 @@ def test_density_constant_vector():
 
 def test_density_area_one():
     rng = np.random.default_rng(56)
-    edges, density = empirical_density(rng.exponential(size=500))
+    edges, density = _empirical_density(rng.exponential(size=500))
     assert np.dot(density, np.diff(edges)) == pytest.approx(1.0)
 
 
@@ -143,7 +145,7 @@ def test_density_matches_chi2_20():
     n = 100_000
     u = RngStream(57, 0).generator().random(n)
     draws = np.array([chisq_quantile(p, 20) for p in u])
-    edges, density = empirical_density(draws, bins=50)
+    edges, density = _empirical_density(draws, bins=50)
     mids = 0.5 * (edges[:-1] + edges[1:])
     a = 10.0
     pdf = np.exp((a - 1) * np.log(mids) - mids / 2 - a * np.log(2.0)
@@ -153,9 +155,9 @@ def test_density_matches_chi2_20():
 
 def test_density_validation():
     with pytest.raises(InvalidInputError):
-        empirical_density([])
+        _empirical_density([])
     with pytest.raises(InvalidInputError):
-        empirical_density([1.0, 2.0], bins=1)
+        _empirical_density([1.0, 2.0], bins=1)
 
 
 @pytest.mark.xfail(
@@ -205,27 +207,6 @@ def test_lag_scan_matches_separate_single_lag_runs():
 
 
 # ---------------------------------------------------------------------------
-# scale-function Fourier coefficients
-# ---------------------------------------------------------------------------
-
-
-def test_fourier_coefficient_orthogonality():
-    one = lambda u: np.ones_like(np.asarray(u, float))
-    assert abs(fourier_coefficient(one, 1)) < 1e-12
-    assert fourier_coefficient(one, 0) == pytest.approx(1.0)
-
-
-def test_fourier_coefficient_cosine():
-    val = fourier_coefficient(lambda u: np.cos(2 * np.pi * u), 1, grid=512)
-    assert val == pytest.approx(0.5, abs=1e-12)
-
-
-def test_fourier_coefficient_grid_validation():
-    with pytest.raises(InvalidInputError):
-        fourier_coefficient(lambda u: u, 1, grid=32)
-
-
-# ---------------------------------------------------------------------------
 # noncentrality and integrated spectra
 # ---------------------------------------------------------------------------
 
@@ -240,46 +221,50 @@ def test_noncentrality_vanishes_for_time_constant_spectra():
               lambda u, w: np.full(np.broadcast_shapes(np.shape(u), np.shape(w)), 0.4),
               local_spectrum(model_preset("model2", 512))):
         for r in (1, 2, 7):
-            assert abs(noncentrality(f, r)) <= 1e-8
+            assert abs(power_profile(f, (r,)).B_values[0]) <= 1e-8
 
 
 def test_noncentrality_modulated_noise_analytic_value():
-    assert noncentrality(flat_modulated, 1) == pytest.approx(0.5, abs=1e-6)
-    assert abs(noncentrality(flat_modulated, 2)) <= 1e-8
+    assert power_profile(flat_modulated, (1,)).B_values[0] == pytest.approx(0.5, abs=1e-6)
+    assert abs(power_profile(flat_modulated, (2,)).B_values[0]) <= 1e-8
 
 
 def test_noncentrality_conjugation():
     f = local_spectrum(model_preset("model6", 512))
-    b_plus = noncentrality(f, 3)
-    b_minus = noncentrality(f, -3)
+    b_plus = power_profile(f, (3,)).B_values[0]
+    b_minus = power_profile(f, (-3,)).B_values[0]
     assert b_minus == pytest.approx(np.conj(b_plus), abs=1e-12)
 
 
 def test_noncentrality_finite_shift_close_to_limit():
-    a = noncentrality(flat_modulated, 1)
-    b = noncentrality(flat_modulated, 1, T=512)
+    a = power_profile(flat_modulated, (1,)).B_values[0]
+    b = power_profile(flat_modulated, (1,), T=512).B_values[0]
     assert abs(a - b) < 0.01
 
 
 def test_noncentrality_validation():
     with pytest.raises(InvalidInputError):
-        noncentrality(flat_modulated, 1, u_points=64)
+        power_profile(flat_modulated, (1,), u_points=64)
     with pytest.raises(InvalidInputError):
-        noncentrality(flat_modulated, 0)
+        power_profile(flat_modulated, (0,))
     with pytest.raises(DegenerateSpectrumError):
-        noncentrality(lambda u, w: np.zeros(np.broadcast_shapes(np.shape(u), np.shape(w))), 1)
+        power_profile(lambda u, w: np.zeros(np.broadcast_shapes(np.shape(u), np.shape(w))),
+                      (1,))
 
 
 def test_integrated_spectrum_time_constant():
     f = local_spectrum(model_preset("model1", 512))
     w = np.linspace(0, 2 * np.pi, 65)
     expected = (1 / (2 * np.pi)) / np.abs(1 - 0.8 * np.exp(1j * w)) ** 2
-    assert np.allclose(integrated_spectrum(f, w), expected, rtol=1e-10)
+    u = np.linspace(0, 1, 257)
+    fbar = _time_average(_trapezoid_weights(u), _eval_local(f, u, w))
+    assert np.allclose(fbar, expected, rtol=1e-10)
 
 
 def test_integrated_spectrum_modulated():
     w = np.linspace(0, 2 * np.pi, 33)
-    out = integrated_spectrum(flat_modulated, w)
+    u = np.linspace(0, 1, 257)
+    out = _time_average(_trapezoid_weights(u), _eval_local(flat_modulated, u, w))
     assert np.allclose(out, 1 / (2 * np.pi), atol=1e-10)
 
 
@@ -291,7 +276,8 @@ def test_integrated_spectrum_separable_model4():
     sval = spec.sigma(u)
     scale = np.trapezoid(sval ** 2, u) if hasattr(np, "trapezoid") else np.trapz(sval ** 2, u)
     base = (1 / (2 * np.pi)) / np.abs(1 - 0.8 * np.exp(1j * w)) ** 2
-    assert np.allclose(integrated_spectrum(f, w, u_points=4097), scale * base, rtol=1e-6)
+    fbar = _time_average(_trapezoid_weights(u), _eval_local(f, u, w))
+    assert np.allclose(fbar, scale * base, rtol=1e-6)
 
 
 def test_power_profile_layout():
@@ -352,7 +338,7 @@ def test_noncentrality_is_the_one_lag_profile():
     f = local_spectrum(model_preset("model3", 512))
     for T in (None, 512):
         prof = power_profile(f, [1, 5, -2], T=T).B_values
-        assert [noncentrality(f, r, T=T) for r in (1, 5, -2)] == pytest.approx(
+        assert [power_profile(f, (r,), T=T).B_values[0] for r in (1, 5, -2)] == pytest.approx(
             list(prof), abs=1e-15)
 
 
@@ -381,7 +367,7 @@ def test_power_profile_rejects_a_T_that_is_not_a_positive_integer(T):
     with pytest.raises(InvalidInputError, match="T must be a positive integer"):
         power_profile(flat_modulated, [1, 2], T=T)
     with pytest.raises(InvalidInputError, match="T must be a positive integer"):
-        noncentrality(flat_modulated, 1, T=T)
+        power_profile(flat_modulated, (1,), T=T)
 
 
 @pytest.mark.parametrize("T", [None, 512])
@@ -413,7 +399,7 @@ def test_power_profile_rejects_bad_spectra(f_local, error, T):
     with pytest.raises(error):
         power_profile(f_local, [1, 2], T=T)
     with pytest.raises(error):
-        noncentrality(f_local, 1, T=T)
+        power_profile(f_local, (1,), T=T)
 
 
 def off_grid(value, omega_points=513):

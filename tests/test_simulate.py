@@ -16,7 +16,7 @@ from dftstat import (
     model_preset,
     spec_from_dict,
 )
-from dftstat.simulate import _arma_spectrum_fn, innovation_count
+from dftstat.simulate import _arma_spectrum_fn, _filter_rows, innovation_count
 
 
 def ar1_spectrum(a, w):
@@ -100,17 +100,13 @@ def test_explosive_ar_rejected_with_root_modulus():
     with pytest.raises(StabilityError) as err:
         generate(bad, GeneratorConfig(T=64, burn_in=0, rng=RngStream(1, 0)))
     assert err.value.root_modulus == pytest.approx(0.678, abs=1e-3)
-    # the unsafe flag overrides the check
-    x = generate(bad, GeneratorConfig(T=32, burn_in=0, rng=RngStream(1, 0)), unsafe=True)
-    assert np.all(np.isfinite(x))
 
 
 def test_changepoint_matches_loop_oracle():
     spec = ChangepointArSpec(segments=((0.75, (1.5, -0.75)), (1.0, (0.8,))))
     T, burn = 240, 50
     eps = gauss_stream(RngStream(43, 0), T + burn)
-    got = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(43, 0)),
-                   innovations=eps)
+    got = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(43, 0)))
 
     # direct recursion with the coefficient switch after floor(0.75 T)
     switch = int(np.floor(0.75 * T))
@@ -131,10 +127,9 @@ def test_changepoint_first_segment_matches_pure_ar():
     spec = ChangepointArSpec(segments=((0.5, (0.8,)), (1.0, (0.6,))))
     plain = ArmaSpec(ar=(0.8,))
     T, burn = 128, 100
-    eps = gauss_stream(RngStream(44, 0), T + burn)
     cfg = GeneratorConfig(T=T, burn_in=burn, rng=RngStream(44, 0))
-    a = generate(spec, cfg, innovations=eps)
-    b = generate(plain, cfg, innovations=eps)
+    a = generate(spec, cfg)
+    b = generate(plain, cfg)
     assert np.allclose(a[:64], b[:64], atol=1e-12)
     assert not np.allclose(a[64:], b[64:])
 
@@ -144,11 +139,9 @@ def test_burn_in_doubling_leaves_output_unchanged():
     # geometrically, so doubling the burn-in does not move the kept sample
     spec = model_preset("model1", 512)
     T = 512
-    eps = gauss_stream(RngStream(45, 0), 1000 + T)
-    long = generate(spec, GeneratorConfig(T=T, burn_in=1000, rng=RngStream(45, 0)),
-                    innovations=eps)
-    short = generate(spec, GeneratorConfig(T=T, burn_in=500, rng=RngStream(45, 0)),
-                     innovations=eps[500:])
+    eps = gauss_stream(RngStream(45, 0), 1000 + T)[None, :]
+    long = _filter_rows(spec, eps, T, 1000)
+    short = _filter_rows(spec, eps[:, 500:], T, 500)
     assert np.allclose(long, short, atol=1e-12)
 
 
@@ -158,7 +151,7 @@ def test_modulated_noise_elementwise():
     eps = gauss_stream(RngStream(46, 0), T)
     cfg = GeneratorConfig(T=T, burn_in=500, rng=RngStream(46, 0))
     assert innovation_count(spec, cfg) == T  # burn-in not consumed
-    got = generate(spec, cfg, innovations=eps)
+    got = generate(spec, cfg)
     u = np.arange(1, T + 1) / T
     assert np.array_equal(got, (1.0 + u) * eps)
 
@@ -174,13 +167,6 @@ def test_tv_innovation_scale_may_change_sign():
     spec = model_preset("model4", 512)
     x = generate(spec, GeneratorConfig(T=512, rng=RngStream(47, 0)))
     assert np.all(np.isfinite(x))
-
-
-def test_innovation_length_validation():
-    spec = model_preset("model1", 512)
-    cfg = GeneratorConfig(T=64, burn_in=10, rng=RngStream(0, 0))
-    with pytest.raises(InvalidInputError):
-        generate(spec, cfg, innovations=np.zeros(64))  # needs 74
 
 
 def test_generator_config_validation():

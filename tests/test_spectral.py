@@ -11,23 +11,23 @@ from dftstat import (
     InvalidInputError,
     KernelSpec,
     RngStream,
+    dft_canonical,
     gauss_stream,
     generate,
     model_preset,
-    periodogram,
     smooth_spectral,
 )
-from dftstat.spectral import _fast_length, _smooth_rows, _smoother
+from dftstat.spectral import _fast_length, _kernel_weights, _smooth_rows, _smoother
 
 
 def test_periodogram_zero_series():
-    assert np.all(periodogram(np.zeros(32)) == 0)
+    assert np.all(np.abs(dft_canonical(np.zeros(32))) ** 2 == 0)
 
 
 def test_periodogram_cosine_mass_at_two_bins():
     T = 16
     t = np.arange(1, T + 1)
-    pg = periodogram(np.cos(2 * np.pi * t * 3 / T))
+    pg = np.abs(dft_canonical(np.cos(2 * np.pi * t * 3 / T))) ** 2
     for k in range(1, T + 1):
         if k in (3, 13):
             assert pg[k - 1] > 0.1
@@ -40,7 +40,7 @@ def test_periodogram_white_noise_level():
     T = 4096
     acc = 0.0
     for i in range(50):
-        acc += periodogram(gauss_stream(RngStream(20, i), T)).mean()
+        acc += (np.abs(dft_canonical(gauss_stream(RngStream(20, i), T))) ** 2).mean()
     assert acc / 50 == pytest.approx(1 / (2 * np.pi), abs=0.01)
 
 
@@ -99,7 +99,7 @@ def _direct_smooth(pg, weights):
 
 def _model1_periodogram(T, stream):
     x = generate(model_preset("model1", T), GeneratorConfig(T=T, rng=RngStream(15, stream)))
-    return periodogram(x)
+    return np.abs(dft_canonical(x)) ** 2
 
 
 @pytest.mark.parametrize("kind", ["daniell", "bartlett"])
@@ -113,7 +113,7 @@ def test_smoothing_matches_direct_circular_sum(kind, T, b):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
         est = smooth_spectral(pg, KernelSpec(kind, b), ridge_factor=0.0)
-        direct = _direct_smooth(pg, est.kernel.weights(T))
+        direct = _direct_smooth(pg, _kernel_weights(kind, est.kernel.bandwidth, T))
     assert np.max(np.abs(est.values - direct) / direct) < 1e-13
 
 
@@ -145,7 +145,8 @@ def test_white_noise_estimate_tracks_flat_spectrum():
     T = 1024
     avg = np.zeros(T)
     for i in range(100):
-        avg += smooth_spectral(periodogram(gauss_stream(RngStream(14, i), T))).values
+        pg = np.abs(dft_canonical(gauss_stream(RngStream(14, i), T))) ** 2
+        avg += smooth_spectral(pg).values
     avg /= 100
     rel = np.max(np.abs(avg - 1 / (2 * np.pi))) * 2 * np.pi
     assert rel < 0.10
@@ -159,7 +160,7 @@ def test_ar1_estimate_tracks_closed_form_spectrum():
     rmse = 0.0
     for i in range(100):
         x = generate(spec, GeneratorConfig(T=T, rng=RngStream(13, i)))
-        est = smooth_spectral(periodogram(x))
+        est = smooth_spectral(np.abs(dft_canonical(x)) ** 2)
         rmse += np.sqrt(np.mean((est.values - f_true) ** 2 / f_true ** 2))
     assert rmse / 100 <= 0.15
 
@@ -197,9 +198,7 @@ def test_kernel_spec_validation():
 
 def test_kernel_weights_sum_to_one():
     for kind in ("daniell", "bartlett"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BandwidthWarning)
-            w = KernelSpec(kind, 0.1).weights(200)
+        w = _kernel_weights(kind, 0.1, 200)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0)
         assert np.array_equal(w, w[::-1])  # symmetric

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,18 +13,21 @@ from dftstat import (
     RngStream,
     SegmentationDepthError,
     chisq_sf,
-    correction_denominators,
     dft_canonical,
     dft_covariances,
     gauss_stream,
     generate,
     model_preset,
-    phase_coherence,
     segmented_test,
     smooth_spectral,
     stationarity_test,
 )
-from dftstat.stattest import _lag_covariances, _transfer
+from dftstat.stattest import (
+    _correction_denominators,
+    _lag_covariances,
+    _phase_coherence,
+    _transfer,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +173,17 @@ def test_phase_degenerate_transfer():
 
 
 def test_phase_coherence_at_zero_offset():
-    assert phase_coherence([1.0, 0.5, -0.2], 0.0) == 1.0
+    assert _phase_coherence([1.0, 0.5, -0.2], 0.0) == 1.0
 
 
 def test_phase_coherence_white_noise():
     for x in (0.1, 1.0, np.pi, 5.0):
-        assert phase_coherence([1.0], x) == pytest.approx(1.0, abs=1e-14)
+        assert _phase_coherence([1.0], x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phase_coherence_grid_refinement():
-    a = phase_coherence([1.0, 0.5], np.pi, grid=1024)
-    b = phase_coherence([1.0, 0.5], np.pi, grid=4096)
+    a = _phase_coherence([1.0, 0.5], np.pi, grid=1024)
+    b = _phase_coherence([1.0, 0.5], np.pi, grid=4096)
     assert abs(a - b) < 1e-6
 
 
@@ -190,37 +192,37 @@ def test_phase_coherence_bounded_random_filters():
     for _ in range(100):
         psi = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, size=3)])
         x = rng.uniform(0, 2 * np.pi)
-        v = phase_coherence(psi, x)
+        v = _phase_coherence(psi, x)
         assert 0.0 <= v <= 1.0
 
 
 def test_corrections_gaussian_mode():
-    got = correction_denominators(CorrectionSpec.gaussian(), [1, 2, 3], 256)
+    got = _correction_denominators(CorrectionSpec.gaussian(), [1, 2, 3], 256)
     assert np.array_equal(got, np.ones(3))
 
 
 def test_corrections_linear_zero_cumulant():
-    got = correction_denominators(CorrectionSpec.linear([1.0, 0.5], 0.0), [1, 5], 256)
+    got = _correction_denominators(CorrectionSpec.linear([1.0, 0.5], 0.0), [1, 5], 256)
     assert np.array_equal(got, np.ones(2))
 
 
 def test_corrections_linear_small_lag_value():
     # coherence is close to one at tiny frequency offsets, so the denominator
     # approaches 1 + kappa4/2
-    got = correction_denominators(CorrectionSpec.linear([1.0, 0.5], 6.0), [1], 512)
+    got = _correction_denominators(CorrectionSpec.linear([1.0, 0.5], 6.0), [1], 512)
     assert got[0] == pytest.approx(4.0, abs=0.05)
 
 
 def test_corrections_user_mode():
-    got = correction_denominators(CorrectionSpec.user([0.4, 1.0]), [1, 2], 128)
+    got = _correction_denominators(CorrectionSpec.user([0.4, 1.0]), [1, 2], 128)
     assert np.allclose(got, [1.2, 1.5])
     with pytest.raises(InvalidInputError):
-        correction_denominators(CorrectionSpec.user([0.4]), [1, 2], 128)
+        _correction_denominators(CorrectionSpec.user([0.4]), [1, 2], 128)
 
 
 def test_corrections_negative_denominator():
     with pytest.raises(InvalidCorrectionError):
-        correction_denominators(CorrectionSpec.user([-3.0]), [1], 128)
+        _correction_denominators(CorrectionSpec.user([-3.0]), [1], 128)
 
 
 def test_correction_spec_validation():
