@@ -27,11 +27,9 @@ from .numerics import (
 from .spectral import KernelSpec, SpectralEstimate, smooth_spectral
 from .stattest import (
     CorrectionSpec,
-    DftCovariances,
     SegmentBlock,
     SegmentReport,
     TestResult,
-    dft_covariances,
     segmented_test,
     stationarity_test,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "CorrectionSpec",
     "DegenerateSpectrumError",
     "DegenerateTransferError",
-    "DftCovariances",
     "GeneratorConfig",
     "InputError",
     "InvalidCorrectionError",
@@ -92,7 +89,6 @@ __all__ = [
     "chisq_quantile",
     "chisq_sf",
     "dft_canonical",
-    "dft_covariances",
     "gauss_stream",
     "generate",
     "lag_scan",

@@ -179,11 +179,17 @@ def _correction_from_args(args) -> CorrectionSpec:
     if mode == "linear":
         if not args.psi or args.kappa4 is None:
             raise InputError("--correction linear needs --psi and --kappa4")
-        psi = tuple(float(v) for v in args.psi.split(","))
-        return CorrectionSpec.linear(psi, args.kappa4)
+        return CorrectionSpec.linear(_float_list(args.psi, "--psi"), args.kappa4)
     if not args.kappa:  # argparse's choices leave only mode "user" here
         raise InputError("--correction user needs --kappa")
-    return CorrectionSpec.user(tuple(float(v) for v in args.kappa.split(",")))
+    return CorrectionSpec.user(_float_list(args.kappa, "--kappa"))
+
+
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _lags_from_args(args) -> tuple[int, ...]:
@@ -310,7 +316,8 @@ def _cmd_segment(args) -> int:
         _write_text(args.output, _csv("depth,index,start,end,statistic,dof,p_value", rows))
     else:
         for b in report.blocks:
-            flag = "reject" if b.result.p_value < 0.05 else "      "
+            levels = [f"{a:g}" for a, rejected in sorted(b.result.reject_at.items()) if rejected]
+            flag = f"reject at {','.join(levels)}" if levels else ""
             print(f"depth {b.depth}  block {b.index:2d}  [{b.start:6d},{b.stop:6d})  "
                   f"T-stat = {b.result.statistic:8.3f}  p = {b.result.p_value:.3f}  {flag}")
     return EXIT_OK

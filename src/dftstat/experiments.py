@@ -32,9 +32,9 @@ from .numerics import _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
-    _TestPlan,
     _block_covariances,
     _checked_level,
+    _contributions,
     _first_bad_row,
     _plan,
     _statistics,
@@ -47,7 +47,8 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo study: model, sample size, lags and replication plan."""
+    """One Monte Carlo study: model, sample size, lags and replication plan,
+    checked on construction (``lags`` are stored as validated integers)."""
 
     model: ModelSpec
     T: int
@@ -61,8 +62,10 @@ class McConfig:
     burn_in: int = 500
 
     def __post_init__(self):
-        _check_study(self.replications, self.level)
-        object.__setattr__(self, "lags", tuple(int(r) for r in self.lags))
+        if self.replications < 1:
+            raise InvalidInputError("replications must be >= 1")
+        _checked_level(self.level)
+        object.__setattr__(self, "lags", validate_lags(self.lags, self.T))
 
     def with_m(self, m: int) -> "McConfig":
         """Same study with consecutive lags 1..m."""
@@ -83,44 +86,34 @@ class McReport:
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
 
 
-def _check_study(replications: int, level: float):
-    """The replication count and level every Monte Carlo study must have."""
-    if replications < 1:
-        raise InvalidInputError("replications must be >= 1")
-    _checked_level(level)
+def _replications(config: McConfig, reduce):
+    """Yield ``reduce(C, plan)`` chunk by chunk, C holding the covariances of
+    the chunk's replications, one row each, in order.
 
-
-def _study_plan(model: ModelSpec, T: int, burn_in: int, lags, kernel, correction,
-                ridge_factor) -> _TestPlan:
-    """Per-study checks and constants, done once rather than per replication.
-
-    A failure here would have stopped the first replication, so it is
-    reported as replication 0, as in a replication-by-replication run: the
-    same exception, with its attributes, under a prefixed message.
+    The per-study checks run once, before the first chunk. A failure there
+    would have stopped the first replication, so it is reported as
+    replication 0: the same exception, with its attributes, under a
+    prefixed message.
     """
+    model, T, burn_in = config.model, config.T, config.burn_in
     try:
-        GeneratorConfig(T=T, burn_in=burn_in)
+        gen = GeneratorConfig(T=T, burn_in=burn_in)
         model.validate()
-        return _plan(T, lags, None, kernel, correction, ridge_factor, True)
+        plan = _plan(T, config.lags, None, config.kernel, config.correction,
+                     config.ridge_factor, True)
     except StationarityTestError as exc:
         exc.args = (f"replication 0 (stream 0): {exc}",)
         raise
-
-
-def _replication_chunks(model: ModelSpec, T: int, burn_in: int, master_seed: int,
-                        replications: int, plan: _TestPlan):
-    """Yield (start, C): covariances of replications start, start + 1, ...,
-    one row each, chunk by chunk."""
-    n = innovation_count(model, GeneratorConfig(T=T, burn_in=burn_in))
+    n = innovation_count(model, gen)
     rows = max(1, _CHUNK_ELEMENTS // n)
-    for start in range(0, replications, rows):
-        stop = min(start + rows, replications)
-        X = _filter_rows(model, _gauss_rows(master_seed, start, stop, n), T, burn_in)
+    for start in range(0, config.replications, rows):
+        stop = min(start + rows, config.replications)
+        X = _filter_rows(model, _gauss_rows(config.master_seed, start, stop, n), T, burn_in)
         bad = _first_bad_row(X)
         if bad is not None:
             i = start + bad[0]
             raise InvalidInputError(f"replication {i} (stream {i}): {bad[1]}")
-        yield start, _block_covariances(X, plan)
+        yield reduce(_block_covariances(X, plan), plan)
 
 
 def rejection_rate(config: McConfig) -> McReport:
@@ -133,15 +126,8 @@ def rejection_rate(config: McConfig) -> McReport:
     whatever the chunking, and memory does not grow with the replication
     count beyond the statistics array.
     """
-    lags = validate_lags(config.lags, config.T)
-    dof = 2 * len(lags)
-    threshold = chisq_quantile(1.0 - config.level, dof)
-    plan = _study_plan(config.model, config.T, config.burn_in, lags, config.kernel,
-                       config.correction, config.ridge_factor)
-    stats = np.empty(config.replications)
-    for start, C in _replication_chunks(config.model, config.T, config.burn_in,
-                                        config.master_seed, config.replications, plan):
-        stats[start: start + len(C)] = _statistics(C, plan)
+    threshold = chisq_quantile(1.0 - config.level, 2 * len(config.lags))
+    stats = np.concatenate(list(_replications(config, _statistics)))
     rate = float(np.count_nonzero(stats > threshold)) / config.replications
     return McReport(
         rejection_rate=rate,
@@ -173,21 +159,17 @@ def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
              ridge_factor: float = 1e-3, burn_in: int = 500) -> np.ndarray:
     """Rejection rate of the single-lag test at each requested lag.
 
-    Each replication's DFT, spectral estimate and standardized transform are
-    shared across all lags, so an extra lag costs one product-mean over T
-    ordinates per replication. Replications run in blocks as in
-    ``rejection_rate``: replication i uses stream i, the rates do not depend
-    on the chunking, and memory stays bounded as the replication count grows.
+    The arguments form an ``McConfig``. Each lag's statistic is its term of
+    the full statistic (``TestResult.contributions``), so all lags share a
+    replication's transform and spectral estimate. Replications run in
+    blocks as in ``rejection_rate``, replication i on stream i.
     """
-    _check_study(replications, level)
-    lags = validate_lags(lags, T)
+    config = McConfig(model=model, T=T, lags=lags, level=level, replications=replications,
+                      master_seed=master_seed, kernel=kernel, correction=correction,
+                      ridge_factor=ridge_factor, burn_in=burn_in)
     threshold = chisq_quantile(1.0 - level, 2)
-    plan = _study_plan(model, T, burn_in, lags, kernel, correction, ridge_factor)
-    rejections = np.zeros(len(lags), dtype=int)
-    for _, C in _replication_chunks(model, T, burn_in, master_seed, replications, plan):
-        # single-lag statistics, each equal bit for bit to _statistics of that lag alone
-        stats = T * (np.abs(C) ** 2 / plan.corrections)
-        rejections += np.count_nonzero(stats > threshold, axis=0)
+    rejections = sum(np.count_nonzero(stats > threshold, axis=0)
+                     for stats in _replications(config, _contributions))
     return rejections / replications
 
 

@@ -238,12 +238,21 @@ def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidInputError(f"draw count must be >= 1, got {n}")
-    return rng.generator().standard_normal(int(n))
+    return _gauss_rows(rng.master_seed, rng.stream_id, rng.stream_id + 1, int(n))[0]
 
 
 def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Row i holds gauss_stream(RngStream(master_seed, start + i), n)."""
+    """Row i holds the first n draws of ``RngStream(master_seed, start + i)``.
+
+    One Philox serves the block, reset per row to the stream's start, since
+    each Philox constructor draws unused OS entropy.
+    """
+    RngStream(master_seed, start)  # the seed and stream checks
+    bits = np.random.Philox(0)
+    gen, state = np.random.Generator(bits), bits.state  # a fresh state: counter 0, no buffer
     out = np.empty((stop - start, n))
     for row, stream in enumerate(range(start, stop)):
-        RngStream(master_seed, stream).generator().standard_normal(out=out[row])
+        state["state"]["key"] = np.array([master_seed, stream], dtype=np.uint64)
+        bits.state = state
+        gen.standard_normal(out=out[row])
     return out

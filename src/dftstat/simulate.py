@@ -190,9 +190,6 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
     raise InvalidInputError(f"unsupported model spec {type(spec).__name__}")
 
 
-_CHANGEPOINT_MEMORY = 16  # past outputs a segment can see at its switch
-
-
 def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
     from scipy.signal import lfilter  # deferred: it takes about 1 s to import
 
@@ -209,7 +206,7 @@ def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.nda
             pos = burn + n_seg
         elif n_seg:
             # continue from the previous segment's last values (no re-initialization)
-            past = y[:, max(0, pos - _CHANGEPOINT_MEMORY): pos][:, ::-1]
+            past = y[:, max(0, pos - len(ar)): pos][:, ::-1]
             zi = _ar_initial_state(a, past)
             y[:, pos: pos + n_seg], _ = lfilter([1.0], a, eps[:, pos: pos + n_seg],
                                                 axis=-1, zi=zi)
@@ -338,6 +335,31 @@ def _sigma_model4(T: int):
     return sigma
 
 
+def _field(d, key: str, convert, default=...):
+    """``convert(d[key])``, or ``default`` for an absent key; a missing or
+    malformed field raises InvalidInputError naming it."""
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"expected an object with field {key!r}, got {type(d).__name__}")
+    if key not in d and default is ...:
+        raise InvalidInputError(f"missing field {key!r}")
+    try:
+        return convert(d[key]) if key in d else default
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad field {key!r}: {exc}") from None
+
+
+def _numbers(v) -> tuple:
+    """A list of finite numbers as a tuple of floats."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 1 or not np.all(np.isfinite(a)):
+        raise ValueError(f"expected a list of finite numbers, got {v!r}")
+    return tuple(a.tolist())
+
+
+def _number(v) -> float:
+    return _numbers([v])[0]
+
+
 def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Build a scale function on [0, 1] from its declarative form.
 
@@ -348,13 +370,13 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
       harmonic   {"kind": "harmonic", "const": c, "sin": s, "cos": q,
                   "cycles": m}  ->  c + s*sin(2*pi*m*u) + q*cos(2*pi*m*u)
     """
-    kind = d.get("kind")
+    kind = _field(d, "kind", str, None)
     if kind == "constant":
-        value = float(d["value"])
+        value = _field(d, "value", _number)
         return lambda u: np.full_like(np.asarray(u, dtype=float), value)
     if kind == "piecewise":
-        breaks = np.asarray(d["breaks"], dtype=float)
-        values = np.asarray(d["values"], dtype=float)
+        breaks = np.asarray(_field(d, "breaks", _numbers))
+        values = np.asarray(_field(d, "values", _numbers))
         if values.size != breaks.size + 1:
             raise InvalidInputError("piecewise sigma needs len(values) == len(breaks) + 1")
         if breaks.size and (np.any(np.diff(breaks) <= 0) or breaks[0] <= 0 or breaks[-1] >= 1):
@@ -366,10 +388,8 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
 
         return sigma
     if kind == "harmonic":
-        const = float(d.get("const", 0.0))
-        amp_sin = float(d.get("sin", 0.0))
-        amp_cos = float(d.get("cos", 0.0))
-        cycles = float(d.get("cycles", 1.0))
+        const, amp_sin, amp_cos = (_field(d, k, _number, 0.0) for k in ("const", "sin", "cos"))
+        cycles = _field(d, "cycles", _number, 1.0)
 
         def sigma(u):
             theta = _TWO_PI * cycles * np.asarray(u, dtype=float)
@@ -381,16 +401,18 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 def spec_from_dict(d: dict) -> ModelSpec:
     """Build a ModelSpec from its declarative (JSON-friendly) form."""
-    family = d.get("family")
+    family = _field(d, "family", str, None)
     if family == "ar_ma":
-        return ArmaSpec(ar=tuple(d.get("ar", ())), ma=tuple(d.get("ma", ())))
+        return ArmaSpec(ar=_field(d, "ar", _numbers, ()), ma=_field(d, "ma", _numbers, ()))
     if family == "changepoint_ar":
-        segments = tuple((float(frac), tuple(ar)) for frac, ar in d["segments"])
+        segments = _field(d, "segments",
+                          lambda v: tuple((_number(frac), _numbers(ar)) for frac, ar in v))
         return ChangepointArSpec(segments=segments)
     if family == "tv_innovation_ar":
-        return TvInnovationArSpec(ar=tuple(d["ar"]), sigma=sigma_from_dict(d["sigma"]))
+        return TvInnovationArSpec(ar=_field(d, "ar", _numbers),
+                                  sigma=_field(d, "sigma", sigma_from_dict))
     if family == "modulated_noise":
-        return ModulatedNoiseSpec(sigma=sigma_from_dict(d["sigma"]))
+        return ModulatedNoiseSpec(sigma=_field(d, "sigma", sigma_from_dict))
     raise InvalidInputError(f"unknown model family {family!r}")
 
 

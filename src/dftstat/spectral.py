@@ -141,8 +141,8 @@ def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     Returns the kernel with its bandwidth resolved and its weights; both
     depend only on T, so a batch of equal-length series shares them.
     """
-    if ridge_factor < 0.0:
-        raise InvalidInputError(f"ridge_factor must be >= 0, got {ridge_factor}")
+    if not 0.0 <= ridge_factor < math.inf:
+        raise InvalidInputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
     kern = kernel if kernel is not None else KernelSpec()
     b = kern.resolve_bandwidth(T)
     return KernelSpec(kern.kind, b), _kernel_weights(kern.kind, b, T)

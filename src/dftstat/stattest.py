@@ -86,17 +86,6 @@ def _lag_covariances(J: np.ndarray, f: np.ndarray, lags) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DftCovariances:
-    """Standardized DFT covariances at several lags plus their correction
-    denominators 1 + kappa_r / 2 (all one in Gaussian mode)."""
-
-    lags: tuple[int, ...]
-    values: np.ndarray        # complex, one entry per lag
-    corrections: np.ndarray   # positive reals, aligned with lags
-    T: int
-
-
 # ---------------------------------------------------------------------------
 # transfer phase and the fourth-cumulant correction
 # ---------------------------------------------------------------------------
@@ -164,8 +153,12 @@ class CorrectionSpec:
                 raise InvalidInputError(
                     "linear_plugin correction needs finite psi with psi[0] != 0"
                 )
+            if not math.isfinite(self.kappa4):
+                raise InvalidInputError(f"kappa4 must be finite, got {self.kappa4}")
         if self.mode == "user" and len(self.kappa) == 0:
             raise InvalidInputError("user correction needs explicit kappa values")
+        if self.mode == "user" and not np.all(np.isfinite(self.kappa)):
+            raise InvalidInputError(f"kappa values must be finite, got {self.kappa}")
 
     @classmethod
     def gaussian(cls) -> "CorrectionSpec":
@@ -216,6 +209,8 @@ class TestResult:
     p_value: float
     reject_at: dict[float, bool]
     lags: tuple[int, ...]
+    covariances: tuple[complex, ...]   # c(r), in lags order
+    contributions: tuple[float, ...]   # T * |c(r)|^2 / denom_r, summing to statistic
     T: int
     kernel: KernelSpec
     ridge_factor: float
@@ -278,6 +273,12 @@ def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
     return plan.T * np.sum(np.abs(C) ** 2 / plan.corrections, axis=-1)
 
 
+def _contributions(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
+    """Per-lag terms T * |c(r)|^2 / denom_r of each row of C: the single-lag
+    statistics, which sum to the row's statistic up to rounding."""
+    return plan.T * (np.abs(C) ** 2 / plan.corrections)
+
+
 def _checked_series(series) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -285,7 +286,10 @@ def _checked_series(series) -> np.ndarray:
     return x
 
 
-def _checked_rows(X: np.ndarray) -> np.ndarray:
+def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
+               levels) -> list[TestResult]:
+    """``stationarity_test`` of every row of X; the rows share one plan."""
+    levels = tuple(_checked_level(a) for a in levels)
     if X.shape[-1] < MIN_SERIES_LENGTH:
         raise InvalidInputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
@@ -293,36 +297,13 @@ def _checked_rows(X: np.ndarray) -> np.ndarray:
     bad = _first_bad_row(X)
     if bad is not None:
         raise InvalidInputError(bad[1])
-    return X
-
-
-def dft_covariances(series, lags=None, m: int = 4, kernel: KernelSpec | None = None,
-                    correction: CorrectionSpec | None = None,
-                    ridge_factor: float = 1e-3, demean: bool = True) -> DftCovariances:
-    """Standardized covariances (and denominators) at several lags.
-
-    The DFT and the spectral estimate are computed once, and the transform
-    is standardized once; each further lag is one product-mean over the T
-    standardized ordinates.
-    """
-    X = _checked_rows(_checked_series(series)[None, :])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
-    return DftCovariances(lags=plan.lags, values=_block_covariances(X, plan)[0],
-                          corrections=plan.corrections, T=plan.T)
-
-
-def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
-               levels) -> list[TestResult]:
-    """``stationarity_test`` of every row of X; the rows share one plan."""
-    levels = tuple(_checked_level(a) for a in levels)
-    X = _checked_rows(X)
-    plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
-    stats = _statistics(_block_covariances(X, plan), plan)
+    C = _block_covariances(X, plan)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []
-    for stat in stats:
-        stat = float(stat)
+    for stat, c, parts in zip(_statistics(C, plan).tolist(), C.tolist(),
+                              _contributions(C, plan).tolist()):
         p = chisq_sf(stat, dof)
         results.append(TestResult(
             statistic=stat,
@@ -330,6 +311,8 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
             p_value=p,
             reject_at={a: bool(p < a) for a in levels},
             lags=plan.lags,
+            covariances=tuple(c),
+            contributions=tuple(parts),
             T=plan.T,
             kernel=plan.kernel,  # bandwidth resolved against this T
             ridge_factor=ridge_factor,
@@ -369,7 +352,8 @@ def stationarity_test(series, lags=None, m: int = 4, kernel: KernelSpec | None =
     Returns
     -------
     TestResult
-        statistic, degrees of freedom 2m, p-value and per-level decisions.
+        statistic, degrees of freedom 2m, p-value, per-level decisions, and
+        per lag the covariance c(r) and its term of the statistic.
 
     Notes
     -----
@@ -439,7 +423,7 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
     T = x.size
     if depth < 0:
         raise InvalidInputError(f"depth must be >= 0, got {depth}")
-    leaf = min(b - a for a, b in _block_bounds(T, depth))
+    leaf = T >> depth  # the shortest block; checked before any bounds are built
     if leaf < MIN_SERIES_LENGTH:
         raise SegmentationDepthError(
             f"depth {depth} gives leaf blocks of length {leaf} < {MIN_SERIES_LENGTH}"

@@ -24,7 +24,6 @@ from dftstat import (
     StabilityError,
     TvInnovationArSpec,
     chisq_quantile,
-    dft_covariances,
     gauss_stream,
     generate,
     lag_scan,
@@ -108,8 +107,8 @@ def test_lag_scan_equals_per_replication_covariance_loop():
     counts = np.zeros(len(lags), dtype=int)
     for i in range(reps):
         x = generate(spec, GeneratorConfig(T=T, burn_in=BURN_IN, rng=RngStream(74, i)))
-        covs = dft_covariances(x, lags=lags, correction=correction)
-        counts += T * (np.abs(covs.values) ** 2 / covs.corrections) > threshold
+        res = stationarity_test(x, lags=lags, correction=correction)
+        counts += np.array(res.contributions) > threshold
     assert np.array_equal(rates, counts / reps)
 
 

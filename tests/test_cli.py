@@ -164,6 +164,7 @@ BAD_ARGV = [
     "power model4 --lags 1..3 --T 0 --outdir {out}",
     "test {series} --format json --output {out}/missing/r.json",
     "simulate model1 --T 64 --output {out}/missing/x.csv",
+    "segment {series} --depth 40 --format csv --output {out}/report.csv",
 ]
 
 
@@ -175,6 +176,46 @@ def test_bad_arguments_exit_2_and_write_nothing(argv, tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [series]
+
+
+@pytest.mark.parametrize("flags, named", [
+    ("--correction linear --psi 1,x --kappa4 1", "--psi"),
+    ("--correction user --kappa a", "--kappa"),
+    ("--ridge-factor inf", "ridge_factor"),
+    ("--ridge-factor nan", "ridge_factor"),
+    ("--correction linear --psi 1,0.5 --kappa4 inf", "kappa4"),
+    ("--correction linear --psi 1,0.5 --kappa4 nan", "kappa4"),
+    ("--correction user --kappa inf,0,0,0", "kappa"),
+    ("--correction user --kappa 0,nan,0,0", "kappa"),
+])
+def test_unusable_model_flags_exit_2_naming_the_flag(flags, named, tmp_path, capsys):
+    series = tmp_path / "series.txt"
+    write_series(series, np.random.default_rng(4).standard_normal(128).tolist())
+    out = tmp_path / "report.csv"
+    rc = main(["test", str(series), *flags.split(), "--format", "csv", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, named", [
+    ([1, 2], "'family'"),
+    ({"family": "changepoint_ar", "segments": [[0.5]]}, "'segments'"),
+    ({"family": "modulated_noise", "sigma": {"kind": "constant"}}, "'value'"),
+    ({"family": "ar_ma", "ar": [0.5, "x"]}, "'ar'"),
+])
+@pytest.mark.parametrize("command", ["simulate {spec} --T 64 --output {out}/x.csv",
+                                     "power {spec} --lags 1..2 --outdir {out}"])
+def test_malformed_json_model_spec_exits_2_naming_the_field(command, spec, named,
+                                                           tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = main(command.format(spec=path, out=tmp_path / "out").split())
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and named in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["spec.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,6 +262,23 @@ def test_segment_command_rows(tmp_path, capsys):
     rc = main(["segment", str(p), "--depth", "3", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["blocks"]) == 15
+
+
+def test_segment_text_flags_a_block_at_the_requested_levels(tmp_path, capsys):
+    p = tmp_path / "m6.csv"
+    assert main(["simulate", "model6", "--T", "512", "--seed", "1", "--output", str(p)]) == 0
+    capsys.readouterr()
+    main(["segment", str(p), "--depth", "1", "--format", "json", "--level", "0.001"])
+    blocks = json.loads(capsys.readouterr().out)["blocks"]
+    # the depth-1 block 0 rejects at 0.05 but not at 0.001
+    assert 0.001 < blocks[1]["p_value"] < 0.05
+    assert main(["segment", str(p), "--depth", "1", "--level", "0.001"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for block, line in zip(blocks, lines):
+        assert ("reject" in line) == block["decisions"]["0.001"]
+    assert "reject" not in lines[1]
+    main(["segment", str(p), "--depth", "1", "--level", "0.001", "--level", "0.05"])
+    assert capsys.readouterr().out.splitlines()[1].endswith("reject at 0.05")
 
 
 def test_segment_depth_error(model1_file, capsys):

@@ -120,6 +120,16 @@ def test_lag_scan_checks_replications_and_level_as_mc_config(bad):
     assert str(scan_error.value) == str(config_error.value)
 
 
+def test_fractional_lags_are_rejected_by_both_drivers():
+    spec = model_preset("model1", 256)
+    with pytest.raises(InvalidLagError, match="integer") as config_error:
+        McConfig(model=spec, T=256, lags=(1.5, 2.9))
+    with pytest.raises(InvalidLagError, match="integer") as scan_error:
+        lag_scan(spec, 256, [1.5, 2.9], replications=2)
+    assert str(scan_error.value) == str(config_error.value)
+    assert McConfig(model=spec, T=256, lags=(1.0, 2)).lags == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # empirical density
 # ---------------------------------------------------------------------------

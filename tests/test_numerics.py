@@ -288,6 +288,15 @@ def test_gauss_stream_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_gauss_stream_is_the_keyed_philox_stream():
+    # the stream's definition, written out: Philox keyed by stream << 64 | seed
+    for seed, stream, n in ((0, 0, 5), (123, 4, 1012), (2 ** 64 - 1, 2 ** 40, 300)):
+        bits = np.random.Philox(key=(stream << 64) | seed)
+        want = np.random.Generator(bits).standard_normal(n)
+        assert np.array_equal(gauss_stream(RngStream(seed, stream), n), want)
+        assert np.array_equal(RngStream(seed, stream).generator().standard_normal(n), want)
+
+
 def test_gauss_stream_moments():
     draws = gauss_stream(RngStream(99, 0), 10 ** 6)
     assert abs(draws.mean()) < 0.005

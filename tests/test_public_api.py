@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "CorrectionSpec",
     "DegenerateSpectrumError",
     "DegenerateTransferError",
-    "DftCovariances",
     "GeneratorConfig",
     "InputError",
     "InvalidCorrectionError",
@@ -36,7 +35,6 @@ PUBLIC_NAMES = [
     "chisq_quantile",
     "chisq_sf",
     "dft_canonical",
-    "dft_covariances",
     "gauss_stream",
     "generate",
     "lag_scan",
@@ -52,7 +50,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 43
     assert len(set(dftstat.__all__)) == len(dftstat.__all__)
     assert dftstat.__all__ == PUBLIC_NAMES
     for name in dftstat.__all__:

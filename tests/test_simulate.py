@@ -103,24 +103,21 @@ def test_explosive_ar_rejected_with_root_modulus():
 
 
 def test_changepoint_matches_loop_oracle():
-    spec = ChangepointArSpec(segments=((0.75, (1.5, -0.75)), (1.0, (0.8,))))
-    T, burn = 240, 50
-    eps = gauss_stream(RngStream(43, 0), T + burn)
-    got = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(43, 0)))
-
-    # direct recursion with the coefficient switch after floor(0.75 T)
-    switch = int(np.floor(0.75 * T))
-    full = np.zeros(T + burn)
-    for i in range(T + burn):
-        t = i - burn + 1  # 1-based index within the kept range
-        e = eps[i]
-        if t <= switch:
-            x1 = full[i - 1] if i >= 1 else 0.0
-            x2 = full[i - 2] if i >= 2 else 0.0
-            full[i] = 1.5 * x1 - 0.75 * x2 + e
-        else:
-            full[i] = 0.8 * full[i - 1] + e
-    assert np.allclose(got, full[burn:], atol=1e-10)
+    # direct recursion with the coefficients switching after floor(frac T);
+    # the order-20 segment reads 20 past outputs at its switch
+    cases = [(((0.75, (1.5, -0.75)), (1.0, (0.8,))), 240, 50, 43),
+             (((0.5, (0.5,)), (1.0, (0.0,) * 19 + (0.5,))), 128, 50, 46)]
+    for segments, T, burn, seed in cases:
+        spec = ChangepointArSpec(segments=segments)
+        eps = gauss_stream(RngStream(seed, 0), T + burn)
+        got = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(seed, 0)))
+        switches = [int(np.floor(frac * T)) for frac, _ in segments]
+        full = np.zeros(T + burn)
+        for i in range(T + burn):
+            t = i - burn + 1  # 1-based index within the kept range
+            ar = next(ar for switch, (_, ar) in zip(switches, segments) if t <= switch)
+            full[i] = eps[i] + sum(a * full[i - j] for j, a in enumerate(ar, 1) if i >= j)
+        assert np.allclose(got, full[burn:], atol=1e-10)
 
 
 def test_changepoint_first_segment_matches_pure_ar():

@@ -14,7 +14,6 @@ from dftstat import (
     SegmentationDepthError,
     chisq_sf,
     dft_canonical,
-    dft_covariances,
     gauss_stream,
     generate,
     model_preset,
@@ -83,7 +82,7 @@ def test_covariance_with_supplied_spectrum_matches_estimated():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(128)
     est = smooth_spectral(periodogram_of(x))
-    a = dft_covariances(x, lags=[3], demean=False).values[0]
+    a = stationarity_test(x, lags=[3], demean=False).covariances[0]
     b = _lag_covariances(dft_canonical(x), est.values, (3,))[0]
     assert a == pytest.approx(b, abs=1e-14)
 
@@ -129,7 +128,7 @@ def test_covariance_lag_validation():
     x = np.arange(64.0)
     for bad in (0, 32, 64, -1):
         with pytest.raises(InvalidLagError):
-            dft_covariances(x, lags=[bad])
+            stationarity_test(x, lags=[bad])
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +317,35 @@ def test_covariance_scale_is_tight_across_lengths():
         meds = []
         for i in range(100):
             x = generate(spec, GeneratorConfig(T=T, rng=RngStream(26, i)))
-            covs = dft_covariances(x, lags=[1])
-            meds.append(math.sqrt(T) * abs(covs.values[0]))
+            c = stationarity_test(x, lags=[1]).covariances[0]
+            meds.append(math.sqrt(T) * abs(c))
         assert np.median(meds) < 3.0
 
 
 def test_dft_covariances_shared_transform_matches_single_lag():
     rng = np.random.default_rng(27)
     x = rng.standard_normal(200)
-    covs = dft_covariances(x, lags=[1, 4, 9])
+    res = stationarity_test(x, lags=[1, 4, 9])
     est = smooth_spectral(np.abs(dft_canonical(x - x.mean())) ** 2)
-    for lag, val in zip(covs.lags, covs.values):
+    for lag, val in zip(res.lags, res.covariances):
         want = _lag_covariances(dft_canonical(x - x.mean()), est.values, (lag,))[0]
         assert val == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("correction", [None, CorrectionSpec.linear([1.0, 0.5], 1.3)])
+def test_result_reports_covariances_and_per_lag_contributions(correction):
+    x = generate(model_preset("model6", 300), GeneratorConfig(T=300, rng=RngStream(28, 0)))
+    lags = (2, 7, 1)
+    res = stationarity_test(x, lags=lags, correction=correction)
+    J = dft_canonical(x - x.mean())
+    est = smooth_spectral(np.abs(J) ** 2)
+    assert res.covariances == tuple(_lag_covariances(J, est.values, lags).tolist())
+    assert all(type(c) is complex for c in res.covariances)
+    assert all(type(c) is float for c in res.contributions)
+    assert sum(res.contributions) == pytest.approx(res.statistic, rel=1e-12)
+    # each lag's term is that lag's single-lag statistic, bit for bit
+    for lag, part in zip(lags, res.contributions):
+        assert part == stationarity_test(x, lags=[lag], correction=correction).statistic
 
 
 # ---------------------------------------------------------------------------
