@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     StationarityTestError,
 )
-from .numerics import _gauss_rows, chisq_quantile
+from .numerics import _gauss_rows, _rfft_at, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
@@ -206,6 +206,20 @@ def _time_average(wu: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return fbar
 
 
+def _u_fourier(vals: np.ndarray, lags) -> np.ndarray:
+    """Trapezoid rule of vals[j] * exp(-2*pi*i*r*u_j) over the uniform grid
+    u_j = j/N, j = 0..N, for each integer lag r: shape (L, w).
+
+    As exp(-2*pi*i*r*u_N) = 1 = exp(-2*pi*i*r*u_0), the sum is the length-N
+    DFT of vals[:N] at r mod N plus the end correction (vals[N] - vals[0])/2,
+    all over N. Being a transform and not a BLAS product, the result does
+    not depend on the number of BLAS threads.
+    """
+    N = vals.shape[0] - 1
+    rows = _rfft_at(np.fft.rfft(vals[:N], axis=0), lags, N, axis=0)
+    return (rows + 0.5 * (vals[N] - vals[0])) / N
+
+
 @dataclass(frozen=True)
 class PowerProfile:
     """Noncentrality B(r) over a set of lags."""
@@ -230,8 +244,8 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
 
     All lags share one trapezoid quadrature on the (u_points, omega_points)
     grid: f is evaluated once on it, fbar is the u weight row times the
-    grid, and the u-integrals of all L lags are one product, the rows
-    exp(-2*pi*i*r*u) times the u weights, (L x u), times the grid, (u x w).
+    grid, and the u-integrals of all L lags come from one real FFT of the
+    grid along u (``_u_fourier``).
     With ``T`` given, fbar(w + w_r) costs one more grid evaluation per lag,
     reduced to its row before the next, so memory stays at about one grid
     for any number of lags.
@@ -251,7 +265,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     wu = _trapezoid_weights(u)
     vals = _eval_local(f_local, u, w)
     fbar = _time_average(wu, vals)
-    inner = (np.exp(np.multiply.outer(-2j * np.pi * r, u)) * wu) @ vals
+    inner = _u_fourier(vals, lags)
     if T is None:
         integrand = inner / fbar
     else:

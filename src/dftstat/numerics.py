@@ -76,6 +76,21 @@ def _dft_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rfft_at(half: np.ndarray, k, n: int, axis: int = -1) -> np.ndarray:
+    """Entries k (any integers) of the length-n DFT of real data, read from
+    its rfft ``half`` along ``axis``: index k mod n, conjugated above n/2.
+
+    The result is a new C-ordered array, so a reduction over it runs in the
+    same order whatever the other axes' sizes.
+    """
+    k = np.asarray(k) % n
+    above = k > n // 2
+    out = np.take(half, np.where(above, n - k, k), axis=axis)
+    view = np.moveaxis(out, axis, -1)
+    view[..., above] = np.conj(view[..., above])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # chi-square distribution via the regularized incomplete gamma function
 # ---------------------------------------------------------------------------

@@ -410,6 +410,23 @@ def test_power_time_constant_model_is_flat(tmp_path):
     assert max(mags) < 1e-8
 
 
+def test_power_artifact_does_not_depend_on_blas_threads(tmp_path):
+    # the BLAS thread count is read when numpy loads, so each run is its own
+    # process; on a one-CPU machine both runs use one thread and agree trivially
+    env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "dftstat.cli", "power", "model3", "--T", "256",
+             "--lags", "1..12", "--finite-lag-shift", "--outdir", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append((out / "model3_power.csv").read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
 # ---------------------------------------------------------------------------
 # start-up cost
 # ---------------------------------------------------------------------------

@@ -305,11 +305,18 @@ def test_power_profile_layout():
 def noncentrality_per_lag(f_local, r, T=None, u_points=257, omega_points=513):
     """B(r) by the per-lag formula: the full integrand grid
     f(u, w) exp(-2 pi i r u) / [fbar(w) fbar(w + 2 pi r / T)]**0.5, then a
-    2-d trapezoid rule."""
+    2-d trapezoid rule.
+
+    The phase factor and both sums run in long double (80-bit on x86-64),
+    so the oracle's own rounding stays far below the 1e-15 floor of the
+    bound it checks; in double, the u-sum of the phase factors alone is off
+    zero by about 1e-15."""
     from test_numerics import trapezoid_2d_values
 
     u = np.linspace(0.0, 1.0, u_points)
     w = np.linspace(0.0, 2 * np.pi, omega_points)
+    u_long = np.linspace(0, 1, u_points, dtype=np.longdouble)
+    two_pi_long = 8 * np.arctan(np.longdouble(1))
     trapz = getattr(np, "trapezoid", None) or np.trapz
 
     def grid(freqs):
@@ -320,8 +327,9 @@ def noncentrality_per_lag(f_local, r, T=None, u_points=257, omega_points=513):
         denom = fbar
     else:
         denom = np.sqrt(fbar * trapz(grid((w + 2 * np.pi * r / T) % (2 * np.pi)), u, axis=0))
-    integrand = grid(w) * np.exp(-2j * np.pi * r * u)[:, None] / denom
-    return trapezoid_2d_values(integrand, u, w) / (2 * np.pi)
+    phase = np.exp(-1j * two_pi_long * r * u_long)
+    integrand = grid(w) * phase[:, None] / denom
+    return complex(trapezoid_2d_values(integrand, u_long, w) / (2 * np.pi))
 
 
 def assert_matches_per_lag(f, lags, T):

@@ -21,6 +21,8 @@ from dftstat import (
     smooth_spectral,
     stationarity_test,
 )
+from dftstat.numerics import _dft_rows
+from dftstat.spectral import _smooth_rows, _smoother
 from dftstat.stattest import (
     _correction_denominators,
     _lag_covariances,
@@ -122,6 +124,58 @@ def test_estimated_close_to_true_spectrum_covariance():
         gaps.append(math.sqrt(T) * abs(_lag_covariances(J, est.values, (1,))[0]
                                        - _lag_covariances(J, f_true, (1,))[0]))
     assert np.median(gaps) <= 0.5
+
+
+def direct_covariances(J, f, lags):
+    """c(r) for each row straight from the definition: the sum over k of
+    J_k conj(J_{k+r}) / sqrt(f_k f_{k+r}), k + r taken modulo T, over T."""
+    T = J.shape[-1]
+    k = np.arange(T)
+    return np.stack([np.sum(J[..., k] * np.conj(J[..., (k + r) % T])
+                            / np.sqrt(f[..., k] * f[..., (k + r) % T]), axis=-1) / T
+                     for r in lags], axis=-1)
+
+
+def transformed_rows(rows, T, seed):
+    """DFT and smoothed spectrum of ``rows`` variance-modulated noise series."""
+    u = np.arange(1, T + 1) / T
+    scale = 1 + 0.5 * np.cos(2 * np.pi * u)
+    X = np.random.default_rng(seed).standard_normal((rows, T)) * scale
+    J = _dft_rows(X - X.mean(axis=-1, keepdims=True))
+    _, weights = _smoother(None, T, 1e-3)
+    f, _ = _smooth_rows(np.abs(J) ** 2, weights, 1e-3)
+    return J, f
+
+
+# 5-smooth T takes the transform route, 257 (prime) and 7000 (= 2**3 * 5**3 * 7)
+# the loop; lags above T/2 read the conjugate of c(T - r)
+@pytest.mark.parametrize("T", [64, 512, 4096, 257, 7000])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_lag_covariances_match_direct_summation_on_both_routes(T, rows):
+    lags = tuple(range(1, 9)) + (T // 2 + 1, T - 2, T - 1)
+    J, f = transformed_rows(rows, T, seed=T + rows)
+    got = _lag_covariances(J, f, lags)
+    want = direct_covariances(J, f, lags)
+    assert got.shape == (rows, len(lags))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # each row is reduced on its own: row i of the block is its one-row result
+    for i in range(rows):
+        assert np.array_equal(got[i], _lag_covariances(J[i:i + 1], f[i:i + 1], lags)[0])
+
+
+@pytest.mark.parametrize("T, L, transform", [
+    (64, 3, False), (64, 4, True),          # log2(T)/2 = 3
+    (512, 4, False), (512, 5, True),        # 4.5
+    (2 ** 18, 9, False), (2 ** 18, 10, True),
+    (257, 120, False), (7000, 120, False),  # T not 5-smooth: the loop for any L
+])
+def test_lag_covariance_route_depends_on_T_and_L(T, L, transform, monkeypatch):
+    calls = []
+    hfft = np.fft.hfft
+    monkeypatch.setattr(np.fft, "hfft", lambda *a, **k: calls.append(1) or hfft(*a, **k))
+    J = np.ones((1, T), dtype=complex)
+    _lag_covariances(J, np.ones((1, T)), tuple(range(1, L + 1)))
+    assert bool(calls) is transform
 
 
 def test_covariance_lag_validation():
@@ -265,6 +319,27 @@ def test_sign_invariance():
     x = rng.standard_normal(256)
     assert abs(stationarity_test(-x, m=4).statistic
                - stationarity_test(x, m=4).statistic) <= 1e-10
+
+
+# m = 10 takes the transform route at T = 512 and the loop at T = 509 (prime)
+@pytest.mark.parametrize("T", [512, 509])
+def test_shift_invariance_on_both_routes(T):
+    x = generate(model_preset("model6", T), GeneratorConfig(T=T, rng=RngStream(29, 0)))
+    base = stationarity_test(x, m=10).statistic
+    for c in (-3.5, 1e3):
+        assert stationarity_test(x + c, m=10).statistic == pytest.approx(base, rel=1e-10)
+
+
+@pytest.mark.parametrize("T", [512, 509])
+def test_lag_order_does_not_change_the_statistic_on_both_routes(T):
+    x = generate(model_preset("model6", T), GeneratorConfig(T=T, rng=RngStream(30, 0)))
+    lags = tuple(range(1, 11))
+    perm = np.random.default_rng(T).permutation(len(lags))
+    a = stationarity_test(x, lags=lags)
+    b = stationarity_test(x, lags=[lags[i] for i in perm])
+    assert b.statistic == pytest.approx(a.statistic, rel=1e-12)
+    assert b.contributions == tuple(a.contributions[i] for i in perm)
+    assert b.covariances == tuple(a.covariances[i] for i in perm)
 
 
 def test_result_fields_consistent():
