@@ -160,7 +160,8 @@ def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
     """Rejection rate of the single-lag test at each requested lag.
 
     The arguments form an ``McConfig``. Each lag's statistic is its term of
-    the full statistic (``TestResult.contributions``), so all lags share a
+    the full statistic (``TestResult.contributions``), which equals
+    ``stationarity_test`` at that one lag bit for bit, so all lags share a
     replication's transform and spectral estimate. Replications run in
     blocks as in ``rejection_rate``, replication i on stream i.
     """

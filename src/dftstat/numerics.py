@@ -63,13 +63,26 @@ def _dft_rows(x: np.ndarray) -> np.ndarray:
     Each row's transform is computed on its own, so a row's result does not
     depend on how many rows share the block.
     """
+    return _unfold(_half_dft_rows(x), x.shape[-1])
+
+
+def _half_dft_rows(x: np.ndarray) -> np.ndarray:
+    """conj(J(w_k)) at k = 0..T//2 along the last axis, one real FFT per row.
+
+    Real input gives the rest of the circle as J(w_{T-k}) = conj(J(w_k)), so
+    this half holds all of the DFT; :func:`_unfold` spreads it out.
+    """
     T = x.shape[-1]
-    h = T // 2
     # Rolling by one puts X_T at s = 0, where e^{i T w_k} = 1, so
-    # sum_{t=1..T} X_t e^{i t w_k} is conj(rfft) of the rolled row for
-    # k = 0..h; real input gives the rest as J(w_{T-k}) = conj(J(w_k)).
-    half = np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(_TWO_PI * T)
-    out = np.empty(x.shape[:-1] + (T,), dtype=complex)
+    # sum_{t=1..T} X_t e^{i t w_k} is conj(rfft) of the rolled row.
+    return np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(_TWO_PI * T)
+
+
+def _unfold(half: np.ndarray, T: int) -> np.ndarray:
+    """The full k = 1..T array V_k of a Hermitian V (V_{T-k} = conj(V_k)),
+    from ``half`` = conj(V_k) at k = 0..T//2 along the last axis."""
+    h = T // 2
+    out = np.empty(half.shape[:-1] + (T,), dtype=complex)
     np.conjugate(half[..., 1:h + 1], out=out[..., :h])  # k = 1..h
     out[..., h:T - 1] = half[..., T - h - 1:0:-1]  # k = h+1..T-1
     out[..., T - 1] = half[..., 0]  # k = T, the zero frequency

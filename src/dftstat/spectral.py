@@ -11,10 +11,14 @@ half-width floor(b*T/2), so the bandwidth b is the covered fraction of the
 whole frequency circle. After smoothing, values are floored at a relative
 ridge to keep the standardization denominators away from zero.
 
-The sum is computed with real FFTs, as a linear convolution of the
-wrap-padded periodogram zero-padded to a 5-smooth length, in O(T log T)
-time whatever the bandwidth; it agrees with the direct sum to rounding
-(1e-13 relative is checked in the tests).
+The sum is computed with real FFTs, as a linear convolution of the padded
+periodogram zero-padded to a 5-smooth length, in O(T log T) time whatever
+the bandwidth; it agrees with the direct sum to rounding (1e-13 relative
+is checked in the tests). :func:`smooth_spectral` takes any periodogram on
+the whole circle and pads it by wrapping, to length T + 2H for window
+half-width H. The test pipeline smooths the periodogram of a real series,
+which is symmetric (I_{T-k} = I_k), so it needs only k = 0..T/2: that half
+padded by H mirrored values on each side, length about T/2 + 2H.
 """
 
 from __future__ import annotations
@@ -155,21 +159,47 @@ def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
     Rows are smoothed independently, so a row's result does not depend on
     the rest of the block.
     """
-    # The circular weighted sum is the linear convolution of each row padded
-    # with H wrapped values on both sides (H < T/4 since the bandwidth is
-    # below 1/2; the weights are symmetric, so convolution equals
-    # correlation), read at indices 2H .. 2H + T - 1. Zero-padding to a
-    # 5-smooth n >= T + 2H keeps the transform's wrap-around off those
-    # indices and its length fast even for prime T; n is within 16% of
-    # T + 2H, where the next power of two can be nearly twice it.
     T = pgram.shape[-1]
     H = weights.size // 2
     padded = np.concatenate([pgram[..., T - H:], pgram, pgram[..., :H]], axis=-1)
-    n = _fast_length(T + 2 * H)
-    spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
-    smoothed = np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H: 2 * H + T]
     ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
-    return np.maximum(smoothed, ridge), ridge
+    return np.maximum(_convolve(padded, weights), ridge), ridge
+
+
+def _smooth_half(P: np.ndarray, T: int, weights: np.ndarray,
+                 ridge_factor: float) -> np.ndarray:
+    """``_smooth_rows`` of a symmetric length-T periodogram, read at k = 0..T//2.
+
+    P holds I_k at k = 0..T//2 (last axis). Since I_{-k} = I_k and
+    I_{T-k} = I_k, the circular sum at those k needs only P padded by H
+    mirrored values on each side, I_{-j} = I_j and I_{h+j} = I_{T-h-j}
+    (h = T//2, j = 1..H). The ridge is ridge_factor times the mean over the
+    whole circle. Rows are smoothed independently.
+    """
+    h = T // 2
+    H = weights.size // 2  # below T/4, so both pads read inside k = 1..h
+    padded = np.concatenate([P[..., H:0:-1], P, P[..., T - h - 1:T - h - H - 1:-1]], axis=-1)
+    total = 2.0 * P.sum(axis=-1, keepdims=True) - P[..., :1]
+    if T % 2 == 0:
+        total -= P[..., h:]
+    return np.maximum(_convolve(padded, weights), ridge_factor * total / T)
+
+
+def _convolve(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Entries 2H .. m - 1 of the linear convolution of each row of
+    ``padded`` (length m) with the 2H + 1 symmetric ``weights``.
+
+    Since the weights are symmetric, these are the weighted sums
+    sum_j W(j) padded[i + j] whose window lies inside the row (i = H..m-H-1).
+    Zero-padding to a 5-smooth n >= m keeps the transform's wrap-around off
+    them and its length fast even for prime m; n is within 16% of m, where
+    the next power of two can be nearly twice it.
+    """
+    m = padded.shape[-1]
+    H = weights.size // 2
+    n = _fast_length(m)
+    spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
+    return np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H:m]
 
 
 def _fast_length(m: int) -> int:

@@ -39,8 +39,8 @@ from .errors import (
     InvalidLagError,
     SegmentationDepthError,
 )
-from .numerics import _dft_rows, _rfft_at, chisq_sf
-from .spectral import KernelSpec, _fast_length, _smooth_rows, _smoother
+from .numerics import _half_dft_rows, _rfft_at, _unfold, chisq_sf
+from .spectral import KernelSpec, _fast_length, _smooth_half, _smoother
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,50 +77,51 @@ def _checked_level(level) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lag_covariances(J: np.ndarray, f: np.ndarray, lags) -> np.ndarray:
-    """The covariance kernel: c(r) for every row of J (last axis k = 1..T).
+def _lag_covariances(Zh: np.ndarray, T: int, lags) -> np.ndarray:
+    """The covariance kernel: c(r) for every row of the half spectrum Zh.
 
-    With Z = J / sqrt(f), c(r) = mean_k Z_k * conj(Z_{k+r}), k + r taken
-    modulo T. Returns shape ``J.shape[:-1] + (len(lags),)``. Each row is
-    reduced on its own, so its values do not depend on the block.
+    Zh holds conj(Z_k) at k = 0..T//2 (last axis), where Z = J / sqrt(f) is
+    the standardized DFT; it is Hermitian, since J is the transform of a
+    real series and the smoothed spectrum is symmetric, so this half holds
+    all of it. c(r) = mean_k Z_k * conj(Z_{k+r}), k + r taken modulo T.
+    Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
+    its own, so its values do not depend on the block.
 
     Two routes give the same numbers to rounding:
 
     transform
-        Z is Hermitian (J is the transform of a real series and the
-        smoothed spectrum is symmetric), so y = hfft of [Z_T, Z_1..Z_{T/2}]
-        is real: the series prewhitened by its own spectral estimate. Then
-        c(r) = rfft(y**2)[r] / T**2 for r <= T/2 and conj(c(T - r)) above,
-        every lag for two real transforms.
+        y = irfft of Zh (unnormalized) is real: the series prewhitened by
+        its own spectral estimate. Then c(r) = rfft(y**2)[r] / T**2 for
+        r <= T/2 and conj(c(T - r)) above, every lag for two real
+        transforms.
     loop
-        One length-T product-mean per lag, O(L*T).
+        Z unfolded to the full circle, then one length-T product-mean per
+        lag, O(L*T).
 
-    The transform route runs when T is 5-smooth and there are more than
-    log2(T)/2 lags. The rule depends on T and L only, never on the row
-    count, so a row's result still does not depend on its block. Median
-    times of the two routes (loop ms / transform ms), one core of a 2-vCPU
-    Intel Xeon VM, numpy 2.4, one BLAS thread:
+    The transform route runs whenever T is 5-smooth, the loop otherwise. The
+    route depends on T alone, so a lag's c(r) is the same bits whatever the
+    other lags and rows. Median times of the two routes on the same Zh
+    (loop ms / transform ms), one core of a 2-vCPU Intel Xeon VM, numpy 2.4,
+    one BLAS thread:
 
         shape                    L=1           L=4           L=10
-        50 x 512                 0.72 / 0.20   0.81 / 0.19   1.02 / 0.19
-        1 x 2**16                1.57 / 0.99   1.92 / 0.99   2.60 / 0.99
-        1 x 2**18                4.09 / 6.02   5.80 / 6.02   9.18 / 6.02
-        1 x 2**20                13.2 / 26.7   20.1 / 26.6   33.7 / 26.7
-        1 x 262139 (prime)       2.63 / 62.3   4.46 / 62.0   8.02 / 62.3
+        50 x 512                 0.56 / 0.20   0.70 / 0.20   1.06 / 0.22
+        16 x 4096                1.59 / 0.75   2.16 / 0.77   3.03 / 0.76
+        1 x 2**16                1.33 / 1.24   1.73 / 1.24   2.53 / 1.24
+        1 x 2**18                4.12 / 7.41   5.98 / 7.34   9.62 / 7.36
+        1 x 2**20                24.0 / 41.5   31.9 / 39.6   51.0 / 40.9
+        1 x 262139 (prime)       4.94 / 76.7   6.97 / 77.0   11.1 / 79.3
 
-    The crossover sits near L = log2(T)/2 for long series; at short ones
-    the rule keeps a few lags on the loop that the transform would win.
     numpy's real transforms of a prime length cost many times those of a
-    5-smooth one, so such T stay on the loop whatever L.
+    5-smooth one, so such T stay on the loop whatever L. For T >= 2**18 and
+    a few lags the loop is faster, by at most 13% of the whole block
+    pipeline at L = 1 (DFT, smoothing and covariances take 27 ms at 2**18
+    and 134 ms at 2**20 for one row), which does not pay for a second rule.
     """
-    T = J.shape[-1]
-    if _fast_length(T) == T and len(lags) > math.log2(T) / 2:
-        h = T // 2
-        Zh = (np.concatenate([J[..., -1:], J[..., :h]], axis=-1)
-              / np.sqrt(np.concatenate([f[..., -1:], f[..., :h]], axis=-1)))
-        y = np.fft.hfft(Zh, T, axis=-1)
-        return _rfft_at(np.fft.rfft(y * y, axis=-1) / T ** 2, lags, T)
-    Z = J / np.sqrt(f)
+    if _fast_length(T) == T:
+        y = np.fft.irfft(Zh, T, axis=-1, norm="forward")
+        return _rfft_at(np.fft.rfft(y * y, axis=-1), lags, T) / T ** 2
+    Z = _unfold(Zh, T)
     Zc2 = np.conj(np.concatenate([Z, Z], axis=-1))  # Zc2[..., k + r] == conj(Z_{(k+r) mod T})
     out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
     for n, r in enumerate(lags):
@@ -301,13 +302,16 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
 
     X holds one series per row, already checked by ``_first_bad_row``.
     Rows are processed independently: row i of the result is bit-identical
-    whether X holds one row or many.
+    whether X holds one row or many. The DFT, the smoothed spectrum and the
+    standardized DFT are formed only at k = 0..T//2, which holds all of them
+    for a real series; the full-circle J is never built.
     """
     if plan.demean:
         X = X - X.mean(axis=-1, keepdims=True)
-    J = _dft_rows(X)
-    f, _ = _smooth_rows(np.abs(J) ** 2, plan.weights, plan.ridge_factor)
-    return _lag_covariances(J, f, plan.lags)
+    T = X.shape[-1]
+    half = _half_dft_rows(X)
+    f = _smooth_half(np.abs(half) ** 2, T, plan.weights, plan.ridge_factor)
+    return _lag_covariances(half / np.sqrt(f), T, plan.lags)
 
 
 def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:

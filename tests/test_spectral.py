@@ -17,7 +17,13 @@ from dftstat import (
     model_preset,
     smooth_spectral,
 )
-from dftstat.spectral import _fast_length, _kernel_weights, _smooth_rows, _smoother
+from dftstat.spectral import (
+    _fast_length,
+    _kernel_weights,
+    _smooth_half,
+    _smooth_rows,
+    _smoother,
+)
 
 
 def test_periodogram_zero_series():
@@ -97,6 +103,11 @@ def _direct_smooth(pg, weights):
     return sum(weights[H + j] * np.roll(pg, -j) for j in range(-H, H + 1))
 
 
+def _half(v, T):
+    """Entries k = 0..T//2 of an array in k = 1..T order (last axis)."""
+    return np.concatenate([v[..., -1:], v[..., :T // 2]], axis=-1)
+
+
 def _model1_periodogram(T, stream):
     x = generate(model_preset("model1", T), GeneratorConfig(T=T, rng=RngStream(15, stream)))
     return np.abs(dft_canonical(x)) ** 2
@@ -105,7 +116,9 @@ def _model1_periodogram(T, stream):
 @pytest.mark.parametrize("kind", ["daniell", "bartlett"])
 # at T=230 the default window has H=18, so the transform length is
 # _fast_length(266) = 270; the 5-smooth 250 in [T + H, T + 2H) = [248, 266)
-# is too short and would wrap the convolution's tail onto its output
+# is too short and would wrap the convolution's tail onto its output. The half
+# smoother's mirrored pads reach k = H and T - h - H, its bounds at odd T and
+# the widest window (T = 33: H = 7, h = 16).
 @pytest.mark.parametrize("T", [33, 64, 230, 257, 4093, 4096])
 @pytest.mark.parametrize("b", [None, 0.45])  # default and the widest window
 def test_smoothing_matches_direct_circular_sum(kind, T, b):
@@ -113,8 +126,11 @@ def test_smoothing_matches_direct_circular_sum(kind, T, b):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
         est = smooth_spectral(pg, KernelSpec(kind, b), ridge_factor=0.0)
-        direct = _direct_smooth(pg, _kernel_weights(kind, est.kernel.bandwidth, T))
+        weights = _kernel_weights(kind, est.kernel.bandwidth, T)
+    direct = _direct_smooth(pg, weights)
     assert np.max(np.abs(est.values - direct) / direct) < 1e-13
+    half = _smooth_half(_half(pg, T), T, weights, 0.0)
+    assert np.max(np.abs(half - _half(direct, T)) / _half(direct, T)) < 1e-13
 
 
 def _is_5_smooth(n):
@@ -135,10 +151,12 @@ def test_smoothing_a_block_equals_its_rows(T):
     pg = np.stack([_model1_periodogram(T, i) for i in range(7)])
     _, weights = _smoother(KernelSpec("bartlett"), T, 1e-3)
     block, ridges = _smooth_rows(pg, weights, 1e-3)
+    half = _smooth_half(_half(pg, T), T, weights, 1e-3)
     for i in range(7):
         row, ridge = _smooth_rows(pg[i], weights, 1e-3)
         assert np.array_equal(block[i], row)
         assert np.array_equal(ridges[i], ridge)
+        assert np.array_equal(half[i], _smooth_half(_half(pg[i], T), T, weights, 1e-3))
 
 
 def test_white_noise_estimate_tracks_flat_spectrum():

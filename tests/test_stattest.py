@@ -21,8 +21,8 @@ from dftstat import (
     smooth_spectral,
     stationarity_test,
 )
-from dftstat.numerics import _dft_rows
-from dftstat.spectral import _smooth_rows, _smoother
+from dftstat.numerics import _dft_rows, _half_dft_rows
+from dftstat.spectral import _smooth_half, _smooth_rows, _smoother
 from dftstat.stattest import (
     _correction_denominators,
     _lag_covariances,
@@ -36,6 +36,17 @@ from dftstat.stattest import (
 # ---------------------------------------------------------------------------
 
 
+def half_input(J, f):
+    """The covariance kernel's input from a full DFT J and spectrum f (last
+    axis k = 1..T): conj(J_k) / sqrt(f_k) at k = 0..T//2, and T."""
+    T = J.shape[-1]
+
+    def half(v):
+        return np.concatenate([v[..., -1:], v[..., :T // 2]], axis=-1)
+
+    return np.conj(half(J)) / np.sqrt(half(f)), T
+
+
 def test_covariance_single_frequency_pair_by_hand():
     # a pure cosine has only two nonzero DFT bins (k = 3 and 13 for T = 16),
     # so with a constant denominator the covariance at lag 10 reduces to one
@@ -45,7 +56,7 @@ def test_covariance_single_frequency_pair_by_hand():
     x = np.cos(2 * np.pi * t * 3 / T)
     j = dft_canonical(x)
     expected = j[3 - 1] * np.conj(j[13 - 1]) / T
-    got, cold = _lag_covariances(j, np.ones(T), (10, 3))
+    got, cold = _lag_covariances(*half_input(j, np.ones(T)), (10, 3))
     assert got == pytest.approx(expected, abs=1e-12)
     # and lags pairing a hot bin with a cold one give zero
     assert abs(cold) < 1e-15
@@ -61,7 +72,7 @@ def test_covariance_white_noise_second_moment():
         x = x - x.mean()
         J = dft_canonical(x)
         est = smooth_spectral(np.abs(J) ** 2)
-        vals.append(T * abs(_lag_covariances(J, est.values, (1,))[0]) ** 2)
+        vals.append(T * abs(_lag_covariances(*half_input(J, est.values), (1,))[0]) ** 2)
     assert np.mean(vals) == pytest.approx(2.0, abs=0.2)
 
 
@@ -76,7 +87,7 @@ def test_covariance_modulated_noise_known_mean():
     acc = 0.0
     for i in range(500):
         x = scale * gauss_stream(RngStream(12, i), T)
-        acc += _lag_covariances(dft_canonical(x), f_const, (1,))[0]
+        acc += _lag_covariances(*half_input(dft_canonical(x), f_const), (1,))[0]
     assert abs(acc / 500 - 0.5 / 1.125) < 0.02
 
 
@@ -85,7 +96,7 @@ def test_covariance_with_supplied_spectrum_matches_estimated():
     x = rng.standard_normal(128)
     est = smooth_spectral(periodogram_of(x))
     a = stationarity_test(x, lags=[3], demean=False).covariances[0]
-    b = _lag_covariances(dft_canonical(x), est.values, (3,))[0]
+    b = _lag_covariances(*half_input(dft_canonical(x), est.values), (3,))[0]
     assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -106,7 +117,7 @@ def test_covariance_direct_summation_oracle():
         jk = j[k - 1]
         jkr = j[(k + r - 1) % T]
         acc += jk * np.conj(jkr) / math.sqrt(f[k - 1] * f[(k + r - 1) % T])
-    assert _lag_covariances(j, f, (r,))[0] == pytest.approx(acc / T, abs=1e-12)
+    assert _lag_covariances(*half_input(j, f), (r,))[0] == pytest.approx(acc / T, abs=1e-12)
 
 
 def test_estimated_close_to_true_spectrum_covariance():
@@ -121,8 +132,8 @@ def test_estimated_close_to_true_spectrum_covariance():
         x = x - x.mean()
         J = dft_canonical(x)
         est = smooth_spectral(np.abs(J) ** 2)
-        gaps.append(math.sqrt(T) * abs(_lag_covariances(J, est.values, (1,))[0]
-                                       - _lag_covariances(J, f_true, (1,))[0]))
+        gaps.append(math.sqrt(T) * abs(_lag_covariances(*half_input(J, est.values), (1,))[0]
+                                       - _lag_covariances(*half_input(J, f_true), (1,))[0]))
     assert np.median(gaps) <= 0.5
 
 
@@ -147,35 +158,33 @@ def transformed_rows(rows, T, seed):
     return J, f
 
 
-# 5-smooth T takes the transform route, 257 (prime) and 7000 (= 2**3 * 5**3 * 7)
-# the loop; lags above T/2 read the conjugate of c(T - r)
-@pytest.mark.parametrize("T", [64, 512, 4096, 257, 7000])
+# 5-smooth T takes the transform route (375 = 3 * 5**3 is odd), 257 (prime) and
+# 7000 (= 2**3 * 5**3 * 7) the loop; lags above T/2 read the conjugate of c(T - r)
+@pytest.mark.parametrize("T", [64, 512, 4096, 375, 257, 7000])
 @pytest.mark.parametrize("rows", [1, 64])
 def test_lag_covariances_match_direct_summation_on_both_routes(T, rows):
     lags = tuple(range(1, 9)) + (T // 2 + 1, T - 2, T - 1)
     J, f = transformed_rows(rows, T, seed=T + rows)
-    got = _lag_covariances(J, f, lags)
+    got = _lag_covariances(*half_input(J, f), lags)
     want = direct_covariances(J, f, lags)
     assert got.shape == (rows, len(lags))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # each row is reduced on its own: row i of the block is its one-row result
     for i in range(rows):
-        assert np.array_equal(got[i], _lag_covariances(J[i:i + 1], f[i:i + 1], lags)[0])
+        assert np.array_equal(got[i],
+                              _lag_covariances(*half_input(J[i:i + 1], f[i:i + 1]), lags)[0])
 
 
-@pytest.mark.parametrize("T, L, transform", [
-    (64, 3, False), (64, 4, True),          # log2(T)/2 = 3
-    (512, 4, False), (512, 5, True),        # 4.5
-    (2 ** 18, 9, False), (2 ** 18, 10, True),
-    (257, 120, False), (7000, 120, False),  # T not 5-smooth: the loop for any L
-])
-def test_lag_covariance_route_depends_on_T_and_L(T, L, transform, monkeypatch):
+# 5-smooth T takes the transform route whatever the number of lags (the kernel
+# reads lags modulo T, so 120 of them fit T = 64); 257 (prime) and 7000 the loop
+@pytest.mark.parametrize("L", [1, 120])
+@pytest.mark.parametrize("T", [64, 512, 375, 2 ** 18, 257, 7000])
+def test_lag_covariance_route_depends_on_T_only(T, L, monkeypatch):
     calls = []
-    hfft = np.fft.hfft
-    monkeypatch.setattr(np.fft, "hfft", lambda *a, **k: calls.append(1) or hfft(*a, **k))
-    J = np.ones((1, T), dtype=complex)
-    _lag_covariances(J, np.ones((1, T)), tuple(range(1, L + 1)))
-    assert bool(calls) is transform
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    _lag_covariances(np.ones((1, T // 2 + 1), dtype=complex), T, tuple(range(1, L + 1)))
+    assert bool(calls) is (T not in (257, 7000))
 
 
 def test_covariance_lag_validation():
@@ -321,7 +330,7 @@ def test_sign_invariance():
                - stationarity_test(x, m=4).statistic) <= 1e-10
 
 
-# m = 10 takes the transform route at T = 512 and the loop at T = 509 (prime)
+# T = 512 (5-smooth) takes the transform route and T = 509 (prime) the loop
 @pytest.mark.parametrize("T", [512, 509])
 def test_shift_invariance_on_both_routes(T):
     x = generate(model_preset("model6", T), GeneratorConfig(T=T, rng=RngStream(29, 0)))
@@ -401,26 +410,28 @@ def test_dft_covariances_shared_transform_matches_single_lag():
     rng = np.random.default_rng(27)
     x = rng.standard_normal(200)
     res = stationarity_test(x, lags=[1, 4, 9])
-    est = smooth_spectral(np.abs(dft_canonical(x - x.mean())) ** 2)
+    J = dft_canonical(x - x.mean())
+    est = smooth_spectral(np.abs(J) ** 2)
     for lag, val in zip(res.lags, res.covariances):
-        want = _lag_covariances(dft_canonical(x - x.mean()), est.values, (lag,))[0]
+        want = _lag_covariances(*half_input(J, est.values), (lag,))[0]
         assert val == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("correction", [None, CorrectionSpec.linear([1.0, 0.5], 1.3)])
 def test_result_reports_covariances_and_per_lag_contributions(correction):
-    x = generate(model_preset("model6", 300), GeneratorConfig(T=300, rng=RngStream(28, 0)))
-    lags = (2, 7, 1)
-    res = stationarity_test(x, lags=lags, correction=correction)
-    J = dft_canonical(x - x.mean())
-    est = smooth_spectral(np.abs(J) ** 2)
-    assert res.covariances == tuple(_lag_covariances(J, est.values, lags).tolist())
-    assert all(type(c) is complex for c in res.covariances)
-    assert all(type(c) is float for c in res.contributions)
-    assert sum(res.contributions) == pytest.approx(res.statistic, rel=1e-12)
-    # each lag's term is that lag's single-lag statistic, bit for bit
-    for lag, part in zip(lags, res.contributions):
-        assert part == stationarity_test(x, lags=[lag], correction=correction).statistic
+    for T, lags in ((300, (2, 7, 1)), (512, tuple(range(1, 11)))):
+        x = generate(model_preset("model6", T), GeneratorConfig(T=T, rng=RngStream(28, 0)))
+        res = stationarity_test(x, lags=lags, correction=correction)
+        half = _half_dft_rows(x - x.mean())
+        _, weights = _smoother(None, T, 1e-3)
+        f = _smooth_half(np.abs(half) ** 2, T, weights, 1e-3)
+        assert res.covariances == tuple(_lag_covariances(half / np.sqrt(f), T, lags).tolist())
+        assert all(type(c) is complex for c in res.covariances)
+        assert all(type(c) is float for c in res.contributions)
+        assert sum(res.contributions) == pytest.approx(res.statistic, rel=1e-12)
+        # each lag's term is that lag's single-lag statistic, bit for bit
+        for lag, part in zip(lags, res.contributions):
+            assert part == stationarity_test(x, lags=[lag], correction=correction).statistic
 
 
 # ---------------------------------------------------------------------------
