@@ -304,7 +304,8 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
     Rows are processed independently: row i of the result is bit-identical
     whether X holds one row or many. The DFT, the smoothed spectrum and the
     standardized DFT are formed only at k = 0..T//2, which holds all of them
-    for a real series; the full-circle J is never built.
+    for a real series; only the kernel's loop route, for T that is not
+    5-smooth, unfolds the standardized DFT to the full circle.
     """
     if plan.demean:
         X = X - X.mean(axis=-1, keepdims=True)

@@ -159,6 +159,18 @@ def test_smoothing_a_block_equals_its_rows(T):
         assert np.array_equal(half[i], _smooth_half(_half(pg[i], T), T, weights, 1e-3))
 
 
+@pytest.mark.parametrize("T", [64, 257])
+def test_half_smoother_floors_at_the_full_circle_ridge(T):
+    # a ridge of half the mean periodogram lies above the smoothed AR(1)
+    # spectrum at high frequencies, so the floor binds there
+    pg = _model1_periodogram(T, 0)
+    _, weights = _smoother(None, T, 0.5)
+    full, ridge = _smooth_rows(pg, weights, 0.5)
+    assert np.any(_half(full, T) == ridge)
+    half = _smooth_half(_half(pg, T), T, weights, 0.5)
+    assert np.max(np.abs(half - _half(full, T)) / _half(full, T)) < 1e-13
+
+
 def test_white_noise_estimate_tracks_flat_spectrum():
     T = 1024
     avg = np.zeros(T)
