@@ -78,9 +78,14 @@ class McReport:
 
     rejection_rate: float
     statistics: np.ndarray = field(repr=False)
-    histogram: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (edges, density)
     threshold: float
     config: McConfig
+
+    @property
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, density) of the statistics over [0, max] in 50 bins, area
+        one; computed when read."""
+        return _empirical_density(self.statistics)
 
 
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
@@ -132,7 +137,6 @@ def rejection_rate(config: McConfig) -> McReport:
     return McReport(
         rejection_rate=rate,
         statistics=stats,
-        histogram=_empirical_density(stats),
         threshold=threshold,
         config=config,
     )

@@ -66,16 +66,31 @@ def _dft_rows(x: np.ndarray) -> np.ndarray:
     return _unfold(_half_dft_rows(x), x.shape[-1])
 
 
-def _half_dft_rows(x: np.ndarray) -> np.ndarray:
-    """conj(J(w_k)) at k = 0..T//2 along the last axis, one real FFT per row.
+def _half_dft_rows(x: np.ndarray, demean: bool = False,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """conj(J(w_k)) at k = 0..T//2 along the last axis, one real FFT per row,
+    of x less its row means when ``demean``.
 
     Real input gives the rest of the circle as J(w_{T-k}) = conj(J(w_k)), so
-    this half holds all of the DFT; :func:`_unfold` spreads it out.
+    this half holds all of the DFT; :func:`_unfold` spreads it out. The
+    rolled (and demeaned) rows are written to ``work``, a C-ordered float
+    array of x's shape (a new one when None), which the caller may reuse
+    once this returns; x itself is never written.
     """
     T = x.shape[-1]
+    rolled = np.empty(x.shape) if work is None else work
     # Rolling by one puts X_T at s = 0, where e^{i T w_k} = 1, so
     # sum_{t=1..T} X_t e^{i t w_k} is conj(rfft) of the rolled row.
-    return np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(_TWO_PI * T)
+    if demean:
+        mean = x.mean(axis=-1, keepdims=True)
+        np.subtract(x[..., -1:], mean, out=rolled[..., :1])
+        np.subtract(x[..., :-1], mean, out=rolled[..., 1:])
+    else:
+        rolled[..., :1] = x[..., -1:]
+        rolled[..., 1:] = x[..., :-1]
+    half = np.fft.rfft(rolled, axis=-1)
+    half /= math.sqrt(_TWO_PI * T)
+    return half
 
 
 def _unfold(half: np.ndarray, T: int) -> np.ndarray:

@@ -161,45 +161,67 @@ def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
     """
     T = pgram.shape[-1]
     H = weights.size // 2
-    padded = np.concatenate([pgram[..., T - H:], pgram, pgram[..., :H]], axis=-1)
+    m = T + 2 * H
+    n = _fast_length(m)
+    buf = np.zeros(pgram.shape[:-1] + (n,))
+    buf[..., :H] = pgram[..., T - H:]
+    buf[..., H:H + T] = pgram
+    buf[..., H + T:m] = pgram[..., :H]
     ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
-    return np.maximum(_convolve(padded, weights), ridge), ridge
+    return np.maximum(_convolve(buf, np.fft.rfft(weights, n), H, m), ridge), ridge
 
 
-def _smooth_half(P: np.ndarray, T: int, weights: np.ndarray,
+def _half_transform(weights: np.ndarray, T: int) -> tuple[int, np.ndarray]:
+    """The transform length n of ``_smooth_half`` for a length-T series, and
+    the weights' real transform at n: both are fixed by T and the kernel."""
+    n = _fast_length(T // 2 + weights.size)  # the padded half, T//2 + 1 + 2H
+    return n, np.fft.rfft(weights, n)
+
+
+def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
                  ridge_factor: float) -> np.ndarray:
     """``_smooth_rows`` of a symmetric length-T periodogram, read at k = 0..T//2.
 
-    P holds I_k at k = 0..T//2 (last axis). Since I_{-k} = I_k and
-    I_{T-k} = I_k, the circular sum at those k needs only P padded by H
-    mirrored values on each side, I_{-j} = I_j and I_{h+j} = I_{T-h-j}
-    (h = T//2, j = 1..H). The ridge is ridge_factor times the mean over the
-    whole circle. Rows are smoothed independently.
+    ``buf`` has the last-axis length n and ``spectrum`` the weights'
+    transform from :func:`_half_transform`, H being the window half-width;
+    ``buf[..., H:H + T//2 + 1]`` holds I_k at k = 0..T//2 and the rest of
+    buf is scratch. Since I_{-k} = I_k and I_{T-k} = I_k, the circular sum at
+    those k needs only that half padded by H mirrored values on each side,
+    I_{-j} = I_j and I_{h+j} = I_{T-h-j} (h = T//2, j = 1..H), which are
+    written around it. The ridge is ridge_factor times the mean over the
+    whole circle. The floored estimate is written over buf and returned as a
+    view of it. Rows are smoothed independently.
     """
     h = T // 2
-    H = weights.size // 2  # below T/4, so both pads read inside k = 1..h
-    padded = np.concatenate([P[..., H:0:-1], P, P[..., T - h - 1:T - h - H - 1:-1]], axis=-1)
+    m = h + 1 + 2 * H
+    P = buf[..., H:H + h + 1]
+    # H is below T/4, so both pads read inside k = 1..h
+    buf[..., :H] = P[..., H:0:-1]
+    buf[..., H + h + 1:m] = P[..., T - h - 1:T - h - H - 1:-1]
+    buf[..., m:] = 0.0
     total = 2.0 * P.sum(axis=-1, keepdims=True) - P[..., :1]
     if T % 2 == 0:
         total -= P[..., h:]
-    return np.maximum(_convolve(padded, weights), ridge_factor * total / T)
+    f = _convolve(buf, spectrum, H, m)
+    return np.maximum(f, ridge_factor * total / T, out=f)
 
 
-def _convolve(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Entries 2H .. m - 1 of the linear convolution of each row of
-    ``padded`` (length m) with the 2H + 1 symmetric ``weights``.
+def _convolve(buf: np.ndarray, spectrum: np.ndarray, H: int, m: int) -> np.ndarray:
+    """Entries 2H .. m - 1 of the linear convolution of each row's first m
+    entries with 2H + 1 symmetric weights, written over ``buf``.
 
-    Since the weights are symmetric, these are the weighted sums
-    sum_j W(j) padded[i + j] whose window lies inside the row (i = H..m-H-1).
-    Zero-padding to a 5-smooth n >= m keeps the transform's wrap-around off
-    them and its length fast even for prime m; n is within 16% of m, where
-    the next power of two can be nearly twice it.
+    The rows of buf have a 5-smooth length n >= m and are zero past m;
+    ``spectrum`` is the weights' real transform at n. Since the weights are
+    symmetric, the entries returned (a view of buf) are the weighted sums
+    sum_j W(j) buf[i + j] whose window lies inside the first m (i = H..m-H-1).
+    The zeros keep the transform's wrap-around off them, and the 5-smooth
+    length keeps it fast even for prime m; n = _fast_length(m) is within 16%
+    of m, where the next power of two can be nearly twice it.
     """
-    m = padded.shape[-1]
-    H = weights.size // 2
-    n = _fast_length(m)
-    spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
-    return np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H:m]
+    product = np.fft.rfft(buf, axis=-1)
+    product *= spectrum
+    np.fft.irfft(product, buf.shape[-1], axis=-1, out=buf)
+    return buf[..., 2 * H:m]
 
 
 def _fast_length(m: int) -> int:

