@@ -45,9 +45,11 @@ def dft_canonical(series) -> np.ndarray:
 
     Notes
     -----
-    Internally one real FFT (mixed radix, any length) gives k = 0..T//2 and
-    conjugate symmetry the rest, so T need not be a power of two. Equals the
-    direct O(T^2) summation to 1e-9 relative.
+    Internally one real FFT gives k = 0..T//2 and conjugate symmetry the
+    rest, so T need not be a power of two: numpy's mixed-radix rfft, or,
+    when T has a prime factor above 2**13, a chirp-z convolution at a
+    5-smooth length (see ``_half_dft_rows``). Equals the direct O(T^2)
+    summation to 1e-9 relative.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -76,6 +78,13 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     rolled (and demeaned) rows are written to ``work``, a C-ordered float
     array of x's shape (a new one when None), which the caller may reuse
     once this returns; x itself is never written.
+
+    The transform is numpy's rfft unless T has a prime factor above 2**13
+    (``_takes_chirp``, a rule of T alone). numpy transforms such a length by
+    Bluestein's algorithm with a plan and buffers of about 2T points built
+    anew on every call; those T take :func:`_chirp_rfft`, the same algorithm
+    at about 1.5T points, which agrees with numpy's rfft to within 1.4e-15
+    of the largest entry. Every other T gives numpy's bits.
     """
     T = x.shape[-1]
     rolled = np.empty(x.shape) if work is None else work
@@ -88,9 +97,123 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     else:
         rolled[..., :1] = x[..., -1:]
         rolled[..., 1:] = x[..., :-1]
-    half = np.fft.rfft(rolled, axis=-1)
+    if _takes_chirp(T):
+        half = _chirp_rfft(rolled)
+    else:
+        half = np.fft.rfft(rolled, axis=-1)
     half /= math.sqrt(_TWO_PI * T)
     return half
+
+
+# Lengths with a prime factor above this take _chirp_rfft: there it beats
+# numpy's rfft on one row (see its table), below it numpy is as fast or faster
+_CHIRP_MIN_PRIME = 2 ** 13
+
+
+def _takes_chirp(T: int) -> bool:
+    """Whether the real DFT of length T runs as :func:`_chirp_rfft`: when T
+    has a prime factor above ``_CHIRP_MIN_PRIME``."""
+    d = 2
+    while d * d <= T and d <= _CHIRP_MIN_PRIME:
+        while T % d == 0:
+            T //= d
+        d += 1
+    # T is now 1, a prime, or has no prime factor up to the bound
+    return T > _CHIRP_MIN_PRIME
+
+
+def _chirp_rfft(x: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(x, axis=-1)`` of a real x, by a chirp-z convolution.
+
+    With w_n = exp(-i*pi*n**2/T) and nk = (n**2 + k**2 - (k - n)**2) / 2,
+    rfft(x)_k = w_k * sum_n (x_n w_n) conj(w_{k-n}) (Bluestein 1970): one
+    linear convolution of x*w with the chirp conj(w_j), j = 1-T..T//2,
+    computed circularly at N = _fast_length(T + T//2) points, where the
+    wrap-around misses k = 0..T//2. w_n is taken from n**2 mod 2T, and
+    w_{T-n} = w_n for even T and -w_n for odd T, so only n <= T//2 are
+    evaluated. The chirp's transform is planned on every call and shared by
+    the rows; the work is one complex array of rows + 1 rows of N, with
+    every transform in place, and w is written over by the last row's
+    result. Agrees with numpy's rfft to within 1.4e-15 of its largest entry
+    (20 lengths from 32 to 1000003, random normal rows).
+
+    Median times of one ``_block_covariances`` call (m = 10, the kernel's
+    loop route) with numpy's rfft / with this, ms, each in its own process
+    on one core of a 2-vCPU Intel Xeon VM, numpy 2.4 (times below 1 ms vary
+    by about 20% between runs):
+
+        rows x T           rfft / chirp     rows x T        rfft / chirp
+        1 x 257            0.24 / 0.30      50 x 257        1.78 / 1.93
+        1 x 1021           0.38 / 0.46      50 x 1021       6.02 / 6.34
+        1 x 4093           1.05 / 1.02      16 x 4093       6.05 / 6.92
+        1 x 8191           2.25 / 1.94      16 x 8191       15.5 / 18.0
+        1 x 8209           2.45 / 2.14      16 x 16381      31.1 / 33.1
+        1 x 16381          4.40 / 3.83       4 x 65521      51.4 / 45.3
+        1 x 3 * 16381      13.5 / 12.1       1 x 127 * 64   0.77 / 1.86
+        1 x 65521          17.7 / 14.4       1 x 7 * 2**15  20.7 / 51.2
+        1 x 262139         90.2 / 68.8
+
+    numpy's rfft shares its plan across the rows of a block, where this
+    pays for the chirp's transform once per call besides two transforms per
+    row, so blocks of many rows gain less or lose, and lengths whose prime
+    factors are all small are faster with numpy. Hence the rule in
+    :func:`_takes_chirp`: one row of a length with a prime factor above
+    2**13 is the case it serves, the single test of a long series.
+    """
+    shape, T = x.shape, x.shape[-1]
+    x = x.reshape(-1, T)
+    rows = x.shape[0]
+    K = T // 2 + 1
+    L = T - K  # n = K..T-1 is T - n' with n' = L..1
+    N = _fast_length(T + T // 2)
+    work = np.empty((rows + 1, N), dtype=complex)
+    chirp, a = work[0], work[1:]
+    out = np.empty((rows, K), dtype=complex)
+    w = out[-1]
+    n = np.arange(K, dtype=np.int64)
+    np.multiply(n, n, out=n)
+    np.remainder(n, 2 * T, out=n)
+    np.multiply(n, -math.pi / T, out=w.imag)  # the phase, for now
+    del n
+    np.cos(w.imag, out=w.real)
+    np.sin(w.imag, out=w.imag)
+    sign = -1.0 if T % 2 else 1.0  # w_{T-n} = sign * w_n
+    # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
+    np.conjugate(w, out=chirp[:K])
+    chirp[K:N - T + 1] = 0.0
+    np.multiply(chirp[1:L + 1], sign, out=chirp[N - T + 1:N - K + 1])
+    chirp[N - K + 1:] = chirp[K - 1:0:-1]
+    # forward norm puts the convolution's 1/N on the chirp's transform
+    np.fft.fft(chirp, out=chirp, norm="forward")
+    np.multiply(x[:, :K], w, out=a[:, :K])
+    np.multiply(x[:, K:], w[L:0:-1], out=a[:, K:T])
+    if sign < 0:
+        np.negative(a[:, K:T], out=a[:, K:T])
+    a[:, T:] = 0.0
+    np.fft.fft(a, axis=-1, out=a)
+    a *= chirp
+    np.fft.ifft(a, axis=-1, out=a, norm="forward")
+    np.multiply(a[:-1, :K], w, out=out[:-1])
+    np.multiply(a[-1, :K], w, out=w)
+    return out.reshape(shape[:-1] + (K,))
+
+
+def _fast_length(m: int) -> int:
+    """Smallest n = 2**a * 3**b * 5**c with n >= m (m >= 1).
+
+    numpy's FFT factors a length into small radices, so these lengths
+    transform fast; for m >= 8 the result is below 1.16 * m.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _unfold(half: np.ndarray, T: int) -> np.ndarray:

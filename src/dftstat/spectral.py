@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthTooSmallError, BandwidthWarning, InvalidInputError
+from .numerics import _fast_length
 
 _KERNEL_KINDS = ("daniell", "bartlett")
 
@@ -222,21 +223,3 @@ def _convolve(buf: np.ndarray, spectrum: np.ndarray, H: int, m: int) -> np.ndarr
     product *= spectrum
     np.fft.irfft(product, buf.shape[-1], axis=-1, out=buf)
     return buf[..., 2 * H:m]
-
-
-def _fast_length(m: int) -> int:
-    """Smallest n = 2**a * 3**b * 5**c with n >= m (m >= 1).
-
-    numpy's FFT factors a length into small radices, so these lengths
-    transform fast; for m >= 8 the result is below 1.16 * m.
-    """
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power of two times p35 that reaches m
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best

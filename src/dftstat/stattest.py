@@ -39,8 +39,8 @@ from .errors import (
     InvalidLagError,
     SegmentationDepthError,
 )
-from .numerics import _half_dft_rows, _rfft_at, _unfold, chisq_sf
-from .spectral import KernelSpec, _fast_length, _half_transform, _smooth_half, _smoother
+from .numerics import _fast_length, _half_dft_rows, _rfft_at, _unfold, chisq_sf
+from .spectral import KernelSpec, _half_transform, _smooth_half, _smoother
 
 _TWO_PI = 2.0 * math.pi
 
@@ -115,13 +115,17 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         1 x 2**16                1.33 / 1.24   1.73 / 1.24   2.53 / 1.24
         1 x 2**18                4.12 / 7.41   5.98 / 7.34   9.62 / 7.36
         1 x 2**20                24.0 / 41.5   31.9 / 39.6   51.0 / 40.9
-        1 x 262139 (prime)       4.94 / 76.7   6.97 / 77.0   11.1 / 79.3
+        1 x 262139 (prime)       5.95 / 142    5.18 / 134    10.4 / 131
 
     numpy's real transforms of a prime length cost many times those of a
-    5-smooth one, so such T stay on the loop whatever L. For T >= 2**18 and
-    a few lags the loop is faster, by at most 13% of the whole block
-    pipeline at L = 1 (DFT, smoothing and covariances take 27 ms at 2**18
-    and 134 ms at 2**20 for one row), which does not pay for a second rule.
+    5-smooth one: 51-62 ms each at 262139 against 3.7 ms at 2**18, as numpy
+    plans its Bluestein anew on every call. The chirp-z DFT of numerics
+    (``_chirp_rfft``) takes 42-47 ms for one, so two of them would still
+    cost several times the loop's 10 lags, and such T stay on the loop
+    whatever L. For T >= 2**18 and a few lags the loop is faster, by at
+    most 13% of the whole block pipeline at L = 1 (DFT, smoothing and
+    covariances take 27 ms at 2**18 and 134 ms at 2**20 for one row), which
+    does not pay for a second rule.
     """
     if transform is None:
         transform = _fast_length(T) == T
@@ -305,9 +309,10 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
 
 def _first_bad_row(X: np.ndarray):
     """(row, reason) of the lowest row of X that cannot be tested, else None."""
-    finite = np.isfinite(X).all(axis=-1)
-    flat = X.max(axis=-1) == X.min(axis=-1)
-    bad = np.flatnonzero(~finite | flat)
+    hi, lo = X.max(axis=-1), X.min(axis=-1)
+    # a row's max and min are NaN if it holds one, and +-inf if it holds them
+    finite = np.isfinite(hi) & np.isfinite(lo)
+    bad = np.flatnonzero(~finite | (hi == lo))
     if bad.size == 0:
         return None
     i = int(bad[0])

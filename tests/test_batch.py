@@ -232,6 +232,29 @@ def test_first_bad_row_reports_lowest_row_and_first_reason():
     assert _first_bad_row(X) == (1, "series contains non-finite values")
 
 
+NONFINITE = "series contains non-finite values"
+
+
+ALL = slice(None)
+
+
+@pytest.mark.parametrize("writes, reason", [
+    ([(3, np.nan)], NONFINITE),
+    ([(3, np.inf)], NONFINITE),
+    ([(3, -np.inf)], NONFINITE),
+    ([(3, np.inf), (7, -np.inf)], NONFINITE),
+    ([(ALL, 2.0), (5, np.nan)], NONFINITE),  # also constant: non-finite first
+    ([(ALL, np.inf)], NONFINITE),
+    ([(ALL, 2.0)], "degenerate series: zero variance"),
+])
+def test_first_bad_row_reasons(writes, reason):
+    X = np.random.default_rng(83).standard_normal((4, 40))
+    X[3] = 1.0  # a later constant row: only the lowest bad row is reported
+    for index, value in writes:
+        X[1, index] = value
+    assert _first_bad_row(X) == (1, reason)
+
+
 # ---------------------------------------------------------------------------
 # segmentation runs each depth as a block
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dftstat import (
     dft_canonical,
     gauss_stream,
 )
-from dftstat.numerics import _dft_rows
+from dftstat.numerics import _chirp_rfft, _dft_rows, _half_dft_rows, _takes_chirp
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,8 @@ def dft_direct(series):
     x = np.asarray(series, dtype=float)
     T = x.size
     t = np.arange(1, T + 1)
-    kernel = np.exp(2j * np.pi * np.outer(t, t) / T)
+    # t * k mod T in integers keeps the phases exact
+    kernel = np.exp(2j * np.pi * (np.outer(t, t) % T) / T)
     return x @ kernel / math.sqrt(2 * np.pi * T)
 
 
@@ -109,12 +110,67 @@ def test_dft_shortest_series_match_direct_sum(T):
     assert np.max(np.abs(dft_canonical(x) - slow)) < 1e-12 * np.max(np.abs(slow))
 
 
-@pytest.mark.parametrize("T", [32, 33, 257, 4096])
+# 16381 (prime) takes the chirp-z route, the others numpy's rfft
+@pytest.mark.parametrize("T", [32, 33, 257, 4096, 16381])
 def test_dft_a_block_equals_its_rows(T):
     x = np.random.default_rng(T).standard_normal((7, T))
     block = _dft_rows(x)
     for i in range(7):
         assert np.array_equal(block[i], _dft_rows(x[i]))
+
+
+def conj_half_dft(series):
+    """conj(J(w_k)) at k = 0..T//2 from the direct sum, k = 1..T order."""
+    J = dft_direct(series)
+    return np.conj(np.concatenate([J[-1:], J[:J.size // 2]]))
+
+
+# odd and even T, so both signs of w_{T-n} = -+w_n; three rows share a plan
+@pytest.mark.parametrize("T", [32, 33, 257, 1009, 4093])
+def test_chirp_rfft_matches_direct_sum(T):
+    x = np.random.default_rng(T).standard_normal((3, T))
+    half = _chirp_rfft(np.roll(x, 1, axis=-1)) / math.sqrt(2 * np.pi * T)
+    for row, got in zip(x, half):
+        want = conj_half_dft(row)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("T", [16381, 65521, 262139])
+def test_routed_dft_matches_rfft_and_direct_sums(T):
+    assert _takes_chirp(T)
+    x = np.random.default_rng(T).standard_normal(T)
+    half = _half_dft_rows(x[None, :])[0]
+    want = np.fft.rfft(np.roll(x, 1)) / math.sqrt(2 * np.pi * T)
+    assert np.max(np.abs(half - want)) <= 1e-13 * np.max(np.abs(want))
+    k = np.random.default_rng(1).choice(T // 2 + 1, 16, replace=False)
+    t = np.arange(1, T + 1)
+    J = np.exp(2j * np.pi * (np.outer(k, t) % T) / T) @ x / math.sqrt(2 * np.pi * T)
+    assert np.max(np.abs(half[k] - np.conj(J))) <= 1e-13 * np.max(np.abs(want))
+
+
+def largest_prime_factor(n):
+    p, d = 1, 2
+    while n > 1:
+        while n % d == 0:
+            n, p = n // d, d
+        d += 1
+    return p
+
+
+# the rule is "a prime factor above 2**13": primes on both sides of it
+# (8191, 8209), composites with a large prime factor (3 * 16381, 8191 * 8209)
+# or only small ones (127 * 64, 521 * 4096), 5-smooth lengths
+@pytest.mark.parametrize("T", [33, 257, 8128, 8191, 8209, 2 ** 18, 49143, 262139,
+                               521 * 4096, 8191 * 8209])
+def test_dft_route_depends_on_T_only(T, monkeypatch):
+    assert _takes_chirp(T) is (largest_prime_factor(T) > 2 ** 13)
+    if T > 10 ** 6:
+        return
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    _half_dft_rows(np.ones((2, T)))
+    assert bool(calls) is (T not in (8209, 49143, 262139))
 
 
 def test_dft_cosine_concentrates_at_two_bins():

@@ -23,7 +23,7 @@ from dftstat import (
     smooth_spectral,
     stationarity_test,
 )
-from dftstat.numerics import _dft_rows, _half_dft_rows
+from dftstat.numerics import _dft_rows, _half_dft_rows, _takes_chirp
 from dftstat.spectral import _smooth_rows, _smoother
 from dftstat.stattest import (
     _block_covariances,
@@ -200,8 +200,9 @@ def pipeline_input(rows, T, seed):
     return 3.0 + (e[:, 1:] + 0.9 * e[:, :-1]) * scale
 
 
-# 512 takes the kernel's transform route, 257 (prime) the loop
-@pytest.mark.parametrize("T", [512, 257])
+# 512 takes the kernel's transform route, 257 (prime) the loop, and 16381
+# (prime) the loop after a chirp-z DFT
+@pytest.mark.parametrize("T", [512, 257, 16381])
 @pytest.mark.parametrize("demean", [True, False])
 def test_pipeline_never_writes_its_input(T, demean):
     X = pipeline_input(8, T, seed=T)
@@ -232,7 +233,11 @@ def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
 # The block's arrays: the rolled rows and the padded periodogram in one real
 # allocation (about 1.6 X), the half DFT (1 X) and the smoothing product
 # (0.6 X), 3-4 X in all; the pipeline with a new array per stage took 6.5 X.
-@pytest.mark.parametrize("rows, T", [(50, 512), (1, 2 ** 18)])
+# At 65521 (prime) the chirp-z DFT adds its two complex rows of N = 1.5 T
+# (6 X) and a phase index (0.5 X) beside the real allocation and the half
+# DFT: 9.2 X measured, where numpy's rfft took 6.5 X traced plus its own
+# untraced plan buffers.
+@pytest.mark.parametrize("rows, T", [(50, 512), (1, 2 ** 18), (1, 65521)])
 def test_block_pipeline_peak_memory(rows, T):
     X = pipeline_input(rows, T, seed=1)
     plan = _plan(T, None, 10, None, None, 1e-3, True)
@@ -243,7 +248,22 @@ def test_block_pipeline_peak_memory(rows, T):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * X.nbytes
+    assert peak <= (9.5 if _takes_chirp(T) else 5.0) * X.nbytes
+
+
+def test_chirp_dft_keeps_nothing_between_calls():
+    # a warm-up at one routed length, then a first call at another: a plan
+    # kept per length would stay allocated after it
+    stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
+    x = pipeline_input(1, 3 * 8209, seed=2)[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stationarity_test(x, m=10)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 16 * 1024
 
 
 def test_covariance_lag_validation():
