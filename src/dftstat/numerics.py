@@ -154,11 +154,12 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
         1 x 262139         90.2 / 68.8
 
     numpy's rfft shares its plan across the rows of a block, where this
-    pays for the chirp's transform once per call besides two transforms per
-    row, so blocks of many rows gain less or lose, and lengths whose prime
-    factors are all small are faster with numpy. Hence the rule in
-    :func:`_takes_chirp`: one row of a length with a prime factor above
-    2**13 is the case it serves, the single test of a long series.
+    pays for the chirp's transform once per call besides two transforms of
+    about 1.5T per row; blocks of many rows therefore gain less or lose
+    (16 x 16381 is 6% slower), and lengths whose prime factors are all
+    small are faster with numpy. The rule in :func:`_takes_chirp` takes T
+    alone; its threshold is where one row, the single test of a long
+    series, starts to gain.
     """
     shape, T = x.shape, x.shape[-1]
     x = x.reshape(-1, T)

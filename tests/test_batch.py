@@ -233,8 +233,6 @@ def test_first_bad_row_reports_lowest_row_and_first_reason():
 
 
 NONFINITE = "series contains non-finite values"
-
-
 ALL = slice(None)
 
 

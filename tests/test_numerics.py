@@ -157,15 +157,18 @@ def largest_prime_factor(n):
     return p
 
 
-# the rule is "a prime factor above 2**13": primes on both sides of it
-# (8191, 8209), composites with a large prime factor (3 * 16381, 8191 * 8209)
-# or only small ones (127 * 64, 521 * 4096), 5-smooth lengths
-@pytest.mark.parametrize("T", [33, 257, 8128, 8191, 8209, 2 ** 18, 49143, 262139,
-                               521 * 4096, 8191 * 8209])
+def test_chirp_rule_is_a_prime_factor_above_2_13():
+    # composites with a large prime factor (3 * 16381, 8191 * 8209, 8209**2)
+    # or only small ones (127 * 64, 521 * 4096)
+    for T in [*range(2, 40), *range(8150, 8250), 8128, 49143, 2 ** 18,
+              262139, 521 * 4096, 8191 * 8209, 8209 ** 2]:
+        assert _takes_chirp(T) is (largest_prime_factor(T) > 2 ** 13), T
+
+
+# primes on both sides of the threshold (8191, 8209), a composite with a
+# large prime factor (3 * 16381) and one with only small ones (127 * 64)
+@pytest.mark.parametrize("T", [33, 257, 8128, 8191, 8209, 2 ** 18, 49143, 262139])
 def test_dft_route_depends_on_T_only(T, monkeypatch):
-    assert _takes_chirp(T) is (largest_prime_factor(T) > 2 ** 13)
-    if T > 10 ** 6:
-        return
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
