@@ -502,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finite-lag-shift", action="store_true",
                    help="evaluate the denominator at the finite frequency 2*pi*r/T")
     p.add_argument("--u-grid", dest="u_grid", type=int, default=257)
-    p.add_argument("--omega-grid", dest="omega_grid", type=int, default=513)
+    p.add_argument("--omega-grid", dest="omega_grid", type=int, default=513,
+                   help="omega quadrature points; with --finite-lag-shift, a grid "
+                        "of k*T + 1 points skips the shifted evaluations")
     p.add_argument("--outdir", default=None)
     p.add_argument("--tag", default=None)
     p.set_defaults(func=_cmd_power)

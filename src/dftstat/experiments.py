@@ -251,9 +251,11 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     grid: f is evaluated once on it, fbar is the u weight row times the
     grid, and the u-integrals of all L lags come from one real FFT of the
     grid along u (``_u_fourier``).
-    With ``T`` given, fbar(w + w_r) costs one more grid evaluation per lag,
-    reduced to its row before the next, so memory stays at about one grid
-    for any number of lags.
+    With ``T`` given and n = omega_points - 1 grid steps, a lag whose shift
+    is whole steps, (n * r) % T == 0, takes fbar(w + w_r) as fbar rolled by
+    n * r / T steps, with no evaluation. Any other lag costs one more grid
+    evaluation, reduced to its row before the next, so memory stays at about
+    one grid for any number of lags.
     """
     lags = tuple(int(r) for r in lags)
     if u_points < 128 or omega_points < 256:
@@ -274,9 +276,16 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     if T is None:
         integrand = inner / fbar
     else:
-        shifted = np.array([
-            _time_average(wu, _eval_local(f_local, u, (w + _TWO_PI * lag / T) % _TWO_PI))
-            for lag in r]).reshape(r.size, w.size)
+        T, n = int(T), w.size - 1
+        steps = np.arange(w.size)
+        shifted = np.empty((r.size, w.size))
+        for row, lag in zip(shifted, lags):
+            s, rem = divmod(lag * n, T)
+            if rem == 0:
+                row[:] = fbar[(steps + s % n) % n]
+            else:
+                row[:] = _time_average(
+                    wu, _eval_local(f_local, u, (w + _TWO_PI * lag / T) % _TWO_PI))
         integrand = inner / (np.sqrt(fbar) * np.sqrt(shifted))
     bad = ~np.isfinite(integrand)
     if bad.any():

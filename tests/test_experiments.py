@@ -362,15 +362,45 @@ def test_noncentrality_is_the_one_lag_profile():
 
 def test_power_profile_memory_stays_at_one_grid():
     # one 257 x 513 grid is 1 MiB; a stacked shifted evaluation of 120 lags
-    # would be about 127 MB
+    # would be about 127 MB. At T=512 every shift is whole grid steps; at
+    # T=500 none is, so each lag evaluates a grid.
     f = local_spectrum(model_preset("model3", 512))
-    tracemalloc.start()
-    try:
-        power_profile(f, range(1, 121), T=512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    for T in (512, 500):
+        tracemalloc.start()
+        try:
+            power_profile(f, range(1, 121), T=T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, T
+
+
+def counted(f):
+    def f_counted(u, w):
+        f_counted.calls += 1
+        return f(u, w)
+    f_counted.calls = 0
+    return f_counted
+
+
+@pytest.mark.parametrize("T, omega_points, calls", [
+    (512, 513, 1),        # 512 * r / 512: every shift is whole grid steps
+    (500, 513, 121),      # 512 * r / 500 is whole only for r = 125k
+    (512, 257, 1 + 60),   # 256 * r / 512 is whole for even r only
+])
+def test_power_profile_evaluates_only_the_off_grid_shifts(T, omega_points, calls):
+    f = counted(local_spectrum(model_preset("model3", 512)))
+    power_profile(f, range(1, 121), omega_points=omega_points, T=T)
+    assert f.calls == calls
+
+
+@pytest.mark.parametrize("T", [256, 512])
+@pytest.mark.parametrize("name", ["model1", "model2", "model3", "model4", "model5",
+                                  "model6"])
+def test_power_profile_rolls_shifts_beyond_T(name, T):
+    # shifts of more than one turn, both ways, against evaluated shifts
+    f = local_spectrum(model_preset(name, 512))
+    assert_matches_per_lag(f, (600, -513, 1024, -1), T)
 
 
 def test_power_profile_rejects_lag_zero_anywhere():
@@ -429,7 +459,10 @@ def off_grid(value, omega_points=513):
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0])
 def test_power_profile_checks_the_shifted_evaluations(value):
+    # at T = 300 and 500, 512 * r / T is not whole for r = 1, 2, so both
+    # shifts are evaluated off the grid
     f = off_grid(value)
     assert power_profile(f, [1, 2]).B_values == pytest.approx([0, 0], abs=1e-15)
-    with pytest.raises(DegenerateSpectrumError):
-        power_profile(f, [1, 2], T=512)
+    for T in (300, 500):
+        with pytest.raises(DegenerateSpectrumError):
+            power_profile(f, [1, 2], T=T)
