@@ -18,6 +18,7 @@ which is exact for the integer dof the API takes. They need nothing beyond
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +107,8 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
 
 
 # Lengths with a prime factor above this take _chirp_rfft: there it beats
-# numpy's rfft on one row (see its table), below it numpy is as fast or faster
+# numpy's rfft on one row (README.md, "Performance notes"), below it numpy
+# is as fast or faster
 _CHIRP_MIN_PRIME = 2 ** 13
 
 
@@ -137,29 +139,10 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     result. Agrees with numpy's rfft to within 1.4e-15 of its largest entry
     (20 lengths from 32 to 1000003, random normal rows).
 
-    Median times of one ``_block_covariances`` call (m = 10, the kernel's
-    loop route) with numpy's rfft / with this, ms, each in its own process
-    on one core of a 2-vCPU Intel Xeon VM, numpy 2.4 (times below 1 ms vary
-    by about 20% between runs):
-
-        rows x T           rfft / chirp     rows x T        rfft / chirp
-        1 x 257            0.24 / 0.30      50 x 257        1.78 / 1.93
-        1 x 1021           0.38 / 0.46      50 x 1021       6.02 / 6.34
-        1 x 4093           1.05 / 1.02      16 x 4093       6.05 / 6.92
-        1 x 8191           2.25 / 1.94      16 x 8191       15.5 / 18.0
-        1 x 8209           2.45 / 2.14      16 x 16381      31.1 / 33.1
-        1 x 16381          4.40 / 3.83       4 x 65521      51.4 / 45.3
-        1 x 3 * 16381      13.5 / 12.1       1 x 127 * 64   0.77 / 1.86
-        1 x 65521          17.7 / 14.4       1 x 7 * 2**15  20.7 / 51.2
-        1 x 262139         90.2 / 68.8
-
-    numpy's rfft shares its plan across the rows of a block, where this
-    pays for the chirp's transform once per call besides two transforms of
-    about 1.5T per row; blocks of many rows therefore gain less or lose
-    (16 x 16381 is 6% slower), and lengths whose prime factors are all
-    small are faster with numpy. The rule in :func:`_takes_chirp` takes T
-    alone; its threshold is where one row, the single test of a long
-    series, starts to gain.
+    The rule in :func:`_takes_chirp` takes T alone. Its threshold is where
+    one row, the single test of a long series, starts to gain: numpy's rfft
+    shares its plan across a block's rows, where this pays for the chirp's
+    transform on every call (README.md, "Performance notes").
     """
     shape, T = x.shape, x.shape[-1]
     x = x.reshape(-1, T)
@@ -199,11 +182,13 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     return out.reshape(shape[:-1] + (K,))
 
 
+@functools.lru_cache(maxsize=256)
 def _fast_length(m: int) -> int:
     """Smallest n = 2**a * 3**b * 5**c with n >= m (m >= 1).
 
     numpy's FFT factors a length into small radices, so these lengths
-    transform fast; for m >= 8 the result is below 1.16 * m.
+    transform fast; for m >= 8 the result is below 1.16 * m. Memoized: a
+    test plan asks for the same few lengths on every call.
     """
     best = 1 << (m - 1).bit_length()
     p5 = 1
@@ -329,6 +314,13 @@ def chisq_quantile(p: float, dof: int) -> float:
         raise InvalidInputError(f"chisq_quantile requires p in [0, 1), got {p}")
     if int(dof) != dof or dof < 1:
         raise InvalidInputError(f"chisq_quantile requires an integer dof >= 1, got {dof}")
+    return _chisq_quantile(float(p), int(dof))
+
+
+@functools.lru_cache(maxsize=256)
+def _chisq_quantile(p: float, dof: int) -> float:
+    """``chisq_quantile`` of checked arguments, memoized: a Monte Carlo study
+    asks for one or two quantiles, and a run of studies for the same ones."""
     if p == 0.0:
         return 0.0
     target = 1.0 - p  # sf value at the quantile

@@ -9,6 +9,7 @@ drop ``burn_in`` initial steps, so a realization is a pure function of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -28,21 +29,32 @@ _TWO_PI = 2.0 * math.pi
 
 def _ar_root_check(ar, context: str):
     """Stationarity check: roots of 1 - a1 z - ... - ap z^p outside the unit
-    circle."""
-    a = np.asarray(ar, dtype=float)
-    if a.size == 0:
-        return
-    coeffs = np.concatenate([-a[::-1], [1.0]])  # descending powers for np.roots
-    roots = np.roots(coeffs)
-    if roots.size == 0:
-        return
-    min_mod = float(np.min(np.abs(roots)))
+    circle; non-finite coefficients are rejected first."""
+    a = tuple(map(float, ar))
+    if not all(map(math.isfinite, a)):
+        raise InvalidInputError(f"{context}: AR coefficients must be finite, got {a}")
+    min_mod = _min_root_modulus(a)
     if min_mod <= 1.0 + 1e-10:
         raise StabilityError(
             f"{context}: AR polynomial has a root of modulus {min_mod:.6g} "
             "on or inside the unit circle",
             root_modulus=min_mod,
         )
+
+
+@functools.lru_cache(maxsize=256)
+def _min_root_modulus(ar: tuple) -> float:
+    """Smallest root modulus of 1 - a1 z - ... - ap z^p for finite a, inf when
+    it has no roots. Memoized by the coefficients: a Monte Carlo study checks
+    its model once, and a run of studies the same few models.
+
+    The roots are the reciprocals of the nonzero roots of the monic
+    z^p - a1 z^(p-1) - ... - ap, whose companion matrix holds the a's
+    themselves; dividing by a tiny ap instead would overflow.
+    """
+    roots = np.roots(np.concatenate([[1.0], -np.array(ar)]))  # descending powers
+    largest = float(np.max(np.abs(roots), initial=0.0))
+    return 1.0 / largest if largest else math.inf
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,6 @@ def _kernel_weights(kind: str, b: float, T: int) -> np.ndarray:
         w = np.ones_like(x, dtype=float)
     else:  # bartlett
         w = 2.0 * (1.0 - 2.0 * np.abs(x))
-    w = np.clip(w, 0.0, None)
     return w / w.sum()
 
 

@@ -28,6 +28,7 @@ local variance of the prewhitened series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,26 @@ DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 
 def validate_lags(lags, T: int) -> tuple[int, ...]:
-    """Check every lag lies in 1..T-1 and avoids the excluded value T/2."""
+    """Check every lag is an integer in 1..T-1 other than the excluded T/2.
+
+    Returns the lags as a tuple of ints. A list of ints (numpy's too) is
+    checked in one pass of C-level calls; any other list goes lag by lag,
+    and a bad one raises InvalidLagError for its first bad lag.
+    """
+    lags = tuple(lags)
+    try:
+        out = tuple(map(operator.index, lags))
+    except TypeError:  # a float, a fraction, None, ...
+        out = ()
+    if out and min(out) >= 1 and max(out) < T and (T % 2 or T // 2 not in out):
+        return out
     out = []
     for r in lags:
-        if int(r) != r:
+        try:
+            integral = int(r) == r
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, None, ...
+            integral = False
+        if not integral:
             raise InvalidLagError(f"lag must be an integer, got {r!r}")
         r = int(r)
         if r < 1 or r > T - 1:
@@ -88,8 +105,9 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
     Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
     its own, so its values do not depend on the block. The transform route
     overwrites Zh and writes y to ``work``, a C-ordered real array of shape
-    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route reuses
-    one product buffer across the lags.
+    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route
+    conjugates the unfolded Z once and reuses one product buffer across
+    the lags.
 
     Two routes give the same numbers to rounding:
 
@@ -105,27 +123,9 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
     The transform route runs whenever T is 5-smooth (``transform``, worked
     out from T when None), the loop otherwise. The route depends on T
     alone, so a lag's c(r) is the same bits whatever the other lags and
-    rows. Median times of the two routes on the same Zh (loop ms /
-    transform ms), one core of a 2-vCPU Intel Xeon VM, numpy 2.4, one BLAS
-    thread:
-
-        shape                    L=1           L=4           L=10
-        50 x 512                 0.56 / 0.20   0.70 / 0.20   1.06 / 0.22
-        16 x 4096                1.59 / 0.75   2.16 / 0.77   3.03 / 0.76
-        1 x 2**16                1.33 / 1.24   1.73 / 1.24   2.53 / 1.24
-        1 x 2**18                4.12 / 7.41   5.98 / 7.34   9.62 / 7.36
-        1 x 2**20                24.0 / 41.5   31.9 / 39.6   51.0 / 40.9
-        1 x 262139 (prime)       5.95 / 142    5.18 / 134    10.4 / 131
-
-    numpy's real transforms of a prime length cost many times those of a
-    5-smooth one: 51-62 ms each at 262139 against 3.7 ms at 2**18, as numpy
-    plans its Bluestein anew on every call. The chirp-z DFT of numerics
-    (``_chirp_rfft``) takes 42-47 ms for one, so two of them would still
-    cost several times the loop's 10 lags, and such T stay on the loop
-    whatever L. For T >= 2**18 and a few lags the loop is faster, by at
-    most 13% of the whole block pipeline at L = 1 (DFT, smoothing and
-    covariances take 27 ms at 2**18 and 134 ms at 2**20 for one row), which
-    does not pay for a second rule.
+    rows. Other T stay on the loop whatever L, since numpy's real
+    transforms of such lengths cost several times those of a 5-smooth one,
+    more than the loop's product-means (README.md, "Performance notes").
     """
     if transform is None:
         transform = _fast_length(T) == T
@@ -134,13 +134,13 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         np.square(y, out=y)
         return _rfft_at(np.fft.rfft(y, axis=-1, out=Zh), lags, T) / T ** 2
     Z = _unfold(Zh, T)
+    Zc = np.conjugate(Z)
     product = np.empty_like(Z)
     out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
     for n, r in enumerate(lags):
         # product_k = Z_k * conj(Z_{k+r}), k + r wrapping at T
-        np.conjugate(Z[..., r:], out=product[..., :T - r])
-        np.conjugate(Z[..., :r], out=product[..., T - r:])
-        np.multiply(Z, product, out=product)
+        np.multiply(Z[..., :T - r], Zc[..., r:], out=product[..., :T - r])
+        np.multiply(Z[..., T - r:], Zc[..., :r], out=product[..., T - r:])
         out[..., n] = np.mean(product, axis=-1)
     return out
 
@@ -234,11 +234,10 @@ class CorrectionSpec:
 
 
 def _correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
-    """Denominators 1 + kappa_r / 2 for each requested lag."""
-    lags = tuple(int(r) for r in lags)
+    """Denominators 1 + kappa_r / 2 for each requested (validated) lag."""
     if spec.mode == "gaussian":
-        denom = np.ones(len(lags))
-    elif spec.mode == "linear_plugin":
+        return np.ones(len(lags))
+    if spec.mode == "linear_plugin":
         denom = np.array(
             [1.0 + 0.5 * spec.kappa4 * _phase_coherence(spec.psi, _TWO_PI * r / T)
              for r in lags]

@@ -1,7 +1,8 @@
-"""Property-based checks, derandomized so that every run draws the same
-examples."""
+"""Property-based checks. ``conftest.py`` loads the suite's hypothesis
+profile, so every run draws the same examples."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,22 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dftstat import local_spectrum, model_preset, power_profile  # noqa: E402
+from dftstat import (  # noqa: E402
+    InvalidLagError,
+    chisq_quantile,
+    local_spectrum,
+    model_preset,
+    power_profile,
+)
 from dftstat.experiments import (  # noqa: E402
     _eval_local,
     _time_average,
     _trapezoid_weights,
     _u_fourier,
 )
+from dftstat.numerics import _chisq_quantile, _fast_length  # noqa: E402
+from dftstat.simulate import _min_root_modulus  # noqa: E402
+from dftstat.stattest import validate_lags  # noqa: E402
 
 PRESETS = ("model1", "model2", "model3", "model4", "model5", "model6")
 
@@ -52,7 +62,7 @@ def tilted(f):
     return lambda u, w: f(u, w) * (2.0 + np.sin(w))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(shift_cases())
 def test_power_profile_equals_evaluating_every_shift(case):
     name, tilt, T, omega_points, lags = case
@@ -63,3 +73,104 @@ def test_power_profile_equals_evaluating_every_shift(case):
     want = power_profile_evaluating_every_shift(f, lags, T, 129, omega_points)
     # models 1 and 2 have B = 0, up to rounding of the O(1) integrand
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# lag validation and the memoized helpers
+# ---------------------------------------------------------------------------
+
+
+def validate_lags_by_loop(lags, T):
+    """``validate_lags`` as a per-lag loop; a lag that int() cannot convert
+    (NaN, inf, None) counts as not an integer."""
+    out = []
+    for r in lags:
+        try:
+            integral = int(r) == r
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise InvalidLagError(f"lag must be an integer, got {r!r}")
+        r = int(r)
+        if r < 1 or r > T - 1:
+            raise InvalidLagError(f"lag {r} outside the valid range 1..{T - 1}")
+        if T % 2 == 0 and r == T // 2:
+            raise InvalidLagError(f"lag {r} equals T/2 and is excluded for T={T}")
+        out.append(r)
+    if not out:
+        raise InvalidLagError("at least one lag is required")
+    return tuple(out)
+
+
+def outcome(validate, lags, T):
+    try:
+        out = validate(lags, T)
+    except InvalidLagError as exc:
+        return InvalidLagError, str(exc)
+    assert all(type(r) is int for r in out)
+    return out
+
+
+@st.composite
+def lag_cases(draw):
+    T = draw(st.integers(2, 600))
+    r = st.integers(-2, T + 2)
+    as_lag = st.sampled_from((int, np.int64, np.int32, float, np.float64, Fraction))
+    lag = st.one_of(
+        st.tuples(as_lag, r).map(lambda c: c[0](c[1])),
+        st.just(T // 2),
+        st.fractions(-2, T + 2, max_denominator=4),
+        st.floats(-2, T + 2),
+        st.sampled_from((math.nan, math.inf, -math.inf, None, np.float64(math.nan))),
+    )
+    valid = st.tuples(as_lag, st.integers(1, T - 1)).map(lambda c: c[0](c[1]))
+    return T, draw(st.one_of(st.lists(lag, max_size=6), st.lists(valid, max_size=40)))
+
+
+@settings(max_examples=400)
+@given(lag_cases())
+def test_validate_lags_equals_the_per_lag_loop(case):
+    T, lags = case
+    assert outcome(validate_lags, lags, T) == outcome(validate_lags_by_loop, lags, T)
+
+
+def cold_and_warm(helper, calls):
+    """Call a memoized helper on each argument tuple in turn from an empty
+    cache, so repeats are warm; each value must equal the uncached one."""
+    helper.cache_clear()
+    for args in calls:
+        want = helper.__wrapped__(*args)
+        assert helper(*args) == want
+        assert helper(*args) == want  # warm
+
+
+# small pools, so a list of calls repeats and mixes its arguments
+@settings(max_examples=50)
+@given(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 300_000)), max_size=20))
+def test_fast_length_memoized_equals_uncached(ms):
+    cold_and_warm(_fast_length, [(m,) for m in ms])
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 0.5, 0.9, 0.95, 0.99)),
+                                    st.floats(0.0, 0.999999)),
+                          st.integers(1, 4) | st.integers(1, 60)), max_size=12))
+def test_chisq_quantile_memoized_equals_uncached(calls):
+    cold_and_warm(_chisq_quantile, calls)
+    for p, dof in calls:  # the public function reads the same cache
+        assert chisq_quantile(p, dof) == _chisq_quantile.__wrapped__(p, dof)
+
+
+coefficient = st.one_of(st.sampled_from((0.0, 0.5, -0.5, 0.8, 1.5, -0.75, 1.0, -0.7)),
+                        st.floats(-3.0, 3.0))
+
+
+def nudged(ar):
+    """ar with every coefficient moved by about 1e-4: a near miss for a key."""
+    return tuple(c + 1e-4 * (1.0 + abs(c)) for c in ar)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(coefficient, max_size=3).map(tuple), max_size=8))
+def test_min_root_modulus_memoized_equals_uncached(calls):
+    cold_and_warm(_min_root_modulus, [(a,) for ar in calls for a in (ar, nudged(ar))])

@@ -16,7 +16,12 @@ from dftstat import (
     model_preset,
     spec_from_dict,
 )
-from dftstat.simulate import _arma_spectrum_fn, _filter_rows, innovation_count
+from dftstat.simulate import (
+    _arma_spectrum_fn,
+    _filter_rows,
+    _min_root_modulus,
+    innovation_count,
+)
 
 
 def ar1_spectrum(a, w):
@@ -100,6 +105,32 @@ def test_explosive_ar_rejected_with_root_modulus():
     with pytest.raises(StabilityError) as err:
         generate(bad, GeneratorConfig(T=64, burn_in=0, rng=RngStream(1, 0)))
     assert err.value.root_modulus == pytest.approx(0.678, abs=1e-3)
+
+
+def test_non_finite_ar_coefficients_rejected_with_context():
+    nan = float("nan")
+    cases = ((ArmaSpec(ar=(nan,)), "ArmaSpec"),
+             (ArmaSpec(ar=(0.5, float("inf"))), "ArmaSpec"),
+             (ChangepointArSpec(segments=((0.5, (0.8,)), (1.0, (nan, 0.1)))),
+              "segment ending at 1.0"),
+             (TvInnovationArSpec(ar=(nan,), sigma=np.ones_like), "TvInnovationArSpec"))
+    for spec, context in cases:
+        with pytest.raises(InvalidInputError, match=f"^{context}: AR coefficients must be finite"):
+            spec.validate()
+
+
+def test_root_modulus_equals_the_direct_roots():
+    rng = np.random.default_rng(5)
+    cases = [(0.8,), (1.0, -0.7), (1.5, -0.75), (1.0, 0.7), (0.5, 0.0), (0.0, 0.5)]
+    cases += [tuple(rng.uniform(-1.5, 1.5, p)) for p in (1, 2, 3, 5) for _ in range(5)]
+    for ar in cases:
+        direct = np.roots(np.concatenate([-np.array(ar[::-1]), [1.0]]))
+        assert _min_root_modulus(ar) == pytest.approx(np.min(np.abs(direct)), rel=1e-12)
+    assert _min_root_modulus(()) == _min_root_modulus((0.0, 0.0)) == np.inf
+    # 1 - 0.5 z - 1e-310 z^2 has roots near 2 and -5e309: stable, and dividing
+    # by the z^2 coefficient would overflow
+    ArmaSpec(ar=(0.5, 1e-310)).validate()
+    assert _min_root_modulus((0.5, 1e-310)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_changepoint_matches_loop_oracle():

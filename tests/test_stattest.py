@@ -12,6 +12,7 @@ from dftstat import (
     InvalidInputError,
     InvalidLagError,
     KernelSpec,
+    McConfig,
     RngStream,
     SegmentationDepthError,
     chisq_sf,
@@ -271,6 +272,13 @@ def test_covariance_lag_validation():
     for bad in (0, 32, 64, -1):
         with pytest.raises(InvalidLagError):
             stationarity_test(x, lags=[bad])
+    # int() of these raises ValueError, OverflowError and TypeError
+    for bad in (float("nan"), float("inf"), None):
+        msg = f"^lag must be an integer, got {bad!r}$"
+        with pytest.raises(InvalidLagError, match=msg):
+            stationarity_test(x, lags=[1, bad])
+        with pytest.raises(InvalidLagError, match=msg):
+            McConfig(model=model_preset("model1"), T=64, lags=(bad,))
 
 
 # ---------------------------------------------------------------------------
