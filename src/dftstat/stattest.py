@@ -105,9 +105,8 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
     Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
     its own, so its values do not depend on the block. The transform route
     overwrites Zh and writes y to ``work``, a C-ordered real array of shape
-    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route
-    conjugates the unfolded Z once and reuses one product buffer across
-    the lags.
+    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route reuses
+    one product buffer across the lags.
 
     Two routes give the same numbers to rounding:
 
@@ -134,13 +133,13 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         np.square(y, out=y)
         return _rfft_at(np.fft.rfft(y, axis=-1, out=Zh), lags, T) / T ** 2
     Z = _unfold(Zh, T)
-    Zc = np.conjugate(Z)
     product = np.empty_like(Z)
     out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
     for n, r in enumerate(lags):
         # product_k = Z_k * conj(Z_{k+r}), k + r wrapping at T
-        np.multiply(Z[..., :T - r], Zc[..., r:], out=product[..., :T - r])
-        np.multiply(Z[..., T - r:], Zc[..., :r], out=product[..., T - r:])
+        np.conjugate(Z[..., r:], out=product[..., :T - r])
+        np.conjugate(Z[..., :r], out=product[..., T - r:])
+        np.multiply(Z, product, out=product)
         out[..., n] = np.mean(product, axis=-1)
     return out
 
