@@ -5,6 +5,10 @@ deterministic for a fixed seed: CSV floats carry 17 significant digits and
 JSON numbers use exact round-trip formatting. Exit codes: 0 the command
 ran (test decisions are data, not failures), 2 input or configuration
 error, 3 numerical error.
+
+Only the modules a test needs load with this one: the simulation and Monte
+Carlo layers are imported by the commands that use them, so ``test`` and
+``segment`` start without them.
 """
 
 from __future__ import annotations
@@ -26,20 +30,6 @@ from .stattest import (
     TestResult,
     segmented_test,
     stationarity_test,
-)
-from .simulate import (
-    GeneratorConfig,
-    PRESET_NAMES,
-    generate,
-    local_spectrum,
-    model_preset,
-    spec_from_dict,
-)
-from .experiments import (
-    McConfig,
-    lag_scan,
-    power_profile,
-    rejection_rate,
 )
 
 EXIT_OK = 0
@@ -118,8 +108,13 @@ def apply_transform(series: np.ndarray, name: str | None) -> np.ndarray:
     raise InputError(f"unknown transform {name!r}")
 
 
-def _parse_lag_list(text: str) -> tuple[int, ...]:
-    """Lag lists like '3,17,40' or ranges like '1..120' (mixable)."""
+def _parse_lag_list(text: str, limit: int | None = None) -> tuple[int, ...]:
+    """Lag lists like '3,17,40' or ranges like '1..120' (mixable).
+
+    With ``limit`` (the series length T), a range is cut after T: every lag
+    from T on is invalid, so the cut list fails validation at the same
+    first bad lag as the whole one, without building a huge range first.
+    """
     lags = []
     for item in text.split(","):
         item = item.strip()
@@ -131,6 +126,8 @@ def _parse_lag_list(text: str) -> tuple[int, ...]:
                 raise InputError(f"bad lag range {item!r}") from None
             if hi_i < lo_i:
                 raise InputError(f"bad lag range {item!r}")
+            if limit is not None:
+                hi_i = min(hi_i, max(lo_i, limit))
             lags.extend(range(lo_i, hi_i + 1))
         else:
             try:
@@ -144,6 +141,8 @@ def _parse_lag_list(text: str) -> tuple[int, ...]:
 
 def _resolve_model(name_or_path: str, T: int):
     """Preset name, or a path to a declarative JSON model spec."""
+    from .simulate import PRESET_NAMES, model_preset, spec_from_dict
+
     if name_or_path in PRESET_NAMES:
         return model_preset(name_or_path, T), name_or_path
     p = Path(name_or_path)
@@ -192,15 +191,20 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
         raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _lags_from_args(args) -> tuple[int, ...]:
+def _lag_kwargs(args, T: int) -> dict:
+    """``lags``/``m`` keywords from --lags or --m for a series of length T.
+
+    --m passes through, and the library bounds it by T before building the
+    lags, so a huge --m fails at its first bad lag as quickly as m = T.
+    """
     if args.lags is not None and args.m is not None:
         raise InputError("give either --m or --lags, not both")
     if args.lags is not None:
-        return _parse_lag_list(args.lags)
+        return {"lags": _parse_lag_list(args.lags, T)}
     m = 4 if args.m is None else args.m
     if m < 1:
         raise InputError(f"--m must be >= 1, got {m}")
-    return tuple(range(1, m + 1))
+    return {"lags": None, "m": m}
 
 
 def _outdir(args) -> Path:
@@ -250,10 +254,11 @@ def _write_text(path_or_none, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _test_kwargs(args) -> dict:
-    """Library keyword arguments of the flags that ``test`` and ``segment`` share."""
+def _test_kwargs(args, T: int) -> dict:
+    """Library keyword arguments of the flags that ``test`` and ``segment``
+    share, for a series of length T."""
     return {
-        "lags": _lags_from_args(args),
+        **_lag_kwargs(args, T),
         "kernel": _kernel_from_args(args),
         "correction": _correction_from_args(args),
         "ridge_factor": args.ridge_factor,
@@ -263,9 +268,8 @@ def _test_kwargs(args) -> dict:
 
 
 def _cmd_test(args) -> int:
-    kwargs = _test_kwargs(args)
     series = apply_transform(read_series(args.input, args.column), args.transform)
-    res = stationarity_test(series, **kwargs)
+    res = stationarity_test(series, **_test_kwargs(args, series.size))
     config = {
         "input": args.input,
         "transform": args.transform,
@@ -292,9 +296,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    kwargs = _test_kwargs(args)
     series = apply_transform(read_series(args.input, args.column), args.transform)
-    report = segmented_test(series, depth=args.depth, **kwargs)
+    report = segmented_test(series, depth=args.depth, **_test_kwargs(args, series.size))
     rows = [
         {
             "depth": b.depth, "index": b.index, "start": b.start, "end": b.stop,
@@ -306,7 +309,8 @@ def _cmd_segment(args) -> int:
         payload = {
             "command": "segment",
             "config": {"input": args.input, "transform": args.transform,
-                       "T": report.T, "depth": report.depth, "lags": list(kwargs["lags"])},
+                       "T": report.T, "depth": report.depth,
+                       "lags": list(report.blocks[0].result.lags)},
             "blocks": rows,
         }
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
@@ -324,6 +328,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import GeneratorConfig, generate
+
     spec, name = _resolve_model(args.model, args.T)
     config = GeneratorConfig(T=args.T, burn_in=args.burn_in,
                              rng=RngStream(args.seed, args.stream))
@@ -334,7 +340,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    lags = _lags_from_args(args)
+    from .experiments import McConfig, rejection_rate
+
+    lag_kwargs = _lag_kwargs(args, args.T)
+    lags = lag_kwargs["lags"] or tuple(range(1, min(lag_kwargs["m"], args.T) + 1))
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     spec, name = _resolve_model(args.model, args.T)
@@ -370,7 +379,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    lags = _parse_lag_list(args.lags)
+    from .experiments import lag_scan
+
+    lags = _parse_lag_list(args.lags, args.T)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     spec, name = _resolve_model(args.model, args.T)
@@ -385,6 +396,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .experiments import power_profile
+    from .simulate import local_spectrum
+
     lags = _parse_lag_list(args.lags)
     spec, name = _resolve_model(args.model, args.T)
     profile = power_profile(local_spectrum(spec), lags, u_points=args.u_grid,
@@ -470,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("simulate", help="write one realization of a model")
-    p.add_argument("model", help=f"preset ({', '.join(PRESET_NAMES)}) or JSON spec file")
+    p.add_argument("model", help="preset name or JSON spec file")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)

@@ -68,8 +68,9 @@ class McConfig:
         object.__setattr__(self, "lags", validate_lags(self.lags, self.T))
 
     def with_m(self, m: int) -> "McConfig":
-        """Same study with consecutive lags 1..m."""
-        return replace(self, lags=tuple(range(1, m + 1)))
+        """Same study with consecutive lags 1..m (cut after T, where every lag
+        is invalid, so a huge m fails as quickly as m = T)."""
+        return replace(self, lags=range(1, min(m, self.T) + 1))
 
 
 @dataclass(frozen=True)

@@ -52,21 +52,14 @@ def dft_canonical(series) -> np.ndarray:
     5-smooth length (see ``_half_dft_rows``). Equals the direct O(T^2)
     summation to 1e-9 relative.
     """
+    if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
+        raise InvalidInputError("series must be real")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InvalidInputError(
             f"dft_canonical needs a 1-d series of length >= 2, got shape {x.shape}"
         )
-    return _dft_rows(x)
-
-
-def _dft_rows(x: np.ndarray) -> np.ndarray:
-    """Canonical DFT along the last axis, one transform per row.
-
-    Each row's transform is computed on its own, so a row's result does not
-    depend on how many rows share the block.
-    """
-    return _unfold(_half_dft_rows(x), x.shape[-1])
+    return _unfold(_half_dft_rows(x), x.size)
 
 
 def _half_dft_rows(x: np.ndarray, demean: bool = False,

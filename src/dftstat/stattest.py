@@ -297,7 +297,9 @@ class _TestPlan:
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     kern, weights = _smoother(kernel, T, ridge_factor)
     n, spectrum = _half_transform(weights, T)
-    lags = validate_lags(range(1, m + 1) if lags is None else lags, T)
+    # lags from T on are all invalid, so 1..min(m, T) fails at the same first
+    # bad lag as 1..m, without building a huge m's lags first
+    lags = validate_lags(range(1, min(m, T) + 1) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
     return _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum,
@@ -366,6 +368,8 @@ def _contributions(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
 
 
 def _checked_series(series) -> np.ndarray:
+    if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
+        raise InvalidInputError("series must be real")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError(f"series must be 1-d, got shape {x.shape}")

@@ -84,6 +84,30 @@ def test_parse_lag_list():
         _parse_lag_list("5..1")
     with pytest.raises(InputError):
         _parse_lag_list("abc")
+    # with the series length, a range is cut after it: from T on every lag is bad
+    assert _parse_lag_list("1..1000000000,5", 64) == (*range(1, 65), 5)
+    assert _parse_lag_list("100..1000000000", 64) == (100,)
+    assert _parse_lag_list("1..5", 64) == (1, 2, 3, 4, 5)
+
+
+# --m and --lags ranges far beyond T fail at the same first bad lag as T itself,
+# without building the lags (10**9 of them would not fit in memory)
+@pytest.mark.parametrize("argv, at_T, huge", [
+    ("test {series}", "--m 64", "--m 10000000"),
+    ("test {series}", "--lags 1..64", "--lags 1..10000000"),
+    ("segment {series} --depth 1", "--m 64", "--m 10000000"),
+    ("segment {series} --depth 1", "--lags 1..64", "--lags 1..10000000"),
+    ("mc model1 --T 64 --N 2 --outdir {out}", "--m 64", "--m 10000000"),
+    ("scan model1 --T 64 --N 2 --outdir {out}", "--lags 1..64", "--lags 1..10000000"),
+])
+def test_a_huge_lag_count_exits_2_like_m_equal_T(argv, at_T, huge, tmp_path, capsys):
+    series = tmp_path / "series.txt"
+    write_series(series, np.random.default_rng(4).standard_normal(64).tolist())
+    errors = []
+    for lag_flags in (at_T, huge):
+        assert main(f"{argv} {lag_flags}".format(series=series, out=tmp_path).split()) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: lag 32 equals T/2 and is excluded for T=64\n"
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +259,8 @@ def test_out_of_memory_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys)
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 382. GiB")
 
-    monkeypatch.setattr("dftstat.cli.power_profile", exhausted)
+    # the power command looks the function up in experiments when it runs
+    monkeypatch.setattr("dftstat.experiments.power_profile", exhausted)
     rc = main(["power", "model6", "--lags", "1..2", "--u-grid", "100000000",
                "--outdir", str(tmp_path)])
     assert rc == 3
@@ -434,19 +459,31 @@ def test_power_artifact_does_not_depend_on_blas_threads(tmp_path):
 
 _IMPORT_GUARD = textwrap.dedent("""
     import sys
-    import dftstat, dftstat.cli
+    lazy = {"dftstat.simulate", "dftstat.experiments"}
+    import dftstat
+    assert not lazy & set(sys.modules), "loaded by import dftstat"
+    import dftstat.cli
     assert dftstat.cli.main(["test", sys.argv[1]]) == 0
+    assert dftstat.cli.main(["segment", sys.argv[1], "--depth", "1"]) == 0
+    assert not lazy & set(sys.modules), "loaded by test or segment"
     heavy = {"scipy", "statistics"} & {name.partition(".")[0] for name in sys.modules}
     assert not heavy, heavy
     from dftstat import GeneratorConfig, RngStream, generate, model_preset
+    assert "dftstat.simulate" in sys.modules
     x = generate(model_preset("model3", 256), GeneratorConfig(T=256, rng=RngStream(1, 0)))
     assert x.shape == (256,) and "scipy.signal" in sys.modules
+    namespace = {}
+    exec("from dftstat import *", namespace)
+    unbound = set(dftstat.__all__) - set(namespace)
+    assert not unbound, unbound
 """)
 
 
 def test_test_command_loads_no_scipy_signal_or_ndimage(tmp_path):
     # scipy.signal (which pulls in scipy.ndimage) takes about 1 s to import;
-    # only the simulators need it, and they import it on first use
+    # only the simulators need it, and they import it on first use. The
+    # simulation and Monte Carlo layers themselves load on first use too, so
+    # a test or segment command never compiles them.
     path = tmp_path / "series.txt"
     write_series(path, np.random.default_rng(3).standard_normal(512).tolist())
     env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))

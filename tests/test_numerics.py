@@ -12,7 +12,7 @@ from dftstat import (
     dft_canonical,
     gauss_stream,
 )
-from dftstat.numerics import _chirp_rfft, _dft_rows, _half_dft_rows, _takes_chirp
+from dftstat.numerics import _chirp_rfft, _half_dft_rows, _takes_chirp, _unfold
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,9 @@ def test_dft_shortest_series_match_direct_sum(T):
 @pytest.mark.parametrize("T", [32, 33, 257, 4096, 16381])
 def test_dft_a_block_equals_its_rows(T):
     x = np.random.default_rng(T).standard_normal((7, T))
-    block = _dft_rows(x)
+    block = _unfold(_half_dft_rows(x), T)
     for i in range(7):
-        assert np.array_equal(block[i], _dft_rows(x[i]))
+        assert np.array_equal(block[i], _unfold(_half_dft_rows(x[i]), T))
 
 
 def conj_half_dft(series):

@@ -23,9 +23,14 @@ from dftstat.experiments import (  # noqa: E402
     _trapezoid_weights,
     _u_fourier,
 )
-from dftstat.numerics import _chisq_quantile, _fast_length  # noqa: E402
+from dftstat.numerics import _chisq_quantile, _fast_length, _half_dft_rows  # noqa: E402
 from dftstat.simulate import _min_root_modulus  # noqa: E402
-from dftstat.stattest import validate_lags  # noqa: E402
+from dftstat.stattest import (  # noqa: E402
+    _block_covariances,
+    _lag_covariances,
+    _plan,
+    validate_lags,
+)
 
 PRESETS = ("model1", "model2", "model3", "model4", "model5", "model6")
 
@@ -73,6 +78,55 @@ def test_power_profile_equals_evaluating_every_shift(case):
     want = power_profile_evaluating_every_shift(f, lags, T, 129, omega_points)
     # models 1 and 2 have B = 0, up to rounding of the O(1) integrand
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the covariance kernel's routes and the block pipeline
+# ---------------------------------------------------------------------------
+
+
+def modulated_rows(rows, T, seed):
+    """rows variance-modulated noise series, so low lags carry covariance."""
+    scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(1, T + 1) / T)
+    return np.random.default_rng(seed).standard_normal((rows, T)) * scale
+
+
+@st.composite
+def kernel_cases(draw, lengths, rows):
+    """(rows, T, lags, seed): T from ``lengths``, up to 12 valid lags of it
+    (any order, repeats allowed), lags above T/2 included."""
+    T = draw(lengths)
+    lag = st.integers(1, T - 1).filter(lambda r: 2 * r != T)
+    return (draw(rows), T, tuple(draw(st.lists(lag, min_size=1, max_size=12))),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# 5-smooth lengths, which the kernel runs on its transforms, and any others
+LENGTHS = st.one_of(st.integers(32, 5000).map(_fast_length).filter(lambda T: T <= 5000),
+                    st.integers(32, 5000))
+
+
+@settings(max_examples=150)
+@given(kernel_cases(LENGTHS, st.integers(1, 3)))
+def test_the_kernel_routes_agree(case):
+    rows, T, lags, seed = case
+    Zh = _half_dft_rows(modulated_rows(rows, T, seed), demean=True)
+    by_transform = _lag_covariances(Zh.copy(), T, lags, transform=True)
+    by_loop = _lag_covariances(Zh.copy(), T, lags, transform=False)
+    assert np.max(np.abs(by_transform - by_loop)) <= 1e-13 * np.max(np.abs(by_loop))
+
+
+# 16381 and 8209 (primes above 2**13) take the chirp-z DFT
+@settings(max_examples=60)
+@given(kernel_cases(st.one_of(LENGTHS, st.sampled_from((8209, 16381))), st.integers(2, 4)),
+       st.booleans())
+def test_a_block_equals_its_rows(case, demean):
+    rows, T, lags, seed = case
+    X = modulated_rows(rows, T, seed)
+    plan = _plan(T, lags, None, None, None, 1e-3, demean)
+    block = _block_covariances(X, plan)
+    for i in range(rows):
+        assert np.array_equal(block[i], _block_covariances(X[i:i + 1], plan)[0])
 
 
 # ---------------------------------------------------------------------------

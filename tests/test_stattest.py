@@ -24,7 +24,7 @@ from dftstat import (
     smooth_spectral,
     stationarity_test,
 )
-from dftstat.numerics import _dft_rows, _half_dft_rows, _takes_chirp
+from dftstat.numerics import _half_dft_rows, _takes_chirp, _unfold
 from dftstat.spectral import _smooth_rows, _smoother
 from dftstat.stattest import (
     _block_covariances,
@@ -158,7 +158,7 @@ def transformed_rows(rows, T, seed):
     u = np.arange(1, T + 1) / T
     scale = 1 + 0.5 * np.cos(2 * np.pi * u)
     X = np.random.default_rng(seed).standard_normal((rows, T)) * scale
-    J = _dft_rows(X - X.mean(axis=-1, keepdims=True))
+    J = _unfold(_half_dft_rows(X - X.mean(axis=-1, keepdims=True)), T)
     _, weights = _smoother(None, T, 1e-3)
     f, _ = _smooth_rows(np.abs(J) ** 2, weights, 1e-3)
     return J, f
@@ -478,6 +478,32 @@ def test_lag_and_length_validation():
         x2 = x.copy()
         x2[5] = np.nan
         stationarity_test(x2)
+
+
+def test_a_huge_lag_count_fails_like_m_equal_T_without_building_its_lags():
+    # lags from T on are all invalid, so 1..m is cut at T before it is built
+    x = np.random.default_rng(25).standard_normal(64)
+    calls = [lambda m: stationarity_test(x, m=m), lambda m: segmented_test(x, depth=1, m=m)]
+    for call in calls:
+        with pytest.raises(InvalidLagError) as at_T:
+            call(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidLagError) as huge:
+                call(10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(huge.value) == str(at_T.value) == "lag 32 equals T/2 and is excluded for T=64"
+        assert peak < 2 ** 20
+
+
+def test_complex_input_is_refused_not_cut_to_its_real_part():
+    z = np.random.default_rng(26).standard_normal(64) * (1 + 1j)
+    for call in (stationarity_test, lambda s: segmented_test(s, depth=1), dft_canonical):
+        for series in (z, z.tolist()):
+            with pytest.raises(InvalidInputError, match="series must be real"):
+                call(series)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])
