@@ -32,11 +32,13 @@ from .numerics import _gauss_rows, _rfft_at, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
+    _ZERO_SPECTRUM,
     _block_covariances,
     _checked_level,
     _contributions,
-    _first_bad_row,
+    _first_nonfinite_row,
     _plan,
+    _scan_rows,
     _statistics,
     validate_lags,
 )
@@ -94,7 +96,8 @@ _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
 
 def _replications(config: McConfig, reduce):
     """Yield ``reduce(C, plan)`` chunk by chunk, C holding the covariances of
-    the chunk's replications, one row each, in order.
+    the chunk's replications, one row each, in order. A replication whose
+    result is not finite (a zero smoothed spectrum) stops the study.
 
     The per-study checks run once, before the first chunk. A failure there
     would have stopped the first replication, so it is reported as
@@ -115,11 +118,16 @@ def _replications(config: McConfig, reduce):
     for start in range(0, config.replications, rows):
         stop = min(start + rows, config.replications)
         X = _filter_rows(model, _gauss_rows(config.master_seed, start, stop, n), T, burn_in)
-        bad = _first_bad_row(X)
+        bad, exponents = _scan_rows(X)
         if bad is not None:
             i = start + bad[0]
             raise InvalidInputError(f"replication {i} (stream {i}): {bad[1]}")
-        yield reduce(_block_covariances(X, plan), plan)
+        out = reduce(_block_covariances(X, plan, exponents), plan)
+        bad = _first_nonfinite_row(out)
+        if bad is not None:
+            i = start + bad
+            raise DegenerateSpectrumError(f"replication {i} (stream {i}): {_ZERO_SPECTRUM}")
+        yield out
 
 
 def rejection_rate(config: McConfig) -> McReport:

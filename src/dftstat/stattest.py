@@ -34,16 +34,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateSpectrumError,
     DegenerateTransferError,
     InvalidCorrectionError,
     InvalidInputError,
     InvalidLagError,
     SegmentationDepthError,
 )
-from .numerics import _fast_length, _half_dft_rows, _rfft_at, _unfold, chisq_sf
+from .numerics import _fast_length, _half_dft_rows, _rfft_at, chisq_sf
 from .spectral import KernelSpec, _half_transform, _smooth_half, _smoother
 
 _TWO_PI = 2.0 * math.pi
+_MAX_FLOAT = float(np.finfo(float).max)
 
 MIN_SERIES_LENGTH = 32
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
@@ -94,6 +96,18 @@ def _checked_level(level) -> float:
 # ---------------------------------------------------------------------------
 
 
+# np.einsum sums a row of a many-row block in pieces of its 8192-point buffer,
+# and a row alone in one go, so the loop route sums pieces of at most that
+# length itself: a row's bits then do not depend on the rows beside it
+_EINSUM_PIECE = 8192
+
+
+def _pieces(a: int, b: int):
+    """(start, stop) of the pieces of range(a, b), each _EINSUM_PIECE long
+    but the last."""
+    return ((s, min(s + _EINSUM_PIECE, b)) for s in range(a, b, _EINSUM_PIECE))
+
+
 def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = None,
                      transform: bool | None = None) -> np.ndarray:
     """The covariance kernel: c(r) for every row of the half spectrum Zh.
@@ -105,8 +119,8 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
     Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
     its own, so its values do not depend on the block. The transform route
     overwrites Zh and writes y to ``work``, a C-ordered real array of shape
-    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route reuses
-    one product buffer across the lags.
+    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route leaves
+    both alone.
 
     Two routes give the same numbers to rounding:
 
@@ -116,15 +130,25 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         r <= T/2 and conj(c(T - r)) above, every lag for two real
         transforms.
     loop
-        Z unfolded to the full circle, then one length-T product-mean per
-        lag, O(L*T).
+        One pass over half the circle per lag, O(L*T/2). With q = min(r,
+        T - r), c(r) is c(q) or, above T/2, its conjugate. The terms
+        p_k = Z_k * conj(Z_{k+q}) are equal at k and T - q - k, so
+        T * c(q) is twice their sum over -q/2 < k < (T - q)/2, plus the
+        fixed points p_{-q/2} (q even) and p_{(T-q)/2} (T - q even). Every
+        lag reads W_j = conj(Z_j) and V = conj(W), j from -floor(Q/2) to
+        floor((T + Q)/2) for the largest folded lag Q, both built once from
+        Zh by slices. The sum is ``np.einsum`` over pieces of 8192 points,
+        not BLAS, whose results can depend on the thread count.
 
     The transform route runs whenever T is 5-smooth (``transform``, worked
     out from T when None), the loop otherwise. The route depends on T
     alone, so a lag's c(r) is the same bits whatever the other lags and
-    rows. Other T stay on the loop whatever L, since numpy's real
-    transforms of such lengths cost several times those of a 5-smooth one,
-    more than the loop's product-means (README.md, "Performance notes").
+    rows: a 5-smooth T stays on the transforms even for a few lags at
+    large T, where the loop is faster, so that each of ``lag_scan``'s
+    per-lag terms equals the one-lag test. Other T stay on the loop
+    whatever L, since numpy's real transforms of such lengths cost several
+    times those of a 5-smooth one, more than the loop's passes (README.md,
+    "Performance notes").
     """
     if transform is None:
         transform = _fast_length(T) == T
@@ -132,15 +156,30 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         y = np.fft.irfft(Zh, T, axis=-1, norm="forward", out=work)
         np.square(y, out=y)
         return _rfft_at(np.fft.rfft(y, axis=-1, out=Zh), lags, T) / T ** 2
-    Z = _unfold(Zh, T)
-    product = np.empty_like(Z)
-    out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
-    for n, r in enumerate(lags):
-        # product_k = Z_k * conj(Z_{k+r}), k + r wrapping at T
-        np.conjugate(Z[..., r:], out=product[..., :T - r])
-        np.conjugate(Z[..., :r], out=product[..., T - r:])
-        np.multiply(Z, product, out=product)
-        out[..., n] = np.mean(product, axis=-1)
+    h = T // 2
+    q = [min(r, T - r) for r in lags]
+    o, top = max(q) // 2, (T + max(q)) // 2  # W[..., o + j] = conj(Z_j), j = -o..top
+    W = np.empty(Zh.shape[:-1] + (o + top + 1,), dtype=complex)
+    np.conjugate(Zh[..., o:0:-1], out=W[..., :o])  # j < 0: Z_{-j}
+    W[..., o:o + h + 1] = Zh
+    np.conjugate(Zh[..., T - h - 1:T - top - 1:-1], out=W[..., o + h + 1:])  # Z_{T-j}
+    V = np.conjugate(W)
+    out = np.empty(Zh.shape[:-1] + (len(lags),), dtype=complex)
+    for n, qn in enumerate(q):
+        a, b = o - (qn - 1) // 2, o + (T - qn + 1) // 2  # -q/2 < k < (T - q)/2
+        out[..., n] = sum(np.einsum("...k,...k->...", V[..., s:e], W[..., s + qn:e + qn])
+                          for s, e in _pieces(a, b))
+    out *= 2.0
+    # the fixed points of k -> T - q - k: k = -q/2 (q even), (T - q)/2 (T - q even)
+    for fixed in ([(n, -qn // 2, qn) for n, qn in enumerate(q) if qn % 2 == 0],
+                  [(n, (T - qn) // 2, qn) for n, qn in enumerate(q) if (T - qn) % 2 == 0]):
+        if fixed:
+            n, k, qk = np.array(fixed).T
+            out[..., n] += V[..., o + k] * W[..., o + k + qk]
+    out /= T
+    above = [n for n, r in enumerate(lags) if r > h]  # c(r) = conj(c(T - r))
+    if above:
+        out[..., above] = np.conj(out[..., above])
     return out
 
 
@@ -307,29 +346,65 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
                      ridge_factor=ridge_factor, demean=demean)
 
 
-def _first_bad_row(X: np.ndarray):
-    """(row, reason) of the lowest row of X that cannot be tested, else None."""
+def _scan_rows(X: np.ndarray):
+    """One look at each row of X: (bad, exponents).
+
+    bad is (row, reason) of the lowest row that cannot be tested, else
+    None. exponents, shape ``X.shape[:-1] + (1,)``, holds for each row the
+    power of two of its largest |x| (``np.frexp``) rounded down to a
+    multiple of 16, which ``_block_covariances`` divides out; it is one int
+    when every row has the same, as rows of one scale do, since numpy
+    multiplies by one number several times faster than by a column (None
+    when a row is bad).
+    """
     hi, lo = X.max(axis=-1), X.min(axis=-1)
-    # a row's max and min are NaN if it holds one, and +-inf if it holds them
-    finite = np.isfinite(hi) & np.isfinite(lo)
-    bad = np.flatnonzero(~finite | (hi == lo))
+    # a row's max and min are NaN if it holds one, and +-inf if it holds
+    # them, so its largest |x| fails the bound below
+    top = np.maximum(hi, -lo)
+    # a DFT coefficient of the demeaned row sums T terms of up to 2 * top; the
+    # factor 4 leaves a margin for the chirp-z convolution's longer transforms
+    limit = _MAX_FLOAT / (4 * X.shape[-1])
+    bad = np.flatnonzero(~(top < limit) | (hi == lo))
     if bad.size == 0:
-        return None
+        e = np.frexp(top)[1] & -16  # each row's largest |x| / 2**e is in [1/2, 2**15)
+        return None, int(e[0]) if (e == e[0]).all() else e[..., None]
     i = int(bad[0])
-    if not finite[i]:
-        return i, "series contains non-finite values"
-    return i, "degenerate series: zero variance"
+    if not (math.isfinite(hi[i]) and math.isfinite(lo[i])):
+        return (i, "series contains non-finite values"), None
+    if hi[i] == lo[i]:
+        return (i, "degenerate series: zero variance"), None
+    return (i, f"series too large for the DFT: |x| up to {top[i]:.3g}, "
+               f"where {limit:.3g} is the most for T={X.shape[-1]}"), None
 
 
-def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
+# A zero of the smoothed spectrum, which only a zero ridge allows, leaves the
+# standardized DFT and so c(r) non-finite there
+_ZERO_SPECTRUM = ("the smoothed spectrum is zero at some frequency, so the DFT cannot be "
+                  "standardized; use ridge_factor > 0")
+
+
+def _first_nonfinite_row(S: np.ndarray):
+    """The lowest row of S (statistics, one per row, or per-lag terms, a
+    row each) holding a non-finite value, else None."""
+    finite = np.isfinite(S)
+    if finite.all():
+        return None
+    return int(np.flatnonzero(~finite.reshape(len(S), -1).all(axis=-1))[0])
+
+
+def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     """Standardized covariances at the plan's lags for each row of X.
 
-    X holds one series per row, already checked by ``_first_bad_row``.
-    Rows are processed independently: row i of the result is bit-identical
-    whether X holds one row or many. The DFT, the smoothed spectrum and the
-    standardized DFT are formed only at k = 0..T//2, which holds all of them
-    for a real series; only the kernel's loop route, for T that is not
-    5-smooth, unfolds the standardized DFT to the full circle.
+    X holds one series per row, already checked by ``_scan_rows``, whose
+    ``exponents`` divide each row by a power of two near its largest |x|
+    along with the DFT's normalization. That changes no bit of the result
+    where the periodogram of X itself is in range, and keeps it in range
+    at any other scale. A zero of the smoothed spectrum gives a non-finite
+    row, with no warning, for the caller to report
+    (``_first_nonfinite_row``). Rows are processed independently: row i of
+    the result is bit-identical whether X holds one row or many. The DFT,
+    the smoothed spectrum and the standardized DFT are formed only at
+    k = 0..T//2, which holds all of them for a real series.
 
     A block allocates a fixed handful of arrays, and each later stage
     reuses them in place: one real allocation holds the demeaned, rolled
@@ -347,13 +422,14 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan) -> np.ndarray:
     real = np.empty(rows * (T + n))
     work = real[:rows * T].reshape(rows, T)
     buf = real[rows * T:].reshape(rows, n)
-    half = _half_dft_rows(X, plan.demean, work)
+    half = _half_dft_rows(X, plan.demean, work, exponents)
     P = buf[:, H:H + h + 1]
     np.abs(half, out=P)
     np.square(P, out=P)
     f = _smooth_half(buf, T, H, plan.weight_spectrum, plan.ridge_factor)
-    half /= np.sqrt(f, out=f)
-    return _lag_covariances(half, T, plan.lags, work, plan.transform)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        half /= np.sqrt(f, out=f)
+        return _lag_covariances(half, T, plan.lags, work, plan.transform)
 
 
 def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
@@ -384,16 +460,18 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
         raise InvalidInputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
         )
-    bad = _first_bad_row(X)
+    bad, exponents = _scan_rows(X)
     if bad is not None:
         raise InvalidInputError(bad[1])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
-    C = _block_covariances(X, plan)
+    C = _block_covariances(X, plan, exponents)
+    stats = _statistics(C, plan)
+    if _first_nonfinite_row(stats) is not None:
+        raise DegenerateSpectrumError(_ZERO_SPECTRUM)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []
-    for stat, c, parts in zip(_statistics(C, plan).tolist(), C.tolist(),
-                              _contributions(C, plan).tolist()):
+    for stat, c, parts in zip(stats.tolist(), C.tolist(), _contributions(C, plan).tolist()):
         p = chisq_sf(stat, dof)
         results.append(TestResult(
             statistic=stat,

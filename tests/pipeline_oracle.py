@@ -1,9 +1,10 @@
 """Test helpers for the block pipeline (DFT -> smoothing -> covariances).
 
-``smooth_half`` adapts the library's in-place half smoother to a plain
-periodogram input. The ``oracle_*`` functions are the pipeline as it ran
-before it worked in place, every stage returning a new array; the library's
-pipeline must equal them bit for bit.
+``pipeline_input`` makes test series. ``smooth_half`` adapts the
+library's in-place half smoother to a plain periodogram input. The
+``oracle_*`` functions are the pipeline as it ran before it worked in
+place, every stage returning a new array; the library's pipeline must
+equal them bit for bit.
 """
 
 import math
@@ -12,6 +13,14 @@ import numpy as np
 
 from dftstat.numerics import _rfft_at, _unfold
 from dftstat.spectral import _fast_length, _half_transform, _smooth_half
+
+
+def pipeline_input(rows, T, seed):
+    """rows variance-modulated MA(1) series with mean 3: the MA(1) spectrum
+    falls to 1/361 of its peak at w = pi, so a ridge of half the mean binds."""
+    e = np.random.default_rng(seed).standard_normal((rows, T + 1))
+    scale = 1 + 0.5 * np.cos(2 * np.pi * np.arange(1, T + 1) / T)
+    return 3.0 + (e[:, 1:] + 0.9 * e[:, :-1]) * scale
 
 
 def smooth_half(P, T, weights, ridge_factor):
@@ -48,15 +57,28 @@ def oracle_smooth_half(P, T, weights, ridge_factor):
 
 
 def oracle_lag_covariances(Zh, T, lags):
+    """The kernel's routes, out of place: the loop route's half-circle sum
+    reads Z from fancy-indexed copies of the unfolded circle, in the
+    kernel's pieces of 8192 points."""
     if _fast_length(T) == T:
         y = np.fft.irfft(Zh, T, axis=-1, norm="forward")
         return _rfft_at(np.fft.rfft(y * y, axis=-1), lags, T) / T ** 2
-    Z = _unfold(Zh, T)
-    Zc2 = np.conj(np.concatenate([Z, Z], axis=-1))
-    out = np.empty(Z.shape[:-1] + (len(lags),), dtype=complex)
-    for n, r in enumerate(lags):
-        out[..., n] = np.mean(Z * Zc2[..., r: r + T], axis=-1)
-    return out
+    Z = _unfold(Zh, T)  # Z[..., k - 1] holds Z_k, k = 1..T
+    out = []
+    for r in lags:
+        # T c(q) = 2 sum_{-q/2 < k < (T-q)/2} Z_k conj(Z_{k+q}) + the fixed points
+        q = min(r, T - r)
+        k = np.arange(-((q - 1) // 2), (T - q + 1) // 2)
+        left, right = Z[..., (k - 1) % T], np.conj(Z[..., (k + q - 1) % T])
+        total = 2.0 * sum(np.einsum("...k,...k->...", left[..., s:s + 8192],
+                                    right[..., s:s + 8192])
+                          for s in range(0, k.size, 8192))
+        if q % 2 == 0:
+            total = total + Z[..., -q // 2 - 1] * np.conj(Z[..., q // 2 - 1])
+        if (T - q) % 2 == 0:
+            total = total + Z[..., (T - q) // 2 - 1] * np.conj(Z[..., (T + q) // 2 - 1])
+        out.append(total / T if r == q else np.conj(total / T))
+    return np.stack(out, axis=-1)
 
 
 def oracle_block_covariances(X, weights, ridge_factor, lags, demean):

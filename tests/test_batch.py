@@ -15,6 +15,7 @@ import dftstat.stattest as stattest
 from dftstat import (
     ArmaSpec,
     CorrectionSpec,
+    DegenerateSpectrumError,
     GeneratorConfig,
     InvalidInputError,
     KernelSpec,
@@ -34,7 +35,7 @@ from dftstat import (
 )
 from dftstat.numerics import _gauss_rows
 from dftstat.simulate import innovation_count
-from dftstat.stattest import _first_bad_row
+from dftstat.stattest import _scan_rows
 
 BURN_IN = 500
 
@@ -209,6 +210,27 @@ def test_failing_replication_is_named_across_chunks(monkeypatch):
         rejection_rate(cfg)
 
 
+@pytest.mark.parametrize("study", ["rejection_rate", "lag_scan"])
+def test_a_zero_spectrum_replication_is_named_not_counted(study, monkeypatch):
+    # with no ridge, a pure cosine's smoothed spectrum is zero away from its
+    # frequency: its statistic is not finite, and no rejection count may hide it
+    spec = model_preset("model1", 128)
+    original = experiments._filter_rows
+
+    def with_a_cosine(model, E, T, burn_in):
+        X = original(model, E, T, burn_in)
+        X[11] = np.cos(2 * np.pi * 5 * np.arange(1, T + 1) / T)
+        return X
+
+    monkeypatch.setattr(experiments, "_filter_rows", with_a_cosine)
+    match = r"^replication 11 \(stream 11\): the smoothed spectrum is zero .* ridge_factor > 0$"
+    with pytest.raises(DegenerateSpectrumError, match=match):
+        if study == "rejection_rate":
+            rejection_rate(McConfig(model=spec, T=128, replications=20, ridge_factor=0.0))
+        else:
+            lag_scan(spec, 128, [1, 2], replications=20, ridge_factor=0.0)
+
+
 def test_study_level_failure_is_reported_as_replication_zero():
     spec = ArmaSpec(ar=(1.2,))  # root 1 / 1.2 inside the unit circle
     with pytest.raises(StabilityError, match=r"^replication 0 \(stream 0\): ") as mc_error:
@@ -220,16 +242,33 @@ def test_study_level_failure_is_reported_as_replication_zero():
         assert err.value.root_modulus == pytest.approx(0.8333, abs=1e-4)
 
 
+def first_bad_row(X):
+    """The (row, reason) half of ``_scan_rows``."""
+    return _scan_rows(X)[0]
+
+
 def test_first_bad_row_reports_lowest_row_and_first_reason():
     X = np.random.default_rng(79).standard_normal((6, 40))
-    assert _first_bad_row(X) is None
+    assert first_bad_row(X) is None
     X[5, 3] = np.nan
     X[3] = 2.0
-    assert _first_bad_row(X) == (3, "degenerate series: zero variance")
+    assert first_bad_row(X) == (3, "degenerate series: zero variance")
     X[2, 0] = np.inf
-    assert _first_bad_row(X) == (2, "series contains non-finite values")
+    assert first_bad_row(X) == (2, "series contains non-finite values")
     X[1] = np.inf  # constant and non-finite: the non-finite reason wins
-    assert _first_bad_row(X) == (1, "series contains non-finite values")
+    assert first_bad_row(X) == (1, "series contains non-finite values")
+
+
+def test_scan_rows_gives_each_row_a_power_of_two_near_its_largest_magnitude():
+    X = np.array([[0.5, -0.25, 0.1], [-3.0, 2.0, 1.0], [1e-300, 0.0, 0.0], [2.0 ** 900, 1.0, 0.0]])
+    bad, exponents = _scan_rows(X)
+    assert bad is None
+    assert exponents.tolist() == [[0], [0], [-1008], [896]]
+    top = np.abs(X).max(axis=-1, keepdims=True)
+    assert np.all((0.5 <= np.ldexp(top, -exponents)) & (np.ldexp(top, -exponents) < 2.0 ** 15))
+    # rows of one scale share one exponent, as an int
+    assert _scan_rows(X[:2]) == (None, 0)
+    assert _scan_rows(X[2:3]) == (None, -1008)
 
 
 NONFINITE = "series contains non-finite values"
@@ -250,7 +289,7 @@ def test_first_bad_row_reasons(writes, reason):
     X[3] = 1.0  # a later constant row: only the lowest bad row is reported
     for index, value in writes:
         X[1, index] = value
-    assert _first_bad_row(X) == (1, reason)
+    assert first_bad_row(X) == (1, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,34 @@ def test_zero_series_is_an_input_error(tmp_path, capsys):
     assert "zero variance" in captured.err
 
 
+@pytest.mark.parametrize("command", [["test", "--m", "6"], ["segment", "--depth", "1"]])
+def test_a_series_at_any_power_of_two_scale_gives_the_same_report(command, tmp_path, capsys):
+    x = np.random.default_rng(12).standard_normal(257)  # prime: the kernel's loop route
+    reports = []
+    for k in (0, -900, -600, 600, 900):
+        p = tmp_path / f"x{k}.txt"
+        write_series(p, np.ldexp(x, k).tolist())
+        rc = main([command[0], str(p), *command[1:], "--format", "json"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        payload = json.loads(captured.out)
+        payload.get("config", {}).pop("input")
+        reports.append(payload)
+    assert all(report == reports[0] for report in reports)
+
+
+@pytest.mark.parametrize("command", [["test"], ["segment", "--depth", "1"]])
+def test_a_zero_ridge_on_a_cosine_exits_3_suggesting_a_ridge(command, tmp_path, capsys):
+    p = tmp_path / "cosine.txt"
+    write_series(p, np.cos(2 * np.pi * 5 * np.arange(1, 257) / 256).tolist())
+    rc = main([command[0], str(p), *command[1:], "--ridge-factor", "0"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "smoothed spectrum is zero" in captured.err
+    assert "ridge_factor > 0" in captured.err
+    assert captured.out == ""
+
+
 def test_test_command_echoes_lags(model1_file, capsys):
     rc = main(["test", str(model1_file), "--lags", "3,17,40", "--format", "json"])
     assert rc == 0

@@ -16,7 +16,9 @@ from dftstat import (  # noqa: E402
     local_spectrum,
     model_preset,
     power_profile,
+    stationarity_test,
 )
+from dftstat.cli import main  # noqa: E402
 from dftstat.experiments import (  # noqa: E402
     _eval_local,
     _time_average,
@@ -29,8 +31,10 @@ from dftstat.stattest import (  # noqa: E402
     _block_covariances,
     _lag_covariances,
     _plan,
+    _scan_rows,
     validate_lags,
 )
+from pipeline_oracle import pipeline_input  # noqa: E402
 
 PRESETS = ("model1", "model2", "model3", "model4", "model5", "model6")
 
@@ -116,17 +120,20 @@ def test_the_kernel_routes_agree(case):
     assert np.max(np.abs(by_transform - by_loop)) <= 1e-13 * np.max(np.abs(by_loop))
 
 
-# 16381 and 8209 (primes above 2**13) take the chirp-z DFT
+# 16381, 8209 and 20011 (primes above 2**13) take the chirp-z DFT; at 20011 the
+# loop route's half-circle sums run past einsum's 8192-point pieces
 @settings(max_examples=60)
-@given(kernel_cases(st.one_of(LENGTHS, st.sampled_from((8209, 16381))), st.integers(2, 4)),
+@given(kernel_cases(st.one_of(LENGTHS, st.sampled_from((8209, 16381, 20011))),
+                    st.integers(2, 4)),
        st.booleans())
 def test_a_block_equals_its_rows(case, demean):
     rows, T, lags, seed = case
     X = modulated_rows(rows, T, seed)
     plan = _plan(T, lags, None, None, None, 1e-3, demean)
-    block = _block_covariances(X, plan)
+    block = _block_covariances(X, plan, _scan_rows(X)[1])
     for i in range(rows):
-        assert np.array_equal(block[i], _block_covariances(X[i:i + 1], plan)[0])
+        row = X[i:i + 1]
+        assert np.array_equal(block[i], _block_covariances(row, plan, _scan_rows(row)[1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +235,133 @@ def nudged(ar):
 @given(st.lists(st.lists(coefficient, max_size=3).map(tuple), max_size=8))
 def test_min_root_modulus_memoized_equals_uncached(calls):
     cold_and_warm(_min_root_modulus, [(a,) for ar in calls for a in (ar, nudged(ar))])
+
+
+# ---------------------------------------------------------------------------
+# invariances of the test
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def invariance_cases(draw):
+    """(x, lags, ridge_factor): T from 32 to 20000, 5-smooth (the transform
+    route) or not (the loop), a lag T - d just above T/2, so q = d of either
+    parity, and up to 5 more lags."""
+    T = draw(st.one_of(st.integers(32, 20000).map(_fast_length).filter(lambda T: T <= 20000),
+                       st.integers(32, 20000)))
+    lag = st.integers(1, T - 1).filter(lambda r: 2 * r != T)
+    lags = [T - draw(st.integers(1, 4))] + draw(st.lists(lag, min_size=1, max_size=5))
+    return (pipeline_input(1, T, draw(st.integers(0, 2 ** 32 - 1)))[0], tuple(lags),
+            draw(st.sampled_from((1e-3, 0.5))))
+
+
+def covariances(x, lags, ridge_factor):
+    result = stationarity_test(x, lags=lags, ridge_factor=ridge_factor)
+    return result.statistic, np.array(result.covariances)
+
+
+def assert_turned(got, want, phase, tol=1e-11):
+    """got's statistic equals want's, and its c(r) equal phase * want's, to tol
+    (relative to the statistic and the largest |c|)."""
+    (stat, c), (stat0, c0) = got, want
+    assert stat == pytest.approx(stat0, rel=tol)
+    assert np.max(np.abs(c - phase * c0)) <= tol * np.max(np.abs(c0))
+
+
+@settings(max_examples=40)
+@given(invariance_cases(), st.integers(1, 20000))
+def test_rotation_turns_each_covariance_by_its_lag_phase(case, s):
+    # Z_k gains exp(i s w_k), so c(r) gains exp(-i s w_r)
+    x, lags, ridge_factor = case
+    r, T = np.array(lags), x.size
+    assert_turned(covariances(np.roll(x, s), lags, ridge_factor),
+                  covariances(x, lags, ridge_factor), np.exp(-2j * np.pi * (s % T) * r / T))
+
+
+@settings(max_examples=40)
+@given(invariance_cases())
+def test_time_reversal_conjugates_each_covariance(case):
+    # Z_k becomes exp(i w_k) conj(Z_k), so c(r) becomes exp(-i w_r) conj(c(r))
+    x, lags, ridge_factor = case
+    stat, c = covariances(x, lags, ridge_factor)
+    assert_turned(covariances(x[::-1], lags, ridge_factor), (stat, np.conj(c)),
+                  np.exp(-2j * np.pi * np.array(lags) / x.size))
+
+
+@settings(max_examples=40)
+@given(invariance_cases(), st.integers(-900, 900))
+def test_power_of_two_scaling_changes_no_bit(case, k):
+    x, lags, ridge_factor = case
+    got = stationarity_test(np.ldexp(x, k), lags=lags, ridge_factor=ridge_factor)
+    want = stationarity_test(x, lags=lags, ridge_factor=ridge_factor)
+    assert (got.statistic, got.covariances) == (want.statistic, want.covariances)
+
+
+@settings(max_examples=40)
+@given(invariance_cases(), st.floats(1e-3, 1e3), st.booleans(), st.floats(-1e3, 1e3))
+def test_an_affine_map_changes_the_test_only_by_rounding(case, a, negative, shift):
+    # demeaning removes b, and a relative ridge scales with a**2 like the
+    # spectrum; b is at most 1000 |a|, so a x + b keeps 40 of x's bits
+    x, lags, ridge_factor = case
+    a, b = (-a if negative else a), shift * a
+    assert_turned(covariances(a * x + b, lags, ridge_factor),
+                  covariances(x, lags, ridge_factor), 1.0, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the CLI on awkward series and flags
+# ---------------------------------------------------------------------------
+
+
+def fuzzed_series(rng):
+    """A series as the CLI may meet it: normal noise at a scale 2**k (up
+    to too large for the DFT) or 10**k far from 1, a sinusoid whose
+    smoothed spectrum is zero without a ridge, or, less often, a constant,
+    one with a NaN or one too short."""
+    kind = rng.choice(["binary", "decimal", "sinusoid", "constant", "nan", "short"],
+                      p=[0.2, 0.2, 0.4, 0.1, 0.05, 0.05])
+    T = int(rng.integers(20, 32) if kind == "short" else rng.integers(32, 601))
+    t = np.arange(1, T + 1)
+    noise = rng.standard_normal(T)
+    if kind == "sinusoid":
+        return np.cos(2 * np.pi * rng.integers(1, T // 2 + 1) * t / T)
+    if kind == "binary":
+        return np.ldexp(noise, rng.integers(-1000, 1021))
+    if kind == "constant":
+        return np.full(T, rng.choice([0.0, 1.0, -2.5e300, 3e-300]))
+    if kind == "nan":
+        noise[rng.integers(T)] = np.nan
+        return noise
+    return noise * 10.0 ** rng.integers(-300, 301)
+
+
+def fuzzed_flag(rng, name, valid, invalid):
+    """[name, value] half the time; the value is valid nine times in ten."""
+    if rng.random() < 0.5:
+        return []
+    return [name, str(rng.choice(valid if rng.random() < 0.9 else invalid))]
+
+
+def fuzzed_argv(rng, path):
+    """argv for ``test`` or ``segment`` on a fuzzed series, which is written
+    to path one value a line, or in the second field of ``index,value`` rows."""
+    x, csv = fuzzed_series(rng), rng.random() < 0.5
+    rows = (f"{i},{v!r}" if csv else repr(v) for i, v in enumerate(x.tolist()))
+    path.write_text("\n".join(rows) + "\n")
+    command = str(rng.choice(["test", "segment"]))
+    argv = [command, str(path)] + (["--depth", str(rng.integers(0, 3))]
+                                   if command == "segment" else [])
+    argv += fuzzed_flag(rng, "--m", ["4", "1", "10"], ["0", "400", str(10 ** 9)])
+    argv += fuzzed_flag(rng, "--lags", ["1..4", "2,5,7", "1,15"], ["0", "1..10000", "2,5,300"])
+    argv += fuzzed_flag(rng, "--bandwidth", ["auto", "0.1", "0.2"], ["1e-4", "0.6", "nan"])
+    argv += fuzzed_flag(rng, "--ridge-factor", ["0", "0", "1e-3", "0.5"], ["-1", "inf", "nan"])
+    column = fuzzed_flag(rng, "--column", ["1"] if csv else ["0"], ["0", "2"] if csv else ["1"])
+    return argv + (column or (["--column", "1"] if csv else [])) + ["--format", "json"]
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_cli_exits_0_2_or_3_whatever_the_series_and_flags(tmp_path_factory, seed):
+    # the suite turns any RuntimeWarning into an error, so a stray one fails too
+    argv = fuzzed_argv(np.random.default_rng(seed), tmp_path_factory.mktemp("fuzz") / "x.csv")
+    assert main(argv) in (0, 2, 3)

@@ -6,6 +6,7 @@ import pytest
 
 from dftstat import (
     CorrectionSpec,
+    DegenerateSpectrumError,
     DegenerateTransferError,
     GeneratorConfig,
     InvalidCorrectionError,
@@ -32,9 +33,10 @@ from dftstat.stattest import (
     _lag_covariances,
     _phase_coherence,
     _plan,
+    _scan_rows,
     _transfer,
 )
-from pipeline_oracle import oracle_block_covariances, smooth_half
+from pipeline_oracle import oracle_block_covariances, pipeline_input, smooth_half
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +195,6 @@ def test_lag_covariance_route_depends_on_T_only(T, L, monkeypatch):
     assert bool(calls) is (T not in (257, 7000))
 
 
-def pipeline_input(rows, T, seed):
-    """rows variance-modulated MA(1) series with mean 3: the MA(1) spectrum
-    falls to 1/361 of its peak at w = pi, so a ridge of half the mean binds."""
-    e = np.random.default_rng(seed).standard_normal((rows, T + 1))
-    scale = 1 + 0.5 * np.cos(2 * np.pi * np.arange(1, T + 1) / T)
-    return 3.0 + (e[:, 1:] + 0.9 * e[:, :-1]) * scale
-
-
 # 512 takes the kernel's transform route, 257 (prime) the loop, and 16381
 # (prime) the loop after a chirp-z DFT
 @pytest.mark.parametrize("T", [512, 257, 16381])
@@ -209,7 +203,7 @@ def test_pipeline_never_writes_its_input(T, demean):
     X = pipeline_input(8, T, seed=T)
     X.flags.writeable = False  # a write would raise
     before = X.copy()
-    _block_covariances(X, _plan(T, None, 10, None, None, 1e-3, demean))
+    _block_covariances(X, _plan(T, None, 10, None, None, 1e-3, demean), _scan_rows(X)[1])
     stationarity_test(X[3], m=10, demean=demean)
     assert np.array_equal(X, before)
 
@@ -228,7 +222,7 @@ def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
         plan = _plan(T, lags, None, kernel, None, ridge_factor, demean)
         _, weights = _smoother(kernel, T, ridge_factor)
         want = oracle_block_covariances(X, weights, ridge_factor, plan.lags, demean)
-        assert np.array_equal(_block_covariances(X, plan), want)
+        assert np.array_equal(_block_covariances(X, plan, _scan_rows(X)[1]), want)
 
 
 # The block's arrays: the rolled rows and the padded periodogram in one real
@@ -238,10 +232,10 @@ def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
 # (6 X) and a phase index (0.5 X) beside the real allocation and the half
 # DFT: 9.2 X measured, where numpy's rfft took 6.5 X traced plus its own
 # untraced plan buffers. At other T without the chirp-z DFT (7 * 2**15, 257)
-# the loop route's unfolded Z and its one product buffer (2 X each) come on
-# top of the real allocation and the half DFT: 6.5 X measured at 7 * 2**15,
-# and 9.4 X for 50 rows of 257; a third complex row would add 2 X.
-_PEAK_CASES = [(50, 512, 5.0), (1, 2 ** 18, 5.0), (1, 7 * 2 ** 15, 7.0), (50, 257, 10.0),
+# the loop route's W and V, about half a circle each (1 X each), come on top
+# of the real allocation and the half DFT: 4.5 X measured at 7 * 2**15, and
+# 5.1 X for 50 rows of 257; an unfolded full circle would add 2 X.
+_PEAK_CASES = [(50, 512, 5.0), (1, 2 ** 18, 5.0), (1, 7 * 2 ** 15, 5.0), (50, 257, 6.0),
                (1, 65521, 9.5)]
 
 
@@ -250,10 +244,11 @@ _PEAK_CASES = [(50, 512, 5.0), (1, 2 ** 18, 5.0), (1, 7 * 2 ** 15, 7.0), (50, 25
 def test_block_pipeline_peak_memory(rows, T, bound):
     X = pipeline_input(rows, T, seed=1)
     plan = _plan(T, None, 10, None, None, 1e-3, True)
-    _block_covariances(X, plan)
+    exponents = _scan_rows(X)[1]
+    _block_covariances(X, plan, exponents)
     tracemalloc.start()
     try:
-        _block_covariances(X, plan)
+        _block_covariances(X, plan, exponents)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -600,3 +595,63 @@ def test_segment_leaf_too_short():
     rng = np.random.default_rng(31)
     with pytest.raises(SegmentationDepthError):
         segmented_test(rng.standard_normal(128), depth=3, m=2)
+
+
+# ---------------------------------------------------------------------------
+# series at any scale, and a spectrum that is zero
+# ---------------------------------------------------------------------------
+
+
+# 64 takes the kernel's transform route, 67 (prime) the loop
+@pytest.mark.parametrize("T", [64, 67])
+def test_power_of_two_scaling_changes_no_bit(T):
+    # each row is divided by the power of two of its largest |x|, so |J|**2
+    # neither overflows (about 2**512 and up) nor loses bits (2**-500 and below)
+    x = pipeline_input(1, T, seed=T)[0]
+    lags = (1, 2, 3, T // 2 - 1, T // 2 + 1, T - 2, T - 1)
+    want = stationarity_test(x, lags=lags)
+    for k in range(-900, 901):
+        got = stationarity_test(np.ldexp(x, k), lags=lags)
+        assert (got.statistic, got.covariances) == (want.statistic, want.covariances), k
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e-160, 1e-170, 1e300, 1e-300])
+def test_extreme_scales_give_the_statistic_to_rounding(scale):
+    x = pipeline_input(1, 300, seed=5)[0]
+    want = stationarity_test(x, m=6)
+    got = stationarity_test(x * scale, m=6)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
+    assert np.allclose(got.covariances, want.covariances, rtol=0, atol=1e-12)
+
+
+def test_a_series_too_large_for_the_dft_is_an_input_error():
+    # |x| * T near the largest float would overflow the DFT itself
+    x = pipeline_input(1, 300, seed=5)[0]
+    assert math.isfinite(stationarity_test(x * 1e303).statistic)
+    with pytest.raises(InvalidInputError, match="too large for the DFT: .* for T=300$"):
+        stationarity_test(x * 1e306)
+
+
+def test_segments_at_extreme_scales_are_tested():
+    x = pipeline_input(1, 1024, seed=6)[0]
+    want = segmented_test(x, depth=2, m=3)
+    got = segmented_test(np.ldexp(x, 700), depth=2, m=3)
+    assert [b.result.statistic for b in got.blocks] == [b.result.statistic for b in want.blocks]
+
+
+ZERO_RIDGE_SERIES = {
+    "cosine": np.cos(2 * np.pi * 5 * np.arange(1, 257) / 256),
+    "alternating": (-1.0) ** np.arange(1, 257),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_RIDGE_SERIES)
+def test_a_zero_smoothed_spectrum_is_a_degenerate_spectrum(name):
+    x = ZERO_RIDGE_SERIES[name]
+    match = "smoothed spectrum is zero .* ridge_factor > 0"
+    with pytest.raises(DegenerateSpectrumError, match=match):
+        stationarity_test(x, ridge_factor=0.0)
+    with pytest.raises(DegenerateSpectrumError, match=match):
+        segmented_test(x, depth=1, ridge_factor=0.0)
+    # a ridge floors the spectrum, and the same series is tested
+    assert math.isfinite(stationarity_test(x, ridge_factor=1e-3).statistic)
