@@ -26,7 +26,7 @@ from .numerics import (
     dft_canonical,
     gauss_stream,
 )
-from .spectral import KernelSpec, SpectralEstimate, smooth_spectral
+from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
     SegmentBlock,
@@ -78,7 +78,6 @@ __all__ = [
     "SegmentBlock",
     "SegmentReport",
     "SegmentationDepthError",
-    "SpectralEstimate",
     "StabilityError",
     "StationarityTestError",
     "TestResult",
@@ -94,7 +93,6 @@ __all__ = [
     "power_profile",
     "rejection_rate",
     "segmented_test",
-    "smooth_spectral",
     "spec_from_dict",
     "stationarity_test",
 ]

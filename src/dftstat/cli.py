@@ -28,6 +28,7 @@ from .stattest import (
     DEFAULT_LEVELS,
     CorrectionSpec,
     TestResult,
+    _consecutive_lags,
     segmented_test,
     stationarity_test,
 )
@@ -343,7 +344,7 @@ def _cmd_mc(args) -> int:
     from .experiments import McConfig, rejection_rate
 
     lag_kwargs = _lag_kwargs(args, args.T)
-    lags = lag_kwargs["lags"] or tuple(range(1, min(lag_kwargs["m"], args.T) + 1))
+    lags = lag_kwargs["lags"] or _consecutive_lags(lag_kwargs["m"], args.T)
     kernel = _kernel_from_args(args)
     correction = _correction_from_args(args)
     spec, name = _resolve_model(args.model, args.T)

@@ -35,6 +35,7 @@ from .stattest import (
     _ZERO_SPECTRUM,
     _block_covariances,
     _checked_level,
+    _consecutive_lags,
     _contributions,
     _first_nonfinite_row,
     _plan,
@@ -70,9 +71,8 @@ class McConfig:
         object.__setattr__(self, "lags", validate_lags(self.lags, self.T))
 
     def with_m(self, m: int) -> "McConfig":
-        """Same study with consecutive lags 1..m (cut after T, where every lag
-        is invalid, so a huge m fails as quickly as m = T)."""
-        return replace(self, lags=range(1, min(m, self.T) + 1))
+        """Same study with consecutive lags 1..m."""
+        return replace(self, lags=_consecutive_lags(m, self.T))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ half-width floor(b*T/2), so the bandwidth b is the covered fraction of the
 whole frequency circle. After smoothing, values are floored at a relative
 ridge to keep the standardization denominators away from zero.
 
-The sum is computed with real FFTs, as a linear convolution of the padded
-periodogram zero-padded to a 5-smooth length, in O(T log T) time whatever
-the bandwidth; it agrees with the direct sum to rounding (1e-13 relative
-is checked in the tests). :func:`smooth_spectral` takes any periodogram on
-the whole circle and pads it by wrapping, to length T + 2H for window
-half-width H. The test pipeline smooths the periodogram of a real series,
-which is symmetric (I_{T-k} = I_k), so it needs only k = 0..T/2: that half
-padded by H mirrored values on each side, length about T/2 + 2H.
+The test smooths the periodogram of a real series, which is symmetric
+(I_{T-k} = I_k), so it needs fhat only at k = 0..T/2: that half padded by
+H mirrored values on each side, for window half-width H, is enough. The
+sum is computed with real FFTs, as a linear convolution of the padded half
+zero-padded to a 5-smooth length, in O(T log T) time whatever the
+bandwidth; it agrees with the direct sum to rounding (1e-13 relative is
+checked in the tests).
 """
 
 from __future__ import annotations
@@ -92,53 +91,6 @@ def _kernel_weights(kind: str, b: float, T: int) -> np.ndarray:
     return w / w.sum()
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Smoothed spectral density on the canonical grid, k = 1..T order.
-
-    ``values`` inherit the grid's periodicity (index arithmetic modulo T)
-    and sit at or above ``ridge`` after regularization.
-    """
-
-    values: np.ndarray
-    kernel: KernelSpec
-    ridge: float
-    T: int
-
-
-def smooth_spectral(pgram, kernel: KernelSpec | None = None,
-                    ridge_factor: float = 1e-3) -> SpectralEstimate:
-    """Kernel-smoothed spectral estimate with a relative ridge floor.
-
-    Parameters
-    ----------
-    pgram : array_like
-        Periodogram values on the canonical grid (k = 1..T order).
-    kernel : KernelSpec, optional
-        Defaults to a daniell kernel with automatic bandwidth.
-    ridge_factor : float
-        The floor is ridge_factor * mean(pgram); a relative ridge keeps the
-        estimator scale equivariant.
-
-    Returns
-    -------
-    SpectralEstimate
-
-    Notes
-    -----
-    The circular weighted sum is evaluated by FFT convolution in
-    O(T log T) time, independent of the bandwidth, and agrees with the
-    direct sum to rounding.
-    """
-    vals = np.asarray(pgram, dtype=float)
-    if vals.ndim != 1 or vals.size < 2:
-        raise InvalidInputError("smooth_spectral needs a 1-d periodogram of length >= 2")
-    T = vals.size
-    kern, weights = _smoother(kernel, T, ridge_factor)
-    values, ridge = _smooth_rows(vals, weights, ridge_factor)
-    return SpectralEstimate(values=values, kernel=kern, ridge=float(ridge[0]), T=T)
-
-
 def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     """Check ``ridge_factor`` and resolve the kernel for length T.
 
@@ -152,35 +104,21 @@ def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     return KernelSpec(kern.kind, b), _kernel_weights(kern.kind, b, T)
 
 
-def _smooth_rows(pgram: np.ndarray, weights: np.ndarray, ridge_factor: float):
-    """Smooth each row of ``pgram`` (last axis) and floor it at its own ridge.
-
-    Returns the floored estimates and the per-row ridges (shape ``(..., 1)``).
-    Rows are smoothed independently, so a row's result does not depend on
-    the rest of the block.
-    """
-    T = pgram.shape[-1]
-    H = weights.size // 2
-    m = T + 2 * H
-    n = _fast_length(m)
-    buf = np.zeros(pgram.shape[:-1] + (n,))
-    buf[..., :H] = pgram[..., T - H:]
-    buf[..., H:H + T] = pgram
-    buf[..., H + T:m] = pgram[..., :H]
-    ridge = ridge_factor * pgram.mean(axis=-1, keepdims=True)
-    return np.maximum(_convolve(buf, np.fft.rfft(weights, n), H, m), ridge), ridge
-
-
 def _half_transform(weights: np.ndarray, T: int) -> tuple[int, np.ndarray]:
     """The transform length n of ``_smooth_half`` for a length-T series, and
-    the weights' real transform at n: both are fixed by T and the kernel."""
-    n = _fast_length(T // 2 + weights.size)  # the padded half, T//2 + 1 + 2H
+    the weights' real transform at n: both are fixed by T and the kernel.
+
+    n is the 5-smooth length ``_fast_length(m)`` of the padded half, which
+    keeps the transforms fast even for prime m and is within 16% of m,
+    where the next power of two can be nearly twice it.
+    """
+    n = _fast_length(T // 2 + weights.size)  # the padded half, m = T//2 + 1 + 2H
     return n, np.fft.rfft(weights, n)
 
 
 def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
                  ridge_factor: float) -> np.ndarray:
-    """``_smooth_rows`` of a symmetric length-T periodogram, read at k = 0..T//2.
+    """The floored estimate of a symmetric length-T periodogram at k = 0..T//2.
 
     ``buf`` has the last-axis length n and ``spectrum`` the weights'
     transform from :func:`_half_transform`, H being the window half-width;
@@ -188,9 +126,13 @@ def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
     buf is scratch. Since I_{-k} = I_k and I_{T-k} = I_k, the circular sum at
     those k needs only that half padded by H mirrored values on each side,
     I_{-j} = I_j and I_{h+j} = I_{T-h-j} (h = T//2, j = 1..H), which are
-    written around it. The ridge is ridge_factor times the mean over the
-    whole circle. The floored estimate is written over buf and returned as a
-    view of it. Rows are smoothed independently.
+    written around it. As the weights are symmetric, entry i = 2H..m-1 of
+    the circular convolution of buf with them is the sum at k = i - 2H,
+    whose window lies inside those m padded values; buf is zeroed past m, as
+    the transforms mix every entry into every output. The ridge is
+    ridge_factor times the mean over the whole circle. The floored estimate
+    is written over buf and returned as a view of it. Rows are smoothed
+    independently.
     """
     h = T // 2
     m = h + 1 + 2 * H
@@ -202,23 +144,8 @@ def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
     total = 2.0 * P.sum(axis=-1, keepdims=True) - P[..., :1]
     if T % 2 == 0:
         total -= P[..., h:]
-    f = _convolve(buf, spectrum, H, m)
-    return np.maximum(f, ridge_factor * total / T, out=f)
-
-
-def _convolve(buf: np.ndarray, spectrum: np.ndarray, H: int, m: int) -> np.ndarray:
-    """Entries 2H .. m - 1 of the linear convolution of each row's first m
-    entries with 2H + 1 symmetric weights, written over ``buf``.
-
-    The rows of buf have a 5-smooth length n >= m and are zero past m;
-    ``spectrum`` is the weights' real transform at n. Since the weights are
-    symmetric, the entries returned (a view of buf) are the weighted sums
-    sum_j W(j) buf[i + j] whose window lies inside the first m (i = H..m-H-1).
-    The zeros keep the transform's wrap-around off them, and the 5-smooth
-    length keeps it fast even for prime m; n = _fast_length(m) is within 16%
-    of m, where the next power of two can be nearly twice it.
-    """
     product = np.fft.rfft(buf, axis=-1)
     product *= spectrum
     np.fft.irfft(product, buf.shape[-1], axis=-1, out=buf)
-    return buf[..., 2 * H:m]
+    f = buf[..., 2 * H:m]
+    return np.maximum(f, ridge_factor * total / T, out=f)

@@ -51,6 +51,13 @@ MIN_SERIES_LENGTH = 32
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 
+def _consecutive_lags(m: int, T: int) -> range:
+    """The consecutive lags 1..m, cut at T: lags from T on are all invalid,
+    so 1..min(m, T) fails validation at the same first bad lag as 1..m,
+    without building a huge m's lags first."""
+    return range(1, min(m, T) + 1)
+
+
 def validate_lags(lags, T: int) -> tuple[int, ...]:
     """Check every lag is an integer in 1..T-1 other than the excluded T/2.
 
@@ -336,9 +343,7 @@ class _TestPlan:
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     kern, weights = _smoother(kernel, T, ridge_factor)
     n, spectrum = _half_transform(weights, T)
-    # lags from T on are all invalid, so 1..min(m, T) fails at the same first
-    # bad lag as 1..m, without building a huge m's lags first
-    lags = validate_lags(range(1, min(m, T) + 1) if lags is None else lags, T)
+    lags = validate_lags(_consecutive_lags(m, T) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
     return _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum,

@@ -1,7 +1,9 @@
 """Test helpers for the block pipeline (DFT -> smoothing -> covariances).
 
 ``pipeline_input`` makes test series. ``smooth_half`` adapts the
-library's in-place half smoother to a plain periodogram input. The
+library's in-place half smoother to a plain periodogram input, and
+``half_of`` and ``full_circle`` move a symmetric spectrum between the
+whole circle and its half k = 0..T//2. The
 ``oracle_*`` functions are the pipeline as it ran before it worked in
 place, every stage returning a new array; the library's pipeline must
 equal them bit for bit.
@@ -31,6 +33,18 @@ def smooth_half(P, T, weights, ridge_factor):
     buf = np.empty(P.shape[:-1] + (n,))
     buf[..., H:H + T // 2 + 1] = P
     return _smooth_half(buf, T, H, spectrum, ridge_factor).copy()
+
+
+def half_of(v):
+    """Entries k = 0..T//2 of an array in k = 1..T order (last axis)."""
+    return np.concatenate([v[..., -1:], v[..., :v.shape[-1] // 2]], axis=-1)
+
+
+def full_circle(fh, T):
+    """A symmetric spectrum (f_{T-k} = f_k) in k = 1..T order (last axis),
+    mirrored from its entries fh at k = 0..T//2."""
+    k = np.arange(1, T + 1)
+    return fh[..., np.minimum(k, T - k)]
 
 
 def oracle_half_dft(x):

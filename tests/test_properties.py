@@ -2,6 +2,7 @@
 profile, so every run draws the same examples."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dftstat import (  # noqa: E402
+    PRESET_NAMES,
+    BandwidthWarning,
     InvalidLagError,
     chisq_quantile,
     local_spectrum,
@@ -308,6 +311,20 @@ def test_an_affine_map_changes_the_test_only_by_rounding(case, a, negative, shif
                   covariances(x, lags, ridge_factor), 1.0, tol=1e-9)
 
 
+@settings(max_examples=40)
+@given(invariance_cases(), st.data())
+def test_permuting_the_lags_permutes_each_lags_terms(case, data):
+    # each lag's c(r) and term is computed on its own; only the statistic's
+    # sum runs in the new order
+    x, lags, ridge_factor = case
+    order = data.draw(st.permutations(range(len(lags))))
+    want = stationarity_test(x, lags=lags, ridge_factor=ridge_factor)
+    got = stationarity_test(x, lags=[lags[i] for i in order], ridge_factor=ridge_factor)
+    assert got.covariances == tuple(want.covariances[i] for i in order)
+    assert got.contributions == tuple(want.contributions[i] for i in order)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # the CLI on awkward series and flags
 # ---------------------------------------------------------------------------
@@ -335,9 +352,10 @@ def fuzzed_series(rng):
     return noise * 10.0 ** rng.integers(-300, 301)
 
 
-def fuzzed_flag(rng, name, valid, invalid):
-    """[name, value] half the time; the value is valid nine times in ten."""
-    if rng.random() < 0.5:
+def fuzzed_flag(rng, name, valid, invalid, present=0.5):
+    """[name, value] with probability ``present``; the value is valid nine
+    times in ten."""
+    if rng.random() >= present:
         return []
     return [name, str(rng.choice(valid if rng.random() < 0.9 else invalid))]
 
@@ -359,9 +377,41 @@ def fuzzed_argv(rng, path):
     return argv + (column or (["--column", "1"] if csv else [])) + ["--format", "json"]
 
 
+def fuzzed_study_argv(rng, outdir):
+    """argv for ``mc`` or ``scan`` of a preset with N 1-3 and T 32-128,
+    writing its files to outdir."""
+    command = str(rng.choice(["mc", "scan"]))
+    argv = [command, str(rng.choice(PRESET_NAMES)), "--T", str(rng.integers(32, 129)),
+            "--N", str(rng.integers(1, 4)), "--outdir", str(outdir)]
+    if command == "mc":
+        argv += fuzzed_flag(rng, "--m", ["4", "1", "10"], ["0", "400", str(10 ** 9)])
+    argv += fuzzed_flag(rng, "--lags", ["1..4", "2,5,7", "1,15"], ["0", "1..10000", "2,5,300"],
+                        present=1.0 if command == "scan" else 0.5)
+    argv += fuzzed_flag(rng, "--bandwidth", ["auto", "0.1", "0.2"], ["1e-4", "0.6", "nan"])
+    argv += fuzzed_flag(rng, "--ridge-factor", ["0", "1e-3", "0.5"], ["-1", "inf", "nan"])
+    argv += fuzzed_flag(rng, "--seed", ["0", "7", str(2 ** 64 - 1)], ["-1", str(2 ** 64)])
+    return argv + fuzzed_flag(rng, "--burn-in", ["0", "50", "500"], ["-1", "-500"])
+
+
+def exit_code(argv):
+    """``main(argv)``, which must give no warning but a BandwidthWarning, the
+    documented response to a valid bandwidth outside the admissible window.
+    The suite turns a RuntimeWarning into an error, so a stray one fails too."""
+    with warnings.catch_warnings(record=True) as caught:
+        code = main(argv)
+    assert all(w.category is BandwidthWarning for w in caught), [str(w.message) for w in caught]
+    return code
+
+
 @settings(max_examples=120)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_the_cli_exits_0_2_or_3_whatever_the_series_and_flags(tmp_path_factory, seed):
-    # the suite turns any RuntimeWarning into an error, so a stray one fails too
     argv = fuzzed_argv(np.random.default_rng(seed), tmp_path_factory.mktemp("fuzz") / "x.csv")
-    assert main(argv) in (0, 2, 3)
+    assert exit_code(argv) in (0, 2, 3)
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_study_commands_exit_0_2_or_3_whatever_the_flags(tmp_path_factory, seed):
+    argv = fuzzed_study_argv(np.random.default_rng(seed), tmp_path_factory.mktemp("study"))
+    assert exit_code(argv) in (0, 2, 3)

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "SegmentBlock",
     "SegmentReport",
     "SegmentationDepthError",
-    "SpectralEstimate",
     "StabilityError",
     "StationarityTestError",
     "TestResult",
@@ -43,14 +42,13 @@ PUBLIC_NAMES = [
     "power_profile",
     "rejection_rate",
     "segmented_test",
-    "smooth_spectral",
     "spec_from_dict",
     "stationarity_test",
 ]
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 41
     assert len(set(dftstat.__all__)) == len(dftstat.__all__)
     assert dftstat.__all__ == PUBLIC_NAMES
     for name in dftstat.__all__:

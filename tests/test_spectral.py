@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -15,15 +16,10 @@ from dftstat import (
     gauss_stream,
     generate,
     model_preset,
-    smooth_spectral,
+    stationarity_test,
 )
-from dftstat.spectral import (
-    _fast_length,
-    _kernel_weights,
-    _smooth_rows,
-    _smoother,
-)
-from pipeline_oracle import smooth_half
+from dftstat.spectral import _fast_length, _kernel_weights, _smoother
+from pipeline_oracle import full_circle, half_of, smooth_half
 
 
 def test_periodogram_zero_series():
@@ -50,6 +46,19 @@ def test_periodogram_white_noise_level():
     assert acc / 50 == pytest.approx(1 / (2 * np.pi), abs=0.01)
 
 
+def smoothed(pg, kernel=None, ridge_factor=1e-3):
+    """The half smoother of a symmetric periodogram pg (last axis k = 1..T),
+    read at k = 0..T//2."""
+    T = pg.shape[-1]
+    _, weights = _smoother(kernel, T, ridge_factor)
+    return smooth_half(half_of(pg), T, weights, ridge_factor)
+
+
+def _symmetric_periodogram(T, seed):
+    """Exponential values at k = 0..T//2, mirrored onto the whole circle."""
+    return full_circle(np.random.default_rng(seed).exponential(size=T // 2 + 1), T)
+
+
 @pytest.mark.parametrize("kind", ["daniell", "bartlett"])
 @pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
 def test_smoothing_preserves_constants(kind, b):
@@ -57,44 +66,48 @@ def test_smoothing_preserves_constants(kind, b):
     c = 3.7
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
-        est = smooth_spectral(np.full(T, c), KernelSpec(kind, b))
-    assert np.max(np.abs(est.values - c)) < 1e-12
+        est = smoothed(np.full(T, c), KernelSpec(kind, b))
+    assert np.max(np.abs(est - c)) < 1e-12
 
 
 def test_positivity_and_ridge_floor():
-    rng = np.random.default_rng(5)
-    pg = rng.exponential(size=256)
-    pg[10:40] = 0.0
-    est = smooth_spectral(pg, ridge_factor=1e-3)
-    assert est.ridge == pytest.approx(1e-3 * pg.mean())
-    assert np.all(est.values >= est.ridge)
-    assert est.ridge > 0
+    # k = 10..70 are zero, so the window of half-width 20 around k = 40 sees
+    # only zeros and the floor binds there
+    T = 256
+    pg = _symmetric_periodogram(T, 5)
+    pg[9:70] = pg[T - 71:T - 10] = 0.0
+    est = smoothed(pg, ridge_factor=1e-3)
+    ridge = 1e-3 * pg.mean()
+    assert ridge > 0
+    assert est.min() == pytest.approx(ridge, rel=1e-13)
+    assert est[40] == est.min()
+    assert np.all(est >= est.min())
 
 
 def test_scale_equivariance():
-    rng = np.random.default_rng(6)
-    pg = rng.exponential(size=200)
-    a = smooth_spectral(pg)
-    b = smooth_spectral(7.3 * pg)
-    assert np.max(np.abs(b.values - 7.3 * a.values)) < 1e-10 * np.max(b.values)
+    pg = _symmetric_periodogram(200, 6)
+    a = smoothed(pg)
+    b = smoothed(7.3 * pg)
+    assert np.max(np.abs(b - 7.3 * a)) < 1e-10 * np.max(b)
 
 
 def test_flat_kernel_locality():
-    # output at a target bin only sees periodogram values within the window
+    # output at a target bin only sees periodogram values within the window;
+    # a bump at k and T - k keeps the periodogram symmetric
     T = 256
     b = 32 / T
     half = 16
-    rng = np.random.default_rng(7)
-    pg = rng.exponential(size=T) + 1.0
+    pg = _symmetric_periodogram(T, 7) + 1.0
+    target, bump = 100, 100 + half + 5
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
-        base = smooth_spectral(pg, KernelSpec("daniell", b), ridge_factor=0.0)
-        target = 100
+        base = smoothed(pg, KernelSpec("daniell", b), ridge_factor=0.0)
         far = pg.copy()
-        far[(target + half + 5) % T] += 50.0
-        bumped = smooth_spectral(far, KernelSpec("daniell", b), ridge_factor=0.0)
-    assert bumped.values[target] == pytest.approx(base.values[target], rel=1e-12)
-    assert bumped.values[(target + half + 5) % T] > base.values[(target + half + 5) % T]
+        far[bump - 1] += 50.0
+        far[T - bump - 1] += 50.0
+        bumped = smoothed(far, KernelSpec("daniell", b), ridge_factor=0.0)
+    assert bumped[target] == pytest.approx(base[target], rel=1e-12)
+    assert bumped[bump] > base[bump]
 
 
 def _direct_smooth(pg, weights):
@@ -103,34 +116,25 @@ def _direct_smooth(pg, weights):
     return sum(weights[H + j] * np.roll(pg, -j) for j in range(-H, H + 1))
 
 
-def _half(v, T):
-    """Entries k = 0..T//2 of an array in k = 1..T order (last axis)."""
-    return np.concatenate([v[..., -1:], v[..., :T // 2]], axis=-1)
-
-
 def _model1_periodogram(T, stream):
     x = generate(model_preset("model1", T), GeneratorConfig(T=T, rng=RngStream(15, stream)))
     return np.abs(dft_canonical(x)) ** 2
 
 
 @pytest.mark.parametrize("kind", ["daniell", "bartlett"])
-# at T=230 the default window has H=18, so the transform length is
-# _fast_length(266) = 270; the 5-smooth 250 in [T + H, T + 2H) = [248, 266)
-# is too short and would wrap the convolution's tail onto its output. The half
-# smoother's mirrored pads reach k = H and T - h - H, its bounds at odd T and
-# the widest window (T = 33: H = 7, h = 16).
+# the half smoother's mirrored pads reach k = H and T - h - H, its bounds at odd
+# T and the widest window (T = 33: H = 7, h = 16); at T = 230 the default window
+# (H = 18) pads the half to 152 values, transformed at the 5-smooth length 160
 @pytest.mark.parametrize("T", [33, 64, 230, 257, 4093, 4096])
 @pytest.mark.parametrize("b", [None, 0.45])  # default and the widest window
 def test_smoothing_matches_direct_circular_sum(kind, T, b):
     pg = _model1_periodogram(T, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
-        est = smooth_spectral(pg, KernelSpec(kind, b), ridge_factor=0.0)
-        weights = _kernel_weights(kind, est.kernel.bandwidth, T)
-    direct = _direct_smooth(pg, weights)
-    assert np.max(np.abs(est.values - direct) / direct) < 1e-13
-    half = smooth_half(_half(pg, T), T, weights, 0.0)
-    assert np.max(np.abs(half - _half(direct, T)) / _half(direct, T)) < 1e-13
+        _, weights = _smoother(KernelSpec(kind, b), T, 0.0)
+    direct = half_of(_direct_smooth(pg, weights))
+    half = smooth_half(half_of(pg), T, weights, 0.0)
+    assert np.max(np.abs(half - direct) / direct) < 1e-13
 
 
 def _is_5_smooth(n):
@@ -150,13 +154,9 @@ def test_fast_length_is_the_smallest_5_smooth_length():
 def test_smoothing_a_block_equals_its_rows(T):
     pg = np.stack([_model1_periodogram(T, i) for i in range(7)])
     _, weights = _smoother(KernelSpec("bartlett"), T, 1e-3)
-    block, ridges = _smooth_rows(pg, weights, 1e-3)
-    half = smooth_half(_half(pg, T), T, weights, 1e-3)
+    block = smooth_half(half_of(pg), T, weights, 1e-3)
     for i in range(7):
-        row, ridge = _smooth_rows(pg[i], weights, 1e-3)
-        assert np.array_equal(block[i], row)
-        assert np.array_equal(ridges[i], ridge)
-        assert np.array_equal(half[i], smooth_half(_half(pg[i], T), T, weights, 1e-3))
+        assert np.array_equal(block[i], smooth_half(half_of(pg[i]), T, weights, 1e-3))
 
 
 @pytest.mark.parametrize("T", [64, 257])
@@ -165,18 +165,19 @@ def test_half_smoother_floors_at_the_full_circle_ridge(T):
     # spectrum at high frequencies, so the floor binds there
     pg = _model1_periodogram(T, 0)
     _, weights = _smoother(None, T, 0.5)
-    full, ridge = _smooth_rows(pg, weights, 0.5)
-    assert np.any(_half(full, T) == ridge)
-    half = smooth_half(_half(pg, T), T, weights, 0.5)
-    assert np.max(np.abs(half - _half(full, T)) / _half(full, T)) < 1e-13
+    ridge = 0.5 * pg.mean()
+    direct = half_of(_direct_smooth(pg, weights))
+    assert np.any(direct < ridge)
+    full = np.maximum(direct, ridge)
+    half = smooth_half(half_of(pg), T, weights, 0.5)
+    assert np.max(np.abs(half - full) / full) < 1e-13
 
 
 def test_white_noise_estimate_tracks_flat_spectrum():
     T = 1024
-    avg = np.zeros(T)
+    avg = np.zeros(T // 2 + 1)
     for i in range(100):
-        pg = np.abs(dft_canonical(gauss_stream(RngStream(14, i), T))) ** 2
-        avg += smooth_spectral(pg).values
+        avg += smoothed(np.abs(dft_canonical(gauss_stream(RngStream(14, i), T))) ** 2)
     avg /= 100
     rel = np.max(np.abs(avg - 1 / (2 * np.pi))) * 2 * np.pi
     assert rel < 0.10
@@ -190,31 +191,32 @@ def test_ar1_estimate_tracks_closed_form_spectrum():
     rmse = 0.0
     for i in range(100):
         x = generate(spec, GeneratorConfig(T=T, rng=RngStream(13, i)))
-        est = smooth_spectral(np.abs(dft_canonical(x)) ** 2)
-        rmse += np.sqrt(np.mean((est.values - f_true) ** 2 / f_true ** 2))
+        est = full_circle(smoothed(np.abs(dft_canonical(x)) ** 2), T)
+        rmse += np.sqrt(np.mean((est - f_true) ** 2 / f_true ** 2))
     assert rmse / 100 <= 0.15
 
 
 def test_bandwidth_warning_band():
     T = 512
-    pg = np.ones(T)
+    x = np.random.default_rng(16).standard_normal(T)
     # inside (T^-1/2, T^-1/4): silent
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandwidthWarning)
-        smooth_spectral(pg, KernelSpec("daniell", T ** (-1 / 3)))
-        smooth_spectral(pg)  # automatic default is inside the band
+        stationarity_test(x, kernel=KernelSpec("daniell", T ** (-1 / 3)))
+        stationarity_test(x)  # automatic default is inside the band
     # outside: warns but still computes
     with pytest.warns(BandwidthWarning):
-        smooth_spectral(pg, KernelSpec("daniell", 0.3))
+        stationarity_test(x, kernel=KernelSpec("daniell", 0.3))
     with pytest.warns(BandwidthWarning):
-        smooth_spectral(pg, KernelSpec("daniell", 0.02))
+        stationarity_test(x, kernel=KernelSpec("daniell", 0.02))
 
 
 def test_bandwidth_too_small_is_an_error():
+    x = np.random.default_rng(17).standard_normal(64)
     with pytest.raises(BandwidthTooSmallError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BandwidthWarning)
-            smooth_spectral(np.ones(64), KernelSpec("daniell", 0.04))  # b*T = 2.56
+            stationarity_test(x, kernel=KernelSpec("daniell", 0.04))  # b*T = 2.56
 
 
 def test_kernel_spec_validation():
@@ -234,8 +236,8 @@ def test_kernel_weights_sum_to_one():
         assert np.array_equal(w, w[::-1])  # symmetric
 
 
-def test_smooth_spectral_input_validation():
-    with pytest.raises(InvalidInputError):
-        smooth_spectral(np.ones((4, 4)))
-    with pytest.raises(InvalidInputError):
-        smooth_spectral(np.ones(64), ridge_factor=-0.1)
+def test_ridge_factor_must_be_finite_and_nonnegative():
+    x = np.random.default_rng(18).standard_normal(64)
+    for ridge_factor in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="ridge_factor must be finite and >= 0"):
+            stationarity_test(x, ridge_factor=ridge_factor)

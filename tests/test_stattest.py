@@ -22,11 +22,10 @@ from dftstat import (
     generate,
     model_preset,
     segmented_test,
-    smooth_spectral,
     stationarity_test,
 )
 from dftstat.numerics import _half_dft_rows, _takes_chirp, _unfold
-from dftstat.spectral import _smooth_rows, _smoother
+from dftstat.spectral import _smoother
 from dftstat.stattest import (
     _block_covariances,
     _correction_denominators,
@@ -36,7 +35,13 @@ from dftstat.stattest import (
     _scan_rows,
     _transfer,
 )
-from pipeline_oracle import oracle_block_covariances, pipeline_input, smooth_half
+from pipeline_oracle import (
+    full_circle,
+    half_of,
+    oracle_block_covariances,
+    pipeline_input,
+    smooth_half,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +52,15 @@ from pipeline_oracle import oracle_block_covariances, pipeline_input, smooth_hal
 def half_input(J, f):
     """The covariance kernel's input from a full DFT J and spectrum f (last
     axis k = 1..T): conj(J_k) / sqrt(f_k) at k = 0..T//2, and T."""
+    return np.conj(half_of(J)) / np.sqrt(half_of(f)), J.shape[-1]
+
+
+def smoothed(J):
+    """The test's smoothed spectrum of a DFT J (last axis k = 1..T): the half
+    smoother's estimate at k = 0..T//2, mirrored onto k = 1..T."""
     T = J.shape[-1]
-
-    def half(v):
-        return np.concatenate([v[..., -1:], v[..., :T // 2]], axis=-1)
-
-    return np.conj(half(J)) / np.sqrt(half(f)), T
+    _, weights = _smoother(None, T, 1e-3)
+    return full_circle(smooth_half(np.abs(half_of(J)) ** 2, T, weights, 1e-3), T)
 
 
 def test_covariance_single_frequency_pair_by_hand():
@@ -79,8 +87,7 @@ def test_covariance_white_noise_second_moment():
         x = gauss_stream(RngStream(11, i), T)
         x = x - x.mean()
         J = dft_canonical(x)
-        est = smooth_spectral(np.abs(J) ** 2)
-        vals.append(T * abs(_lag_covariances(*half_input(J, est.values), (1,))[0]) ** 2)
+        vals.append(T * abs(_lag_covariances(*half_input(J, smoothed(J)), (1,))[0]) ** 2)
     assert np.mean(vals) == pytest.approx(2.0, abs=0.2)
 
 
@@ -102,14 +109,10 @@ def test_covariance_modulated_noise_known_mean():
 def test_covariance_with_supplied_spectrum_matches_estimated():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(128)
-    est = smooth_spectral(periodogram_of(x))
+    J = dft_canonical(x)
     a = stationarity_test(x, lags=[3], demean=False).covariances[0]
-    b = _lag_covariances(*half_input(dft_canonical(x), est.values), (3,))[0]
+    b = _lag_covariances(*half_input(J, smoothed(J)), (3,))[0]
     assert a == pytest.approx(b, abs=1e-14)
-
-
-def periodogram_of(x):
-    return np.abs(dft_canonical(x)) ** 2
 
 
 def test_covariance_direct_summation_oracle():
@@ -139,8 +142,7 @@ def test_estimated_close_to_true_spectrum_covariance():
         x = generate(spec, GeneratorConfig(T=T, rng=RngStream(15, i)))
         x = x - x.mean()
         J = dft_canonical(x)
-        est = smooth_spectral(np.abs(J) ** 2)
-        gaps.append(math.sqrt(T) * abs(_lag_covariances(*half_input(J, est.values), (1,))[0]
+        gaps.append(math.sqrt(T) * abs(_lag_covariances(*half_input(J, smoothed(J)), (1,))[0]
                                        - _lag_covariances(*half_input(J, f_true), (1,))[0]))
     assert np.median(gaps) <= 0.5
 
@@ -161,9 +163,7 @@ def transformed_rows(rows, T, seed):
     scale = 1 + 0.5 * np.cos(2 * np.pi * u)
     X = np.random.default_rng(seed).standard_normal((rows, T)) * scale
     J = _unfold(_half_dft_rows(X - X.mean(axis=-1, keepdims=True)), T)
-    _, weights = _smoother(None, T, 1e-3)
-    f, _ = _smooth_rows(np.abs(J) ** 2, weights, 1e-3)
-    return J, f
+    return J, smoothed(J)
 
 
 # 5-smooth T takes the transform route (375 = 3 * 5**3 is odd), 257 (prime) and
@@ -527,9 +527,9 @@ def test_dft_covariances_shared_transform_matches_single_lag():
     x = rng.standard_normal(200)
     res = stationarity_test(x, lags=[1, 4, 9])
     J = dft_canonical(x - x.mean())
-    est = smooth_spectral(np.abs(J) ** 2)
+    f = smoothed(J)
     for lag, val in zip(res.lags, res.covariances):
-        want = _lag_covariances(*half_input(J, est.values), (lag,))[0]
+        want = _lag_covariances(*half_input(J, f), (lag,))[0]
         assert val == pytest.approx(want, abs=1e-14)
 
 
