@@ -5,18 +5,9 @@ diagnostics for locally stationary alternatives."""
 import importlib
 
 from .errors import (
-    BandwidthTooSmallError,
     BandwidthWarning,
     ComputationError,
-    DegenerateSpectrumError,
-    DegenerateTransferError,
     InputError,
-    InvalidCorrectionError,
-    InvalidInputError,
-    InvalidLagError,
-    NumericalError,
-    SegmentationDepthError,
-    StabilityError,
     StationarityTestError,
 )
 from .numerics import (
@@ -55,30 +46,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmaSpec",
-    "BandwidthTooSmallError",
     "BandwidthWarning",
     "ChangepointArSpec",
     "ComputationError",
     "CorrectionSpec",
-    "DegenerateSpectrumError",
-    "DegenerateTransferError",
     "GeneratorConfig",
     "InputError",
-    "InvalidCorrectionError",
-    "InvalidInputError",
-    "InvalidLagError",
     "KernelSpec",
     "McConfig",
     "McReport",
     "ModulatedNoiseSpec",
-    "NumericalError",
     "PRESET_NAMES",
     "PowerProfile",
     "RngStream",
     "SegmentBlock",
     "SegmentReport",
-    "SegmentationDepthError",
-    "StabilityError",
     "StationarityTestError",
     "TestResult",
     "TvInnovationArSpec",

@@ -1,9 +1,10 @@
-"""Exception hierarchy and warning categories.
+"""Exception families and warning category.
 
 Two error families matter to callers: :class:`InputError` covers anything a
-user can fix (bad flags, bad lags, malformed data) and maps to CLI exit code
-2, while :class:`ComputationError` covers numerical breakdowns (degenerate
-spectra, non-finite integrands) and maps to exit code 3.
+user can fix (bad flags, bad lags, malformed data, an unstable model) and maps
+to CLI exit code 2, while :class:`ComputationError` covers numerical
+breakdowns (degenerate spectra, non-finite integrands) and maps to exit code
+3. The message of each error names the check that failed.
 """
 
 
@@ -15,51 +16,8 @@ class InputError(StationarityTestError):
     """A problem with user-supplied input or configuration."""
 
 
-class InvalidInputError(InputError):
-    """Malformed or out-of-range argument."""
-
-
-class InvalidLagError(InputError):
-    """Lag outside 1..T-1 or equal to the excluded values 0 and T/2."""
-
-
-class BandwidthTooSmallError(InputError):
-    """Kernel window covers fewer than 3 frequencies (bT < 3)."""
-
-
-class SegmentationDepthError(InputError):
-    """Requested depth produces leaf blocks shorter than the minimum length."""
-
-
-class InvalidCorrectionError(InputError):
-    """Correction denominator is not positive."""
-
-
-class StabilityError(InputError):
-    """An AR polynomial has a root on or inside the unit circle.
-
-    ``root_modulus`` carries the modulus of the offending root.
-    """
-
-    def __init__(self, message, root_modulus=None):
-        super().__init__(message)
-        self.root_modulus = root_modulus
-
-
 class ComputationError(StationarityTestError):
     """Numerical failure during an otherwise valid computation."""
-
-
-class NumericalError(ComputationError):
-    """Non-finite value or non-convergent iteration."""
-
-
-class DegenerateTransferError(ComputationError):
-    """Transfer function modulus below tolerance; phase undefined."""
-
-
-class DegenerateSpectrumError(ComputationError):
-    """Integrated spectral density too close to zero for standardization."""
 
 
 class BandwidthWarning(UserWarning):

@@ -22,12 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InvalidInputError,
-    NumericalError,
-    StationarityTestError,
-)
+from .errors import ComputationError, InputError, StationarityTestError
 from .numerics import _gauss_rows, _rfft_at, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
@@ -66,7 +61,7 @@ class McConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
+            raise InputError("replications must be >= 1")
         _checked_level(self.level)
         object.__setattr__(self, "lags", validate_lags(self.lags, self.T))
 
@@ -101,8 +96,7 @@ def _replications(config: McConfig, reduce):
 
     The per-study checks run once, before the first chunk. A failure there
     would have stopped the first replication, so it is reported as
-    replication 0: the same exception, with its attributes, under a
-    prefixed message.
+    replication 0: the same exception class under a prefixed message.
     """
     model, T, burn_in = config.model, config.T, config.burn_in
     try:
@@ -121,12 +115,12 @@ def _replications(config: McConfig, reduce):
         bad, exponents = _scan_rows(X)
         if bad is not None:
             i = start + bad[0]
-            raise InvalidInputError(f"replication {i} (stream {i}): {bad[1]}")
+            raise InputError(f"replication {i} (stream {i}): {bad[1]}")
         out = reduce(_block_covariances(X, plan, exponents), plan)
         bad = _first_nonfinite_row(out)
         if bad is not None:
             i = start + bad
-            raise DegenerateSpectrumError(f"replication {i} (stream {i}): {_ZERO_SPECTRUM}")
+            raise ComputationError(f"replication {i} (stream {i}): {_ZERO_SPECTRUM}")
         yield out
 
 
@@ -155,9 +149,9 @@ def _empirical_density(statistics, bins: int = 50) -> tuple[np.ndarray, np.ndarr
     """Normalized histogram (area one) of test statistics over [0, max]."""
     stats = np.asarray(statistics, dtype=float)
     if stats.size == 0:
-        raise InvalidInputError("the empirical density needs at least one statistic")
+        raise InputError("the empirical density needs at least one statistic")
     if bins < 2:
-        raise InvalidInputError(f"bins must be >= 2, got {bins}")
+        raise InputError(f"bins must be >= 2, got {bins}")
     top = float(stats.max())
     if top <= 0.0:
         top = 1.0
@@ -206,9 +200,9 @@ def _eval_local(f_local, u, w) -> np.ndarray:
     if vals.shape != (u.size, w.size):
         vals = np.broadcast_to(vals, (u.size, w.size)).copy()
     if not np.all(np.isfinite(vals)):
-        raise DegenerateSpectrumError("local spectrum produced non-finite values")
+        raise ComputationError("local spectrum produced non-finite values")
     if np.any(vals < 0.0):
-        raise DegenerateSpectrumError("local spectrum produced negative values")
+        raise ComputationError("local spectrum produced negative values")
     return vals
 
 
@@ -216,7 +210,7 @@ def _time_average(wu: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """fbar = wu @ vals, checked to be at least 1e-10 at every frequency."""
     fbar = wu @ vals
     if np.any(fbar < 1e-10):
-        raise DegenerateSpectrumError("integrated spectrum below 1e-10")
+        raise ComputationError("integrated spectrum below 1e-10")
     return fbar
 
 
@@ -268,14 +262,14 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     """
     lags = tuple(int(r) for r in lags)
     if u_points < 128 or omega_points < 256:
-        raise InvalidInputError(
+        raise InputError(
             f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
         )
     r = np.asarray(lags, dtype=float)
     if np.any(r == 0):
-        raise InvalidInputError("lag r must be nonzero")
+        raise InputError("lag r must be nonzero")
     if T is not None and not (T >= 1 and float(T).is_integer()):
-        raise InvalidInputError(f"T must be a positive integer, got {T!r}")
+        raise InputError(f"T must be a positive integer, got {T!r}")
     u = np.linspace(0.0, 1.0, int(u_points))
     w = np.linspace(0.0, _TWO_PI, int(omega_points))
     wu = _trapezoid_weights(u)
@@ -299,7 +293,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     bad = ~np.isfinite(integrand)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NumericalError(
+        raise ComputationError(
             f"non-finite integrand value at lag r={r[i]:g}, omega={w[j]!r}"
         )
     return PowerProfile(lags=lags, B_values=integrand @ _trapezoid_weights(w) / _TWO_PI)

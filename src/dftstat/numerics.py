@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import ComputationError, InputError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,10 +53,10 @@ def dft_canonical(series) -> np.ndarray:
     summation to 1e-9 relative.
     """
     if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
-        raise InvalidInputError("series must be real")
+        raise InputError("series must be real")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
-        raise InvalidInputError(
+        raise InputError(
             f"dft_canonical needs a 1-d series of length >= 2, got shape {x.shape}"
         )
     return _unfold(_half_dft_rows(x), x.size)
@@ -249,7 +249,7 @@ def _lower_reg_gamma(a: float, x: float) -> float:
             break
         n += 1
     else:
-        raise NumericalError(f"incomplete gamma series failed to converge at a={a}, x={x}")
+        raise ComputationError(f"incomplete gamma series failed to converge at a={a}, x={x}")
     log_scale = -x + a * math.log(x) - math.lgamma(a)
     return total * math.exp(log_scale)
 
@@ -284,9 +284,9 @@ def chisq_sf(x: float, dof: int) -> float:
     negative ``x`` or nonpositive ``dof``.
     """
     if not math.isfinite(x) or x < 0.0:
-        raise InvalidInputError(f"chisq_sf requires x >= 0, got {x}")
+        raise InputError(f"chisq_sf requires x >= 0, got {x}")
     if int(dof) != dof or dof < 1:
-        raise InvalidInputError(f"chisq_sf requires an integer dof >= 1, got {dof}")
+        raise InputError(f"chisq_sf requires an integer dof >= 1, got {dof}")
     a = 0.5 * dof
     xh = 0.5 * x
     if xh == 0.0:
@@ -310,9 +310,9 @@ def chisq_quantile(p: float, dof: int) -> float:
     relative in sf value, also far in the upper tail (1 - p down to 1e-14).
     """
     if not (0.0 <= p < 1.0):
-        raise InvalidInputError(f"chisq_quantile requires p in [0, 1), got {p}")
+        raise InputError(f"chisq_quantile requires p in [0, 1), got {p}")
     if int(dof) != dof or dof < 1:
-        raise InvalidInputError(f"chisq_quantile requires an integer dof >= 1, got {dof}")
+        raise InputError(f"chisq_quantile requires an integer dof >= 1, got {dof}")
     return _chisq_quantile(float(p), int(dof))
 
 
@@ -330,7 +330,7 @@ def _chisq_quantile(p: float, dof: int) -> float:
     while chisq_sf(hi, dof) > target:
         hi *= 2.0
         if hi > 1e12:
-            raise NumericalError("chisq_quantile bracket growth failed")
+            raise ComputationError("chisq_quantile bracket growth failed")
 
     # deferred: only the Monte Carlo drivers need quantiles, not `dftstat test`
     from statistics import NormalDist
@@ -380,9 +380,9 @@ class RngStream:
 
     def __post_init__(self):
         if not (0 <= self.master_seed < 2 ** 64):
-            raise InvalidInputError("master_seed must be a 64-bit unsigned integer")
+            raise InputError("master_seed must be a 64-bit unsigned integer")
         if self.stream_id < 0:
-            raise InvalidInputError("stream_id must be nonnegative")
+            raise InputError("stream_id must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         key = (int(self.stream_id) << 64) | int(self.master_seed)
@@ -395,7 +395,7 @@ def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
     Pure in (rng, n): calling twice returns the same vector.
     """
     if n < 1:
-        raise InvalidInputError(f"draw count must be >= 1, got {n}")
+        raise InputError(f"draw count must be >= 1, got {n}")
     return _gauss_rows(rng.master_seed, rng.stream_id, rng.stream_id + 1, int(n))[0]
 
 

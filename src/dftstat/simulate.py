@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, StabilityError
+from .errors import InputError
 from .numerics import RngStream, gauss_stream
 
 _TWO_PI = 2.0 * math.pi
@@ -32,13 +32,12 @@ def _ar_root_check(ar, context: str):
     circle; non-finite coefficients are rejected first."""
     a = tuple(map(float, ar))
     if not all(map(math.isfinite, a)):
-        raise InvalidInputError(f"{context}: AR coefficients must be finite, got {a}")
+        raise InputError(f"{context}: AR coefficients must be finite, got {a}")
     min_mod = _min_root_modulus(a)
     if min_mod <= 1.0 + 1e-10:
-        raise StabilityError(
+        raise InputError(
             f"{context}: AR polynomial has a root of modulus {min_mod:.6g} "
-            "on or inside the unit circle",
-            root_modulus=min_mod,
+            "on or inside the unit circle"
         )
 
 
@@ -82,17 +81,17 @@ class ChangepointArSpec:
 
     def validate(self):
         if len(self.segments) < 1:
-            raise InvalidInputError("at least one segment is required")
+            raise InputError("at least one segment is required")
         prev = 0.0
         for frac, ar in self.segments:
             if not (prev < frac <= 1.0):
-                raise InvalidInputError(
+                raise InputError(
                     f"segment fractions must increase strictly within (0, 1], got {frac}"
                 )
             prev = frac
             _ar_root_check(ar, f"segment ending at {frac}")
         if self.segments[-1][0] != 1.0:
-            raise InvalidInputError("the last segment fraction must be 1.0")
+            raise InputError("the last segment fraction must be 1.0")
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class TvInnovationArSpec:
     def validate(self):
         _ar_root_check(self.ar, "TvInnovationArSpec")
         if not callable(self.sigma):
-            raise InvalidInputError("sigma must be callable on [0, 1]")
+            raise InputError("sigma must be callable on [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,10 @@ class ModulatedNoiseSpec:
 
     def validate(self):
         if not callable(self.sigma):
-            raise InvalidInputError("sigma must be callable on [0, 1]")
+            raise InputError("sigma must be callable on [0, 1]")
         probe = np.asarray(self.sigma(np.linspace(0.0, 1.0, 1025)), dtype=float)
         if np.any(probe <= 0.0):
-            raise InvalidInputError("modulated-noise sigma must be positive on [0, 1]")
+            raise InputError("modulated-noise sigma must be positive on [0, 1]")
 
 
 ModelSpec = Union[ArmaSpec, ChangepointArSpec, TvInnovationArSpec, ModulatedNoiseSpec]
@@ -139,9 +138,9 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.T < 32:
-            raise InvalidInputError(f"T must be >= 32, got {self.T}")
+            raise InputError(f"T must be >= 32, got {self.T}")
         if self.burn_in < 0:
-            raise InvalidInputError(f"burn_in must be >= 0, got {self.burn_in}")
+            raise InputError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
         a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
         return lfilter([1.0], a, scale * eps, axis=-1)[:, burn:]
 
-    raise InvalidInputError(f"unsupported model spec {type(spec).__name__}")
+    raise InputError(f"unsupported model spec {type(spec).__name__}")
 
 
 def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
@@ -349,15 +348,15 @@ def _sigma_model4(T: int):
 
 def _field(d, key: str, convert, default=...):
     """``convert(d[key])``, or ``default`` for an absent key; a missing or
-    malformed field raises InvalidInputError naming it."""
+    malformed field raises InputError naming it."""
     if not isinstance(d, dict):
-        raise InvalidInputError(f"expected an object with field {key!r}, got {type(d).__name__}")
+        raise InputError(f"expected an object with field {key!r}, got {type(d).__name__}")
     if key not in d and default is ...:
-        raise InvalidInputError(f"missing field {key!r}")
+        raise InputError(f"missing field {key!r}")
     try:
         return convert(d[key]) if key in d else default
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad field {key!r}: {exc}") from None
+        raise InputError(f"bad field {key!r}: {exc}") from None
 
 
 def _numbers(v) -> tuple:
@@ -390,9 +389,9 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
         breaks = np.asarray(_field(d, "breaks", _numbers))
         values = np.asarray(_field(d, "values", _numbers))
         if values.size != breaks.size + 1:
-            raise InvalidInputError("piecewise sigma needs len(values) == len(breaks) + 1")
+            raise InputError("piecewise sigma needs len(values) == len(breaks) + 1")
         if breaks.size and (np.any(np.diff(breaks) <= 0) or breaks[0] <= 0 or breaks[-1] >= 1):
-            raise InvalidInputError("piecewise sigma breaks must increase strictly inside (0, 1)")
+            raise InputError("piecewise sigma breaks must increase strictly inside (0, 1)")
 
         def sigma(u):
             idx = np.searchsorted(breaks, np.asarray(u, dtype=float), side="right")
@@ -408,7 +407,7 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
             return const + amp_sin * np.sin(theta) + amp_cos * np.cos(theta)
 
         return sigma
-    raise InvalidInputError(f"unknown sigma kind {kind!r}")
+    raise InputError(f"unknown sigma kind {kind!r}")
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -425,7 +424,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
                                   sigma=_field(d, "sigma", sigma_from_dict))
     if family == "modulated_noise":
         return ModulatedNoiseSpec(sigma=_field(d, "sigma", sigma_from_dict))
-    raise InvalidInputError(f"unknown model family {family!r}")
+    raise InputError(f"unknown model family {family!r}")
 
 
 PRESET_NAMES = ("model1", "model2", "model3", "model4", "model5", "model6")
@@ -445,10 +444,10 @@ def model_preset(name: str, T: int = 512) -> ModelSpec:
     model5  AR(1) 0.8 switching to 0.6 at t = 0.5 T (small change).
     model6  independent noise with three-level piecewise scale.
 
-    Raises InvalidInputError unless T is a positive integer.
+    Raises InputError unless T is a positive integer.
     """
     if not (T >= 1 and float(T).is_integer()):
-        raise InvalidInputError(f"T must be a positive integer, got {T!r}")
+        raise InputError(f"T must be a positive integer, got {T!r}")
     if name == "model1":
         return ArmaSpec(ar=(0.8,))
     if name == "model2":
@@ -461,6 +460,6 @@ def model_preset(name: str, T: int = 512) -> ModelSpec:
         return ChangepointArSpec(segments=((0.5, (0.8,)), (1.0, (0.6,))))
     if name == "model6":
         return ModulatedNoiseSpec(sigma=_sigma_piecewise6)
-    raise InvalidInputError(
+    raise InputError(
         f"unknown model {name!r}; presets are {', '.join(PRESET_NAMES)}"
     )

@@ -23,15 +23,28 @@ checked in the tests).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooSmallError, BandwidthWarning, InvalidInputError
+from .errors import BandwidthWarning, InputError
 from .numerics import _fast_length
 
 _KERNEL_KINDS = ("daniell", "bartlett")
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _user_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, counted from this function's caller,
+    of the first frame outside the package, so that a warning names the
+    user's line however deep in the library it is raised."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -49,11 +62,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
-            raise InvalidInputError(
+            raise InputError(
                 f"unknown kernel kind {self.kind!r}; expected one of {_KERNEL_KINDS}"
             )
         if self.bandwidth is not None and not (0.0 < self.bandwidth < 0.5):
-            raise InvalidInputError(
+            raise InputError(
                 f"bandwidth must lie in (0, 1/2), got {self.bandwidth}"
             )
 
@@ -69,7 +82,7 @@ class KernelSpec:
                 f"bandwidth {b:.4g} outside the admissible window "
                 f"({T ** -0.5:.4g}, {T ** -0.25:.4g}) for T={T}",
                 BandwidthWarning,
-                stacklevel=3,
+                stacklevel=_user_stacklevel(),
             )
         return b
 
@@ -78,7 +91,7 @@ def _kernel_weights(kind: str, b: float, T: int) -> np.ndarray:
     """Discrete smoothing weights over index offsets -H..H, summing to 1."""
     bT = b * T
     if bT < 3.0:
-        raise BandwidthTooSmallError(
+        raise InputError(
             f"kernel window covers fewer than 3 frequencies (b*T = {bT:.3g})"
         )
     half = int(math.floor(bT / 2.0))
@@ -98,7 +111,7 @@ def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     depend only on T, so a batch of equal-length series shares them.
     """
     if not 0.0 <= ridge_factor < math.inf:
-        raise InvalidInputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
+        raise InputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
     kern = kernel if kernel is not None else KernelSpec()
     b = kern.resolve_bandwidth(T)
     return KernelSpec(kern.kind, b), _kernel_weights(kern.kind, b, T)

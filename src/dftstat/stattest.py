@@ -33,14 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    DegenerateTransferError,
-    InvalidCorrectionError,
-    InvalidInputError,
-    InvalidLagError,
-    SegmentationDepthError,
-)
+from .errors import ComputationError, InputError
 from .numerics import _fast_length, _half_dft_rows, _rfft_at, chisq_sf
 from .spectral import KernelSpec, _half_transform, _smooth_half, _smoother
 
@@ -63,7 +56,7 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
 
     Returns the lags as a tuple of ints. A list of ints (numpy's too) is
     checked in one pass of C-level calls; any other list goes lag by lag,
-    and a bad one raises InvalidLagError for its first bad lag.
+    and a bad one raises InputError for its first bad lag.
     """
     lags = tuple(lags)
     try:
@@ -79,22 +72,22 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
         except (TypeError, ValueError, OverflowError):  # NaN, inf, None, ...
             integral = False
         if not integral:
-            raise InvalidLagError(f"lag must be an integer, got {r!r}")
+            raise InputError(f"lag must be an integer, got {r!r}")
         r = int(r)
         if r < 1 or r > T - 1:
-            raise InvalidLagError(f"lag {r} outside the valid range 1..{T - 1}")
+            raise InputError(f"lag {r} outside the valid range 1..{T - 1}")
         if T % 2 == 0 and r == T // 2:
-            raise InvalidLagError(f"lag {r} equals T/2 and is excluded for T={T}")
+            raise InputError(f"lag {r} equals T/2 and is excluded for T={T}")
         out.append(r)
     if not out:
-        raise InvalidLagError("at least one lag is required")
+        raise InputError("at least one lag is required")
     return tuple(out)
 
 
 def _checked_level(level) -> float:
     """A significance level, which must lie in (0, 1)."""
     if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"level must be in (0, 1), got {level}")
+        raise InputError(f"level must be in (0, 1), got {level}")
     return float(level)
 
 
@@ -212,16 +205,16 @@ def _phase_coherence(psi, x: float, grid: int = 2048) -> float:
     branch choice for phi is needed.
     """
     if grid < 1024:
-        raise InvalidInputError(f"quadrature grid must be >= 1024, got {grid}")
+        raise InputError(f"quadrature grid must be >= 1024, got {grid}")
     p = np.asarray(psi, dtype=float)
     if p.ndim != 1 or p.size == 0 or p[0] == 0.0:
-        raise InvalidInputError("psi must be a nonempty coefficient vector with psi[0] != 0")
+        raise InputError("psi must be a nonempty coefficient vector with psi[0] != 0")
     w = _TWO_PI * np.arange(grid) / grid  # periodic integrand: left rule is exact trapezoid
     a0 = _transfer(p, w)
     a1 = _transfer(p, w + x)
     mod = np.abs(a0) * np.abs(a1)
     if np.any(mod < 1e-24):
-        raise DegenerateTransferError("transfer function modulus below 1e-12")
+        raise ComputationError("transfer function modulus below 1e-12")
     mean = np.mean(a0 * np.conj(a1) / mod)
     return min(float(abs(mean) ** 2), 1.0)
 
@@ -250,19 +243,19 @@ class CorrectionSpec:
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "linear_plugin", "user"):
-            raise InvalidInputError(f"unknown correction mode {self.mode!r}")
+            raise InputError(f"unknown correction mode {self.mode!r}")
         if self.mode == "linear_plugin":
             p = np.asarray(self.psi, dtype=float)
             if p.size == 0 or not np.all(np.isfinite(p)) or p[0] == 0.0:
-                raise InvalidInputError(
+                raise InputError(
                     "linear_plugin correction needs finite psi with psi[0] != 0"
                 )
             if not math.isfinite(self.kappa4):
-                raise InvalidInputError(f"kappa4 must be finite, got {self.kappa4}")
+                raise InputError(f"kappa4 must be finite, got {self.kappa4}")
         if self.mode == "user" and len(self.kappa) == 0:
-            raise InvalidInputError("user correction needs explicit kappa values")
+            raise InputError("user correction needs explicit kappa values")
         if self.mode == "user" and not np.all(np.isfinite(self.kappa)):
-            raise InvalidInputError(f"kappa values must be finite, got {self.kappa}")
+            raise InputError(f"kappa values must be finite, got {self.kappa}")
 
     @classmethod
     def gaussian(cls) -> "CorrectionSpec":
@@ -289,12 +282,12 @@ def _correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
         )
     else:  # user
         if len(spec.kappa) != len(lags):
-            raise InvalidInputError(
+            raise InputError(
                 f"user correction has {len(spec.kappa)} kappa values for {len(lags)} lags"
             )
         denom = 1.0 + 0.5 * np.asarray(spec.kappa, dtype=float)
     if np.any(denom <= 0.0):
-        raise InvalidCorrectionError("correction denominator is not positive")
+        raise InputError("correction denominator is not positive")
     return denom
 
 
@@ -450,10 +443,10 @@ def _contributions(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
 
 def _checked_series(series) -> np.ndarray:
     if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
-        raise InvalidInputError("series must be real")
+        raise InputError("series must be real")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
-        raise InvalidInputError(f"series must be 1-d, got shape {x.shape}")
+        raise InputError(f"series must be 1-d, got shape {x.shape}")
     return x
 
 
@@ -462,17 +455,17 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
     """``stationarity_test`` of every row of X; the rows share one plan."""
     levels = tuple(_checked_level(a) for a in levels)
     if X.shape[-1] < MIN_SERIES_LENGTH:
-        raise InvalidInputError(
+        raise InputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
         )
     bad, exponents = _scan_rows(X)
     if bad is not None:
-        raise InvalidInputError(bad[1])
+        raise InputError(bad[1])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
     C = _block_covariances(X, plan, exponents)
     stats = _statistics(C, plan)
     if _first_nonfinite_row(stats) is not None:
-        raise DegenerateSpectrumError(_ZERO_SPECTRUM)
+        raise ComputationError(_ZERO_SPECTRUM)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []
@@ -595,10 +588,10 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
     x = _checked_series(series)
     T = x.size
     if depth < 0:
-        raise InvalidInputError(f"depth must be >= 0, got {depth}")
+        raise InputError(f"depth must be >= 0, got {depth}")
     leaf = T >> depth  # the shortest block; checked before any bounds are built
     if leaf < MIN_SERIES_LENGTH:
-        raise SegmentationDepthError(
+        raise InputError(
             f"depth {depth} gives leaf blocks of length {leaf} < {MIN_SERIES_LENGTH}"
         )
     blocks = []

@@ -253,12 +253,13 @@ def test_criterion_9_invariance_suite():
         in_range &= 0.0 <= v <= 1.0
 
     excluded_ok = True
-    for bad in (0, 256):
+    for bad, message in ((0, "lag 0 outside the valid range 1..511"),
+                         (256, "lag 256 equals T/2 and is excluded for T=512")):
         try:
             ds.stationarity_test(x, lags=[bad])
             excluded_ok = False
-        except ds.InvalidLagError:
-            pass
+        except ds.InputError as exc:
+            excluded_ok &= str(exc) == message
 
     ok = worst_scale <= 1e-8 and coherence_at_zero == 1.0 and in_range and excluded_ok
     report("9 invariance suite", ok,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from dftstat import (
-    DegenerateSpectrumError,
-    InvalidInputError,
-    InvalidLagError,
+    ComputationError,
+    InputError,
     McConfig,
     RngStream,
     chisq_quantile,
@@ -101,15 +100,15 @@ def test_small_changepoint_power_ordering():
 
 def test_mc_config_validation():
     spec = model_preset("model1", 256)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^replications must be >= 1$"):
         McConfig(model=spec, T=256, replications=0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match=r"^level must be in \(0, 1\), got 1\.5$"):
         McConfig(model=spec, T=256, level=1.5)
     cfg = McConfig(model=spec, T=256).with_m(3)
     assert cfg.lags == (1, 2, 3)
     # a huge m fails at the first bad lag, as m = T does, without building 1..m
     for m in (256, 10 ** 7):
-        with pytest.raises(InvalidLagError, match="lag 128 equals T/2"):
+        with pytest.raises(InputError, match="lag 128 equals T/2"):
             cfg.with_m(m)
 
 
@@ -117,18 +116,19 @@ def test_mc_config_validation():
                                  {"level": 0.0}, {"level": 1.5}, {"level": math.nan}])
 def test_lag_scan_checks_replications_and_level_as_mc_config(bad):
     spec = model_preset("model1", 256)
-    with pytest.raises(InvalidInputError) as scan_error:
+    match = "^replications must be >= 1$" if "replications" in bad else "^level must be in"
+    with pytest.raises(InputError, match=match) as scan_error:
         lag_scan(spec, 256, [1, 2], **bad)
-    with pytest.raises(InvalidInputError) as config_error:
+    with pytest.raises(InputError, match=match) as config_error:
         McConfig(model=spec, T=256, **bad)
     assert str(scan_error.value) == str(config_error.value)
 
 
 def test_fractional_lags_are_rejected_by_both_drivers():
     spec = model_preset("model1", 256)
-    with pytest.raises(InvalidLagError, match="integer") as config_error:
+    with pytest.raises(InputError, match="integer") as config_error:
         McConfig(model=spec, T=256, lags=(1.5, 2.9))
-    with pytest.raises(InvalidLagError, match="integer") as scan_error:
+    with pytest.raises(InputError, match="integer") as scan_error:
         lag_scan(spec, 256, [1.5, 2.9], replications=2)
     assert str(scan_error.value) == str(config_error.value)
     assert McConfig(model=spec, T=256, lags=(1.0, 2)).lags == (1, 2)
@@ -168,9 +168,9 @@ def test_density_matches_chi2_20():
 
 
 def test_density_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^the empirical density needs at least one statistic$"):
         _empirical_density([])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^bins must be >= 2, got 1$"):
         _empirical_density([1.0, 2.0], bins=1)
 
 
@@ -205,9 +205,9 @@ def test_lag_scan_null_stays_near_level():
 
 
 def test_lag_scan_rejects_excluded_lags():
-    with pytest.raises(InvalidLagError):
+    with pytest.raises(InputError, match=r"^lag 0 outside the valid range 1\.\.255$"):
         lag_scan(model_preset("model1", 256), 256, [0], replications=2)
-    with pytest.raises(InvalidLagError):
+    with pytest.raises(InputError, match="^lag 128 equals T/2 and is excluded for T=256$"):
         lag_scan(model_preset("model1", 256), 256, [128], replications=2)
 
 
@@ -257,11 +257,11 @@ def test_noncentrality_finite_shift_close_to_limit():
 
 
 def test_noncentrality_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^quadrature grid must be at least 128 x 256, got 64 x 513$"):
         power_profile(flat_modulated, (1,), u_points=64)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^lag r must be nonzero$"):
         power_profile(flat_modulated, (0,))
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(ComputationError, match="^integrated spectrum below 1e-10$"):
         power_profile(lambda u, w: np.zeros(np.broadcast_shapes(np.shape(u), np.shape(w))),
                       (1,))
 
@@ -410,15 +410,15 @@ def test_power_profile_rolls_shifts_beyond_T(name, T):
 def test_power_profile_rejects_lag_zero_anywhere():
     for lags in ([0], [0, 1, 2], [1, 2, 0], [3, 0, -3]):
         for T in (None, 512):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InputError, match="^lag r must be nonzero$"):
                 power_profile(flat_modulated, lags, T=T)
 
 
 @pytest.mark.parametrize("T", [0, -512, 2.5, math.nan, math.inf])
 def test_power_profile_rejects_a_T_that_is_not_a_positive_integer(T):
-    with pytest.raises(InvalidInputError, match="T must be a positive integer"):
+    with pytest.raises(InputError, match="T must be a positive integer"):
         power_profile(flat_modulated, [1, 2], T=T)
-    with pytest.raises(InvalidInputError, match="T must be a positive integer"):
+    with pytest.raises(InputError, match="T must be a positive integer"):
         power_profile(flat_modulated, (1,), T=T)
 
 
@@ -440,17 +440,17 @@ def shaped(value):
 
 
 @pytest.mark.parametrize("T", [None, 512])
-@pytest.mark.parametrize("f_local, error", [
-    (shaped(-1.0), DegenerateSpectrumError),
-    (shaped(np.nan), DegenerateSpectrumError),
-    (shaped(np.inf), DegenerateSpectrumError),
-    (shaped(0.0), DegenerateSpectrumError),
-    (shaped(1e-11), DegenerateSpectrumError),
-])
-def test_power_profile_rejects_bad_spectra(f_local, error, T):
-    with pytest.raises(error):
+@pytest.mark.parametrize("f_local, message", [
+    (shaped(-1.0), "^local spectrum produced negative values$"),
+    (shaped(np.nan), "^local spectrum produced non-finite values$"),
+    (shaped(np.inf), "^local spectrum produced non-finite values$"),
+    (shaped(0.0), "^integrated spectrum below 1e-10$"),
+    (shaped(1e-11), "^integrated spectrum below 1e-10$"),
+], ids=["negative", "nan", "inf", "zero", "tiny"])
+def test_power_profile_rejects_bad_spectra(f_local, message, T):
+    with pytest.raises(ComputationError, match=message):
         power_profile(f_local, [1, 2], T=T)
-    with pytest.raises(error):
+    with pytest.raises(ComputationError, match=message):
         power_profile(f_local, (1,), T=T)
 
 
@@ -467,6 +467,9 @@ def test_power_profile_checks_the_shifted_evaluations(value):
     # shifts are evaluated off the grid
     f = off_grid(value)
     assert power_profile(f, [1, 2]).B_values == pytest.approx([0, 0], abs=1e-15)
+    message = ("^local spectrum produced non-finite values$" if np.isnan(value) else
+               "^local spectrum produced negative values$" if value < 0 else
+               "^integrated spectrum below 1e-10$")
     for T in (300, 500):
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(ComputationError, match=message):
             power_profile(f, [1, 2], T=T)

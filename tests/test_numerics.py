@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dftstat import (
-    InvalidInputError,
-    NumericalError,
+    ComputationError,
+    InputError,
     RngStream,
     chisq_quantile,
     chisq_sf,
@@ -28,7 +28,7 @@ def trapezoid_2d_values(values, x, y):
         else ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NumericalError(
+        raise ComputationError(
             f"non-finite integrand value at grid point (x={x[i]!r}, y={y[j]!r})"
         )
     trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -219,9 +219,10 @@ def test_dft_linearity():
 
 
 def test_dft_rejects_short_input():
-    with pytest.raises(InvalidInputError):
+    match = r"^dft_canonical needs a 1-d series of length >= 2, got shape \((0|1),\)$"
+    with pytest.raises(InputError, match=match):
         dft_canonical([])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match=match):
         dft_canonical([1.0])
 
 
@@ -281,9 +282,9 @@ def test_chisq_sf_strictly_decreasing():
 
 
 def test_chisq_sf_invalid_inputs():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^chisq_sf requires x >= 0, got -1.0$"):
         chisq_sf(-1.0, 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^chisq_sf requires an integer dof >= 1, got 0$"):
         chisq_sf(1.0, 0)
 
 
@@ -330,9 +331,10 @@ def test_chisq_quantile_strictly_increasing():
 
 
 def test_chisq_quantile_invalid_inputs():
-    with pytest.raises(InvalidInputError):
+    match = r"^chisq_quantile requires p in \[0, 1\), got "
+    with pytest.raises(InputError, match=match + "-0.1$"):
         chisq_quantile(-0.1, 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match=match + "1.0$"):
         chisq_quantile(1.0, 2)
 
 
@@ -371,11 +373,11 @@ def test_gauss_stream_independent_streams():
 
 
 def test_gauss_stream_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^draw count must be >= 1, got 0$"):
         gauss_stream(RngStream(1, 0), 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^master_seed must be a 64-bit unsigned integer$"):
         RngStream(-1, 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^stream_id must be nonnegative$"):
         RngStream(0, -2)
 
 
@@ -420,6 +422,6 @@ def test_trapezoid_reports_nonfinite_location():
     u = np.linspace(0.0, 1.0, 32)
     w = np.linspace(0.0, 2 * np.pi, 32)
     vals = np.where(u[:, None] > 0.5, np.inf, 1.0) * np.ones_like(w)
-    with pytest.raises(NumericalError) as err:
+    with pytest.raises(ComputationError, match="^non-finite integrand value at grid point") as err:
         trapezoid_2d_values(vals, u, w)
     assert "grid point" in str(err.value)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from dftstat import (  # noqa: E402
     PRESET_NAMES,
     BandwidthWarning,
-    InvalidLagError,
+    InputError,
     chisq_quantile,
     local_spectrum,
     model_preset,
@@ -28,7 +28,12 @@ from dftstat.experiments import (  # noqa: E402
     _trapezoid_weights,
     _u_fourier,
 )
-from dftstat.numerics import _chisq_quantile, _fast_length, _half_dft_rows  # noqa: E402
+from dftstat.numerics import (  # noqa: E402
+    _chisq_quantile,
+    _fast_length,
+    _half_dft_rows,
+    _takes_chirp,
+)
 from dftstat.simulate import _min_root_modulus  # noqa: E402
 from dftstat.stattest import (  # noqa: E402
     _block_covariances,
@@ -139,6 +144,30 @@ def test_a_block_equals_its_rows(case, demean):
         assert np.array_equal(block[i], _block_covariances(row, plan, _scan_rows(row)[1])[0])
 
 
+def next_prime(n):
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+@st.composite
+def chirp_lengths(draw):
+    """T = c * p for a prime p above 2**13 and c in 1..8, T below 70000: odd
+    and even lengths that take the chirp-z DFT."""
+    c = draw(st.integers(1, 8))
+    return c * next_prime(draw(st.integers(2 ** 13 + 1, 70000 // c - 100)))
+
+
+@settings(max_examples=25)
+@given(chirp_lengths(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_the_chirp_dft_equals_numpys_rfft(T, rows, seed):
+    assert _takes_chirp(T)
+    x = np.random.default_rng(seed).standard_normal((rows, T))
+    want = np.fft.rfft(np.roll(x, 1, axis=-1), axis=-1) / math.sqrt(2 * math.pi * T)
+    got = _half_dft_rows(x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # lag validation and the memoized helpers
 # ---------------------------------------------------------------------------
@@ -154,23 +183,23 @@ def validate_lags_by_loop(lags, T):
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:
-            raise InvalidLagError(f"lag must be an integer, got {r!r}")
+            raise InputError(f"lag must be an integer, got {r!r}")
         r = int(r)
         if r < 1 or r > T - 1:
-            raise InvalidLagError(f"lag {r} outside the valid range 1..{T - 1}")
+            raise InputError(f"lag {r} outside the valid range 1..{T - 1}")
         if T % 2 == 0 and r == T // 2:
-            raise InvalidLagError(f"lag {r} equals T/2 and is excluded for T={T}")
+            raise InputError(f"lag {r} equals T/2 and is excluded for T={T}")
         out.append(r)
     if not out:
-        raise InvalidLagError("at least one lag is required")
+        raise InputError("at least one lag is required")
     return tuple(out)
 
 
 def outcome(validate, lags, T):
     try:
         out = validate(lags, T)
-    except InvalidLagError as exc:
-        return InvalidLagError, str(exc)
+    except InputError as exc:
+        return InputError, str(exc)
     assert all(type(r) is int for r in out)
     return out
 
@@ -393,6 +422,30 @@ def fuzzed_study_argv(rng, outdir):
     return argv + fuzzed_flag(rng, "--burn-in", ["0", "50", "500"], ["-1", "-500"])
 
 
+def fuzzed_model_argv(rng, outdir):
+    """argv for ``simulate`` (T 32-200) or ``power`` of a preset, a JSON spec
+    written to outdir (stable or not), an unknown preset or a missing spec,
+    writing its files to outdir. Valid grids and lags stay small."""
+    (outdir / "ar.json").write_text('{"family": "ar_ma", "ar": [0.5]}')
+    (outdir / "explosive.json").write_text('{"family": "ar_ma", "ar": [1.2]}')
+    model = str(rng.choice([*PRESET_NAMES, str(outdir / "ar.json")]) if rng.random() < 0.9
+                else rng.choice(["model9", str(outdir / "explosive.json"),
+                                 str(outdir / "missing.json")]))
+    if rng.random() < 0.5:
+        return (["simulate", model, "--output", str(outdir / "x.csv")]
+                + fuzzed_flag(rng, "--T", ["32", "64", "200"], ["0", "31", "-5"], present=1.0)
+                + fuzzed_flag(rng, "--seed", ["0", "7", str(2 ** 64 - 1)], ["-1", str(2 ** 64)])
+                + fuzzed_flag(rng, "--stream", ["0", "3"], ["-2"])
+                + fuzzed_flag(rng, "--burn-in", ["0", "50", "500"], ["-1"]))
+    return (["power", model, "--outdir", str(outdir)]
+            + fuzzed_flag(rng, "--lags", ["1..4", "2,5,7", "1,15"], ["0", "a", "1..0"],
+                          present=1.0)
+            + fuzzed_flag(rng, "--T", ["64", "256", "512"], ["0", "31", "-5"])
+            + fuzzed_flag(rng, "--u-grid", ["128", "257"], ["5"])
+            + fuzzed_flag(rng, "--omega-grid", ["256", "513"], ["5"])
+            + (["--finite-lag-shift"] if rng.random() < 0.5 else []))
+
+
 def exit_code(argv):
     """``main(argv)``, which must give no warning but a BandwidthWarning, the
     documented response to a valid bandwidth outside the admissible window.
@@ -414,4 +467,11 @@ def test_the_cli_exits_0_2_or_3_whatever_the_series_and_flags(tmp_path_factory, 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_the_study_commands_exit_0_2_or_3_whatever_the_flags(tmp_path_factory, seed):
     argv = fuzzed_study_argv(np.random.default_rng(seed), tmp_path_factory.mktemp("study"))
+    assert exit_code(argv) in (0, 2, 3)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_simulate_and_power_exit_0_2_or_3_whatever_the_flags(tmp_path_factory, seed):
+    argv = fuzzed_model_argv(np.random.default_rng(seed), tmp_path_factory.mktemp("model"))
     assert exit_code(argv) in (0, 2, 3)

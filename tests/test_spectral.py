@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from dftstat import (
-    BandwidthTooSmallError,
     BandwidthWarning,
     GeneratorConfig,
-    InvalidInputError,
+    InputError,
     KernelSpec,
+    McConfig,
     RngStream,
     dft_canonical,
     gauss_stream,
     generate,
+    lag_scan,
     model_preset,
+    rejection_rate,
+    segmented_test,
     stationarity_test,
 )
 from dftstat.spectral import _fast_length, _kernel_weights, _smoother
@@ -211,20 +214,36 @@ def test_bandwidth_warning_band():
         stationarity_test(x, kernel=KernelSpec("daniell", 0.02))
 
 
+def test_the_bandwidth_warning_names_the_callers_line():
+    # each entry point reaches the kernel at its own depth in the library
+    x = np.random.default_rng(16).standard_normal(512)
+    wide, model = KernelSpec("daniell", 0.3), model_preset("model1")
+    calls = [lambda: stationarity_test(x, kernel=wide),
+             lambda: segmented_test(x, depth=1, kernel=wide),
+             lambda: rejection_rate(McConfig(model=model, T=512, replications=2, kernel=wide)),
+             lambda: lag_scan(model, 512, [1, 2], replications=2, kernel=wide)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught and {w.filename for w in caught} == {__file__}
+        assert all(w.category is BandwidthWarning for w in caught)
+
+
 def test_bandwidth_too_small_is_an_error():
     x = np.random.default_rng(17).standard_normal(64)
-    with pytest.raises(BandwidthTooSmallError):
+    with pytest.raises(InputError, match=r"^kernel window covers fewer than 3 frequencies \(b\*T = 2\.56\)$"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BandwidthWarning)
             stationarity_test(x, kernel=KernelSpec("daniell", 0.04))  # b*T = 2.56
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="^unknown kernel kind 'hann'; expected one of "):
         KernelSpec("hann")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match=r"^bandwidth must lie in \(0, 1/2\), got 0\.6$"):
         KernelSpec("daniell", 0.6)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match=r"^bandwidth must lie in \(0, 1/2\), got 0\.0$"):
         KernelSpec("daniell", 0.0)
 
 
@@ -239,5 +258,5 @@ def test_kernel_weights_sum_to_one():
 def test_ridge_factor_must_be_finite_and_nonnegative():
     x = np.random.default_rng(18).standard_normal(64)
     for ridge_factor in (-0.1, math.inf, math.nan):
-        with pytest.raises(InvalidInputError, match="ridge_factor must be finite and >= 0"):
+        with pytest.raises(InputError, match="ridge_factor must be finite and >= 0"):
             stationarity_test(x, ridge_factor=ridge_factor)
