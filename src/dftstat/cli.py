@@ -17,11 +17,12 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ComputationError, InputError, StationarityTestError
+from .errors import BandwidthWarning, ComputationError, InputError, StationarityTestError
 from .numerics import RngStream
 from .spectral import KernelSpec
 from .stattest import (
@@ -175,7 +176,7 @@ def _correction_from_args(args) -> CorrectionSpec:
     if mode == "gaussian":
         if args.psi or args.kappa4 is not None or args.kappa:
             raise InputError("--psi/--kappa4/--kappa require --correction linear or user")
-        return CorrectionSpec.gaussian()
+        return CorrectionSpec()
     if mode == "linear":
         if not args.psi or args.kappa4 is None:
             raise InputError("--correction linear needs --psi and --kappa4")
@@ -531,7 +532,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # the library's warnings as lines like error:'s
+            show = warnings.showwarning
+            warnings.showwarning = lambda message, category, *where: (
+                print(f"warning: {message}", file=sys.stderr)
+                if issubclass(category, BandwidthWarning) else show(message, category, *where))
+            return args.func(args)
     except ComputationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

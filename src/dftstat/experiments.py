@@ -17,20 +17,19 @@ bounded as the replication count grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ComputationError, InputError, StationarityTestError
-from .numerics import _gauss_rows, _rfft_at, chisq_quantile
+from .numerics import _checked_int, _gauss_rows, _rfft_at, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
     _ZERO_SPECTRUM,
     _block_covariances,
     _checked_level,
-    _consecutive_lags,
     _contributions,
     _first_nonfinite_row,
     _plan,
@@ -60,14 +59,12 @@ class McConfig:
     burn_in: int = 500
 
     def __post_init__(self):
+        for name in ("T", "replications", "master_seed", "burn_in"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if self.replications < 1:
             raise InputError("replications must be >= 1")
         _checked_level(self.level)
         object.__setattr__(self, "lags", validate_lags(self.lags, self.T))
-
-    def with_m(self, m: int) -> "McConfig":
-        """Same study with consecutive lags 1..m."""
-        return replace(self, lags=_consecutive_lags(m, self.T))
 
 
 @dataclass(frozen=True)
@@ -159,26 +156,21 @@ def _empirical_density(statistics, bins: int = 50) -> tuple[np.ndarray, np.ndarr
     return edges, density
 
 
-def lag_scan(model: ModelSpec, T: int, lags, level: float = 0.05,
-             replications: int = 1000, master_seed: int = 0,
-             kernel: Optional[KernelSpec] = None,
-             correction: Optional[CorrectionSpec] = None,
-             ridge_factor: float = 1e-3, burn_in: int = 500) -> np.ndarray:
+def lag_scan(model: ModelSpec, T: int, lags, **study) -> np.ndarray:
     """Rejection rate of the single-lag test at each requested lag.
 
-    The arguments form an ``McConfig``. Each lag's statistic is its term of
-    the full statistic (``TestResult.contributions``), which equals
+    The arguments form an ``McConfig``, ``study`` taking its other fields by
+    keyword with its defaults. Each lag's statistic is its term of the full
+    statistic (``TestResult.contributions``), which equals
     ``stationarity_test`` at that one lag bit for bit, so all lags share a
     replication's transform and spectral estimate. Replications run in
     blocks as in ``rejection_rate``, replication i on stream i.
     """
-    config = McConfig(model=model, T=T, lags=lags, level=level, replications=replications,
-                      master_seed=master_seed, kernel=kernel, correction=correction,
-                      ridge_factor=ridge_factor, burn_in=burn_in)
-    threshold = chisq_quantile(1.0 - level, 2)
+    config = McConfig(model=model, T=T, lags=lags, **study)
+    threshold = chisq_quantile(1.0 - config.level, 2)
     rejections = sum(np.count_nonzero(stats > threshold, axis=0)
                      for stats in _replications(config, _contributions))
-    return rejections / replications
+    return rejections / config.replications
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,9 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     evaluation, reduced to its row before the next, so memory stays at about
     one grid for any number of lags.
     """
-    lags = tuple(int(r) for r in lags)
+    lags = tuple(_checked_int(r, "lag") for r in lags)
+    u_points = _checked_int(u_points, "u_points")
+    omega_points = _checked_int(omega_points, "omega_points")
     if u_points < 128 or omega_points < 256:
         raise InputError(
             f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
@@ -268,10 +262,10 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     r = np.asarray(lags, dtype=float)
     if np.any(r == 0):
         raise InputError("lag r must be nonzero")
-    if T is not None and not (T >= 1 and float(T).is_integer()):
-        raise InputError(f"T must be a positive integer, got {T!r}")
-    u = np.linspace(0.0, 1.0, int(u_points))
-    w = np.linspace(0.0, _TWO_PI, int(omega_points))
+    if T is not None:
+        T = _checked_int(T, "T", positive=True)
+    u = np.linspace(0.0, 1.0, u_points)
+    w = np.linspace(0.0, _TWO_PI, omega_points)
     wu = _trapezoid_weights(u)
     vals = _eval_local(f_local, u, w)
     fbar = _time_average(wu, vals)
@@ -279,7 +273,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     if T is None:
         integrand = inner / fbar
     else:
-        T, n = int(T), w.size - 1
+        n = w.size - 1
         steps = np.arange(w.size)
         shifted = np.empty((r.size, w.size))
         for row, lag in zip(shifted, lags):

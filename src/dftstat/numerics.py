@@ -29,6 +29,18 @@ from .errors import ComputationError, InputError
 _TWO_PI = 2.0 * math.pi
 
 
+def _checked_int(value, name: str, positive: bool = False) -> int:
+    """``value`` as an int if it is integral (an integral float too) and, when
+    ``positive``, at least 1; else InputError naming it: nothing is truncated."""
+    try:
+        if int(value) == value and (value >= 1 or not positive):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, None, ...
+        pass
+    kind = "a positive integer" if positive else "an integer"
+    raise InputError(f"{name} must be {kind}, got {value!r}")
+
+
 def dft_canonical(series) -> np.ndarray:
     """DFT of a real series at the canonical frequencies, k = 1..T order.
 
@@ -236,9 +248,7 @@ _GAMMA_MAX_ITER = 10_000
 
 
 def _lower_reg_gamma(a: float, x: float) -> float:
-    """P(a, x) by series expansion; accurate for x < a + 1."""
-    if x <= 0.0:
-        return 0.0
+    """P(a, x) by series expansion, x > 0; accurate for x < a + 1."""
     term = 1.0 / a
     total = term
     n = 1
@@ -296,18 +306,13 @@ def chisq_sf(x: float, dof: int) -> float:
     return _upper_reg_gamma(a, xh)
 
 
-def _chisq_logpdf(x: float, dof: int) -> float:
-    a = 0.5 * dof
-    return (a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a)
-
-
 def chisq_quantile(p: float, dof: int) -> float:
     """Inverse of the chi-square CDF: x with chisq_sf(x, dof) = 1 - p.
 
-    Accepts p in [0, 1); strictly increasing in p. Accuracy: the Newton
-    iteration stops when the sf value is within 1e-13 of 1 - p relative to
-    1 - p, so the returned point satisfies the defining equation to 1e-9
-    relative in sf value, also far in the upper tail (1 - p down to 1e-14).
+    Accepts p in [0, 1); nondecreasing in p. Bisection on ``chisq_sf`` down
+    to adjacent floats returns the x with chisq_sf(x, dof) <= 1 - p <
+    chisq_sf(the float below x), so the equation holds as closely as
+    ``chisq_sf`` resolves it, far in either tail.
     """
     if not (0.0 <= p < 1.0):
         raise InputError(f"chisq_quantile requires p in [0, 1), got {p}")
@@ -324,40 +329,18 @@ def _chisq_quantile(p: float, dof: int) -> float:
         return 0.0
     target = 1.0 - p  # sf value at the quantile
 
-    # bracket [lo, hi] with sf(lo) >= target >= sf(hi)
+    # bracket [lo, hi] with sf(lo) > target >= sf(hi)
     lo = 0.0
     hi = float(max(dof, 1))
     while chisq_sf(hi, dof) > target:
         hi *= 2.0
         if hi > 1e12:
             raise ComputationError("chisq_quantile bracket growth failed")
-
-    # deferred: only the Monte Carlo drivers need quantiles, not `dftstat test`
-    from statistics import NormalDist
-
-    # Newton from the Wilson-Hilferty start, safeguarded by the bracket
-    c = 2.0 / (9.0 * dof)
-    z = NormalDist().inv_cdf(p)
-    x = dof * (1.0 - c + z * math.sqrt(c)) ** 3
-    if not (lo < x < hi):
-        x = 0.5 * (lo + hi)
-    for _ in range(100):
-        fx = chisq_sf(x, dof) - target
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        if abs(fx) < 1e-13 * target:
-            break
-        step = fx / math.exp(_chisq_logpdf(x, dof)) if x > 0.0 else 0.0
-        x_new = x + step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-14 * x:
-            x = x_new
-            break
-        x = x_new
-    return x
+    mid = 0.5 * hi
+    while lo < mid < hi:  # until lo and hi are adjacent floats
+        lo, hi = (mid, hi) if chisq_sf(mid, dof) > target else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +362,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if not (0 <= self.master_seed < 2 ** 64):
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if self.stream_id < 0:
@@ -394,9 +379,10 @@ def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
 
     Pure in (rng, n): calling twice returns the same vector.
     """
+    n = _checked_int(n, "draw count")
     if n < 1:
         raise InputError(f"draw count must be >= 1, got {n}")
-    return _gauss_rows(rng.master_seed, rng.stream_id, rng.stream_id + 1, int(n))[0]
+    return _gauss_rows(rng.master_seed, rng.stream_id, rng.stream_id + 1, n)[0]
 
 
 def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError
-from .numerics import RngStream, gauss_stream
+from .numerics import RngStream, _checked_int, gauss_stream
 
 _TWO_PI = 2.0 * math.pi
 
@@ -137,6 +137,8 @@ class GeneratorConfig:
     rng: RngStream = RngStream(0, 0)
 
     def __post_init__(self):
+        for name in ("T", "burn_in"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if self.T < 32:
             raise InputError(f"T must be >= 32, got {self.T}")
         if self.burn_in < 0:
@@ -446,8 +448,7 @@ def model_preset(name: str, T: int = 512) -> ModelSpec:
 
     Raises InputError unless T is a positive integer.
     """
-    if not (T >= 1 and float(T).is_integer()):
-        raise InputError(f"T must be a positive integer, got {T!r}")
+    T = _checked_int(T, "T", positive=True)
     if name == "model1":
         return ArmaSpec(ar=(0.8,))
     if name == "model2":

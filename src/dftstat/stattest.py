@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .numerics import _fast_length, _half_dft_rows, _rfft_at, chisq_sf
+from .numerics import _checked_int, _fast_length, _half_dft_rows, _rfft_at, chisq_sf
 from .spectral import KernelSpec, _half_transform, _smooth_half, _smoother
 
 _TWO_PI = 2.0 * math.pi
@@ -48,7 +48,7 @@ def _consecutive_lags(m: int, T: int) -> range:
     """The consecutive lags 1..m, cut at T: lags from T on are all invalid,
     so 1..min(m, T) fails validation at the same first bad lag as 1..m,
     without building a huge m's lags first."""
-    return range(1, min(m, T) + 1)
+    return range(1, min(_checked_int(m, "m"), T) + 1)
 
 
 def validate_lags(lags, T: int) -> tuple[int, ...]:
@@ -67,13 +67,7 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
         return out
     out = []
     for r in lags:
-        try:
-            integral = int(r) == r
-        except (TypeError, ValueError, OverflowError):  # NaN, inf, None, ...
-            integral = False
-        if not integral:
-            raise InputError(f"lag must be an integer, got {r!r}")
-        r = int(r)
+        r = _checked_int(r, "lag")
         if r < 1 or r > T - 1:
             raise InputError(f"lag {r} outside the valid range 1..{T - 1}")
         if T % 2 == 0 and r == T // 2:
@@ -258,10 +252,6 @@ class CorrectionSpec:
             raise InputError(f"kappa values must be finite, got {self.kappa}")
 
     @classmethod
-    def gaussian(cls) -> "CorrectionSpec":
-        return cls()
-
-    @classmethod
     def linear(cls, psi, kappa4: float) -> "CorrectionSpec":
         return cls(mode="linear_plugin", psi=tuple(float(v) for v in psi),
                    kappa4=float(kappa4))
@@ -318,8 +308,8 @@ class TestResult:
 class _TestPlan:
     """What a test needs besides the data, worked out once per series length:
     the lags, the kernel with its bandwidth resolved, its window half-width,
-    the smoothing transform length and the weights' transform at it, the
-    covariance kernel's route and the correction denominators."""
+    the smoothing transform length and the weights' transform at it, and the
+    correction denominators."""
 
     T: int
     lags: tuple[int, ...]
@@ -327,7 +317,6 @@ class _TestPlan:
     half_width: int
     smooth_length: int
     weight_spectrum: np.ndarray
-    transform: bool
     corrections: np.ndarray
     ridge_factor: float
     demean: bool
@@ -339,8 +328,7 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     lags = validate_lags(_consecutive_lags(m, T) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
     return _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
-                     smooth_length=n, weight_spectrum=spectrum,
-                     transform=_fast_length(T) == T, corrections=corr,
+                     smooth_length=n, weight_spectrum=spectrum, corrections=corr,
                      ridge_factor=ridge_factor, demean=demean)
 
 
@@ -427,7 +415,7 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     f = _smooth_half(buf, T, H, plan.weight_spectrum, plan.ridge_factor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         half /= np.sqrt(f, out=f)
-        return _lag_covariances(half, T, plan.lags, work, plan.transform)
+        return _lag_covariances(half, T, plan.lags, work)
 
 
 def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
@@ -450,22 +438,25 @@ def _checked_series(series) -> np.ndarray:
     return x
 
 
-def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean,
-               levels) -> list[TestResult]:
-    """``stationarity_test`` of every row of X; the rows share one plan."""
+def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean, levels,
+               prefixes=None) -> list[TestResult]:
+    """``stationarity_test`` of every row of X; the rows share one plan. The
+    error of a row that cannot be tested starts with its entry of ``prefixes``."""
     levels = tuple(_checked_level(a) for a in levels)
     if X.shape[-1] < MIN_SERIES_LENGTH:
         raise InputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
         )
+    prefixes = prefixes or [""] * len(X)
     bad, exponents = _scan_rows(X)
     if bad is not None:
-        raise InputError(bad[1])
+        raise InputError(prefixes[bad[0]] + bad[1])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
     C = _block_covariances(X, plan, exponents)
     stats = _statistics(C, plan)
-    if _first_nonfinite_row(stats) is not None:
-        raise ComputationError(_ZERO_SPECTRUM)
+    bad = _first_nonfinite_row(stats)
+    if bad is not None:
+        raise ComputationError(prefixes[bad] + _ZERO_SPECTRUM)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []
@@ -582,11 +573,13 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
     Each depth runs as one batch: its equal-length blocks are the rows of a
     single (rows, length) block, and a last block that carries a remainder
     runs as a batch of one. Rows are tested independently, so every block's
-    result equals ``stationarity_test`` on that block bit for bit. Memory is
+    result equals ``stationarity_test`` on that block bit for bit, and an
+    error names its block (``depth 2 block 2 [512, 768): ...``). Memory is
     that of the series plus one transform of it per depth.
     """
     x = _checked_series(series)
     T = x.size
+    depth = _checked_int(depth, "depth")
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     leaf = T >> depth  # the shortest block; checked before any bounds are built
@@ -599,11 +592,12 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
         bounds = _block_bounds(T, d)
         base = bounds[0][1] - bounds[0][0]
         equal = len(bounds) if T % len(bounds) == 0 else len(bounds) - 1
+        names = [f"depth {d} block {i} [{a}, {b}): " for i, (a, b) in enumerate(bounds)]
         results = _test_rows(x[: equal * base].reshape(equal, base), lags, m, kernel,
-                             correction, ridge_factor, demean, levels)
+                             correction, ridge_factor, demean, levels, names)
         if equal < len(bounds):
             results += _test_rows(x[None, bounds[-1][0]:], lags, m, kernel, correction,
-                                  ridge_factor, demean, levels)
+                                  ridge_factor, demean, levels, names[equal:])
         blocks += [SegmentBlock(depth=d, index=i, start=a, stop=b, result=res)
                    for i, ((a, b), res) in enumerate(zip(bounds, results))]
     return SegmentReport(T=T, depth=depth, blocks=tuple(blocks))

@@ -340,6 +340,33 @@ def test_segment_depth_error(model1_file, capsys):
     assert "leaf" in capsys.readouterr().err
 
 
+def test_segment_names_the_block_it_cannot_test(tmp_path, capsys):
+    x = np.random.default_rng(33).standard_normal(1024)
+    x[512:768] = 1.0  # the series has variance, its third quarter none
+    path = tmp_path / "series.txt"
+    write_series(path, x.tolist())
+    assert main(["segment", str(path), "--depth", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: depth 2 block 2 [512, 768): degenerate series: zero variance\n")
+
+
+@pytest.mark.parametrize("command, windows", [
+    (["test"], ["(0.04419, 0.2102) for T=512"]),
+    (["segment", "--depth", "1"], ["(0.04419, 0.2102) for T=512", "(0.0625, 0.25) for T=256"]),
+])
+def test_a_library_warning_prints_as_a_warning_line(command, windows, tmp_path):
+    # run as a module, where Python's own format would name runpy's frame
+    path = tmp_path / "series.txt"
+    write_series(path, np.random.default_rng(34).standard_normal(512).tolist())
+    env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dftstat.cli", command[0], str(path), *command[1:],
+         "--bandwidth", "0.3"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"warning: bandwidth 0.3 outside the admissible window {w}" for w in windows]
+
+
 # ---------------------------------------------------------------------------
 # simulate / mc / scan / power commands
 # ---------------------------------------------------------------------------

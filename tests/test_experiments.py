@@ -104,12 +104,9 @@ def test_mc_config_validation():
         McConfig(model=spec, T=256, replications=0)
     with pytest.raises(InputError, match=r"^level must be in \(0, 1\), got 1\.5$"):
         McConfig(model=spec, T=256, level=1.5)
-    cfg = McConfig(model=spec, T=256).with_m(3)
-    assert cfg.lags == (1, 2, 3)
-    # a huge m fails at the first bad lag, as m = T does, without building 1..m
-    for m in (256, 10 ** 7):
-        with pytest.raises(InputError, match="lag 128 equals T/2"):
-            cfg.with_m(m)
+    assert McConfig(model=spec, T=256, lags=range(1, 4)).lags == (1, 2, 3)
+    with pytest.raises(InputError, match="lag 128 equals T/2"):
+        McConfig(model=spec, T=256, lags=range(1, 257))
 
 
 @pytest.mark.parametrize("bad", [{"replications": 0}, {"replications": -3},

@@ -300,8 +300,8 @@ def test_chisq_quantile_round_trip():
 
 
 def test_chisq_quantile_round_trip_tiny_p():
-    # for dof 1 the quantile at p = 1e-9 is 1.6e-18, so the Newton stop rule
-    # must be relative to x, not absolute near zero
+    # for dof 1 the quantile at p = 1e-9 is 1.6e-18, so the search must
+    # resolve x relative to its size, not absolutely near zero
     for dof in (1, 2, 3):
         for p in (1e-12, 1e-9, 1e-6):
             x = chisq_quantile(p, dof)
@@ -309,12 +309,22 @@ def test_chisq_quantile_round_trip_tiny_p():
 
 
 def test_chisq_quantile_far_upper_tail():
-    # the stop rule is relative to the target sf value, so the quantile stays
-    # exact when 1 - p is far below 1e-13; dof 2 has sf(x) = exp(-x / 2)
+    # the search resolves the target sf value relative to its size, so the
+    # quantile stays exact when 1 - p is far below 1e-13; dof 2 has
+    # sf(x) = exp(-x / 2)
     for p in (1 - 1e-10, 1 - 1e-12, 1 - 1e-14):
         assert chisq_quantile(p, 2) == pytest.approx(-2 * math.log(1 - p), rel=1e-12)
     x = chisq_quantile(1 - 1e-14, 20)
     assert chisq_sf(x, 20) == pytest.approx(1 - (1 - 1e-14), rel=1e-9)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 8, 20, 61, 240])
+@pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.95, 0.999, 1 - 1e-6, 1 - 1e-10])
+def test_chisq_quantile_is_the_first_float_at_or_below_the_target(p, dof):
+    # no float below the quantile reaches the target sf value: the quantile
+    # is as exact as chisq_sf can tell, in both tails
+    q = chisq_quantile(p, dof)
+    assert chisq_sf(q, dof) <= 1 - p < chisq_sf(np.nextafter(q, 0.0), dof)
 
 
 def test_chisq_quantile_against_bisected_oracle():

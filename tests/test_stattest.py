@@ -18,6 +18,7 @@ from dftstat import (
     gauss_stream,
     generate,
     model_preset,
+    power_profile,
     segmented_test,
     stationarity_test,
 )
@@ -349,7 +350,7 @@ def test_phase_coherence_bounded_random_filters():
 
 
 def test_corrections_gaussian_mode():
-    got = _correction_denominators(CorrectionSpec.gaussian(), [1, 2, 3], 256)
+    got = _correction_denominators(CorrectionSpec(), [1, 2, 3], 256)
     assert np.array_equal(got, np.ones(3))
 
 
@@ -494,6 +495,41 @@ def test_a_huge_lag_count_fails_like_m_equal_T_without_building_its_lags():
         assert peak < 2 ** 20
 
 
+def flat_spectrum(u, w):
+    return 1.0 + 0.0 * u * w
+
+
+@pytest.mark.parametrize("name, call", [
+    ("lag", lambda: power_profile(flat_spectrum, [1.7])),
+    ("lag", lambda: power_profile(flat_spectrum, [math.nan])),
+    ("u_points", lambda: power_profile(flat_spectrum, [1], u_points=200.5)),
+    ("T", lambda: power_profile(flat_spectrum, [1], T=512.5)),
+    ("T", lambda: model_preset("model1", 100.5)),
+    ("T", lambda: McConfig(model=model_preset("model1"), T=256.5)),
+    ("replications", lambda: McConfig(model=model_preset("model1"), T=256, replications=2.5)),
+    ("master_seed", lambda: McConfig(model=model_preset("model1"), T=256, master_seed=1.5)),
+    ("burn_in", lambda: McConfig(model=model_preset("model1"), T=256, burn_in=2.5)),
+    ("T", lambda: GeneratorConfig(T=100.5)),
+    ("burn_in", lambda: GeneratorConfig(T=100, burn_in=0.5)),
+    ("master_seed", lambda: RngStream(1.5)),
+    ("draw count", lambda: gauss_stream(RngStream(0), 2.5)),
+    ("depth", lambda: segmented_test(np.arange(256.0) % 7, depth=1.5)),
+    ("m", lambda: stationarity_test(np.arange(256.0) % 7, m=2.5)),
+])
+def test_an_integer_argument_is_checked_not_truncated(name, call):
+    with pytest.raises(InputError, match=f"^{name} must be a(n| positive) integer, got "):
+        call()
+
+
+def test_integral_floats_count_as_integers():
+    x = np.random.default_rng(27).standard_normal(256)
+    assert stationarity_test(x, m=3.0) == stationarity_test(x, m=3)
+    assert segmented_test(x, depth=1.0).blocks == segmented_test(x, depth=1).blocks
+    assert np.array_equal(gauss_stream(RngStream(4.0, 2.0), 10.0), gauss_stream(RngStream(4, 2), 10))
+    config = McConfig(model=model_preset("model1"), T=256.0, replications=3.0, burn_in=50.0)
+    assert (config.T, config.replications, config.burn_in) == (256, 3, 50)
+
+
 def test_complex_input_is_refused_not_cut_to_its_real_part():
     z = np.random.default_rng(26).standard_normal(64) * (1 + 1j)
     for call in (stationarity_test, lambda s: segmented_test(s, depth=1), dft_canonical):
@@ -590,6 +626,19 @@ def test_segment_remainder_goes_to_last_block():
     report = segmented_test(x, depth=2, m=2)
     quarters = report.at_depth(2)
     assert [b.stop - b.start for b in quarters] == [250, 250, 250, 253]
+
+
+def test_a_block_that_cannot_be_tested_is_named():
+    x = np.random.default_rng(32).standard_normal(1024)
+    x[512:768] = 1.0  # the series has variance, its third quarter none
+    with pytest.raises(InputError, match=re.escape(
+            "depth 2 block 2 [512, 768): degenerate series: zero variance")):
+        segmented_test(x, depth=2)
+    x = np.random.default_rng(32).standard_normal(1003)
+    x[750:] = 1.0  # the last block, which carries the remainder, runs on its own
+    with pytest.raises(InputError, match=re.escape(
+            "depth 2 block 3 [750, 1003): degenerate series: zero variance")):
+        segmented_test(x, depth=2)
 
 
 def test_segment_leaf_too_short():
