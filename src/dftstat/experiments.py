@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ComputationError, InputError, StationarityTestError
-from .numerics import _checked_int, _gauss_rows, _rfft_at, chisq_quantile
+from .numerics import RngStream, _checked_int, _gauss_rows, _rfft_at, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
@@ -61,6 +61,7 @@ class McConfig:
     def __post_init__(self):
         for name in ("T", "replications", "master_seed", "burn_in"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
+        RngStream(self.master_seed)  # raises on a seed outside [0, 2**64)
         if self.replications < 1:
             raise InputError("replications must be >= 1")
         _checked_level(self.level)

@@ -4,7 +4,8 @@ noise.
 
 All recursive models are driven by one Gaussian stream per replication and
 drop ``burn_in`` initial steps, so a realization is a pure function of
-(spec, config). Time-varying quantities live in rescaled time u = t/T.
+(spec, config). Time-varying quantities live in rescaled time u = t/T. The
+AR recursions run as banded triangular solves (``_filter_rows``).
 """
 
 from __future__ import annotations
@@ -177,68 +178,57 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
     """Realizations of ``spec`` driven by the innovation rows of ``eps``.
 
     Row i of the result depends only on row i of ``eps``; ``generate`` is the
-    one-row case. The spec is not validated here.
+    one-row case. The recursive models overwrite ``eps`` with their outputs,
+    burn-in included, and return a view of it. The spec is not validated.
+
+    y_t = v_t + sum_i a_i(t) y_{t-i} is a unit lower-triangular banded system
+    in y, which LAPACK's ``dtbtrs`` solves for all rows at once; v is ``eps``,
+    scaled by sigma or passed through the MA terms. The columns go in pieces
+    of at most ``_PIECE``, cut also at changepoint switches, so a piece has
+    one band. A piece from column t0 starts with k = min(p, t0) pinned rows,
+    the outputs before t0, whose band entries are zero, so state carries over
+    exactly; the values before the first column are zeros and drop out.
     """
     if isinstance(spec, ModulatedNoiseSpec):
         u = np.arange(1, T + 1) / T
         return np.asarray(spec.sigma(u), dtype=float) * eps
 
-    if isinstance(spec, ChangepointArSpec):
-        return _changepoint_rows(spec, eps, T, burn)
+    if isinstance(spec, ChangepointArSpec):  # the last segment ends at T
+        ends = [burn + math.floor(frac * T) for frac, _ in spec.segments[:-1]] + [burn + T]
+        stretches = zip(ends, (ar for _, ar in spec.segments))
+    elif isinstance(spec, ArmaSpec):
+        e = eps.copy() if spec.ma else eps
+        for j, c in enumerate(spec.ma, start=1):
+            if c:  # model2's zero term would cost a pass
+                eps[:, j:] += c * e[:, :-j]
+        stretches = [(burn + T, spec.ar)]
+    elif isinstance(spec, TvInnovationArSpec):
+        u = np.clip(np.arange(1 - burn, T + 1) / T, 0.0, 1.0)  # burn-in at the initial scale
+        eps *= np.asarray(spec.sigma(u), dtype=float)
+        stretches = [(burn + T, spec.ar)]
+    else:
+        raise InputError(f"unsupported model spec {type(spec).__name__}")
 
-    from scipy.signal import lfilter  # deferred: it takes about 1 s to import
+    from scipy.linalg.lapack import dtbtrs  # deferred: only the simulators need it
 
-    if isinstance(spec, ArmaSpec):
-        b = np.concatenate([[1.0], np.asarray(spec.ma, dtype=float)])
-        a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
-        return lfilter(b, a, eps, axis=-1)[:, burn:]
-
-    if isinstance(spec, TvInnovationArSpec):
-        t = np.arange(1 - burn, T + 1)
-        u = np.clip(t / T, 0.0, 1.0)  # burn-in runs at the initial scale
-        scale = np.asarray(spec.sigma(u), dtype=float)
-        a = np.concatenate([[1.0], -np.asarray(spec.ar, dtype=float)])
-        return lfilter([1.0], a, scale * eps, axis=-1)[:, burn:]
-
-    raise InputError(f"unsupported model spec {type(spec).__name__}")
-
-
-def _changepoint_rows(spec: ChangepointArSpec, eps, T: int, burn: int) -> np.ndarray:
-    from scipy.signal import lfilter  # deferred: it takes about 1 s to import
-
-    bounds = [0] + [int(math.floor(frac * T)) for frac, _ in spec.segments]
-    bounds[-1] = T  # floor(1.0 * T) == T, kept explicit
-    # y holds the burn-in too: the first switch can look back into it
-    y = np.empty((eps.shape[0], burn + T))
-    pos = 0  # consumed innovations == outputs written
-    for j, (_, ar) in enumerate(spec.segments):
-        a = np.concatenate([[1.0], -np.asarray(ar, dtype=float)])
-        n_seg = bounds[j + 1] - bounds[j]
-        if j == 0:
-            y[:, : burn + n_seg] = lfilter([1.0], a, eps[:, : burn + n_seg], axis=-1)
-            pos = burn + n_seg
-        elif n_seg:
-            # continue from the previous segment's last values (no re-initialization)
-            past = y[:, max(0, pos - len(ar)): pos][:, ::-1]
-            zi = _ar_initial_state(a, past)
-            y[:, pos: pos + n_seg], _ = lfilter([1.0], a, eps[:, pos: pos + n_seg],
-                                                axis=-1, zi=zi)
-            pos += n_seg
-    return y[:, burn:]
+    start = 0
+    for stop, ar in stretches:
+        p = len(ar)
+        band = np.empty((min(stop - start, _PIECE) + p, p + 1))  # band[j, i] = A[j + i, j]
+        band[:, 0], band[:, 1:] = 1.0, np.negative(ar)  # the unit diagonal is not read
+        for t0 in range(start, stop, _PIECE):
+            k = min(p, t0)  # k only grows, and so does the zeroed corner
+            for i in range(1, k):
+                band[: k - i, i] = 0.0  # the pinned rows' band
+            w = eps[:, t0 - k: min(t0 + _PIECE, stop)]
+            x, _ = dtbtrs(band[: w.shape[1]].T, w.T, uplo="L", diag="U", overwrite_b=True)
+            if not np.may_share_memory(x, w):  # a multi-row piece is solved in a copy
+                w[...] = x.T
+        start = stop
+    return eps[:, burn:]
 
 
-def _ar_initial_state(a: np.ndarray, past: np.ndarray) -> np.ndarray:
-    """Row-wise ``lfiltic([1.0], a, past)``: the transposed direct-form state of
-    the all-pole filter 1/a given past outputs, most recent first (missing
-    values count as zero)."""
-    p = a.size - 1
-    y = np.zeros((past.shape[0], p))
-    k = min(p, past.shape[1])
-    y[:, :k] = past[:, :k]
-    zi = np.empty((past.shape[0], p))
-    for m in range(p):
-        zi[:, m] = -np.sum(a[m + 1:] * y[:, : p - m], axis=-1)
-    return zi
+_PIECE = 8192  # columns per banded solve: the band takes 8 (p + 1) bytes a column
 
 
 # ---------------------------------------------------------------------------

@@ -525,8 +525,10 @@ _IMPORT_GUARD = textwrap.dedent("""
     assert not heavy, heavy
     from dftstat import GeneratorConfig, RngStream, generate, model_preset
     assert "dftstat.simulate" in sys.modules
-    x = generate(model_preset("model3", 256), GeneratorConfig(T=256, rng=RngStream(1, 0)))
-    assert x.shape == (256,) and "scipy.signal" in sys.modules
+    for name in ("model1", "model2", "model3", "model4", "model5"):
+        x = generate(model_preset(name, 256), GeneratorConfig(T=256, rng=RngStream(1, 0)))
+        assert x.shape == (256,) and "scipy.linalg" in sys.modules, name
+        assert not {"scipy.signal", "scipy.ndimage"} & set(sys.modules), name
     namespace = {}
     exec("from dftstat import *", namespace)
     unbound = set(dftstat.__all__) - set(namespace)
@@ -535,10 +537,11 @@ _IMPORT_GUARD = textwrap.dedent("""
 
 
 def test_test_command_loads_no_scipy_signal_or_ndimage(tmp_path):
-    # scipy.signal (which pulls in scipy.ndimage) takes about 1 s to import;
-    # only the simulators need it, and they import it on first use. The
-    # simulation and Monte Carlo layers themselves load on first use too, so
-    # a test or segment command never compiles them.
+    # The simulators solve their AR recursions with scipy.linalg, which they
+    # import on first use; scipy.signal and scipy.ndimage, which take about
+    # 0.5 s more, are never loaded. The simulation and Monte Carlo layers
+    # themselves load on first use too, so a test or segment command never
+    # compiles them.
     path = tmp_path / "series.txt"
     write_series(path, np.random.default_rng(3).standard_normal(512).tolist())
     env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))

@@ -110,10 +110,12 @@ def test_mc_config_validation():
 
 
 @pytest.mark.parametrize("bad", [{"replications": 0}, {"replications": -3},
-                                 {"level": 0.0}, {"level": 1.5}, {"level": math.nan}])
+                                 {"level": 0.0}, {"level": 1.5}, {"level": math.nan},
+                                 {"master_seed": -1}, {"master_seed": 2 ** 64}])
 def test_lag_scan_checks_replications_and_level_as_mc_config(bad):
     spec = model_preset("model1", 256)
-    match = "^replications must be >= 1$" if "replications" in bad else "^level must be in"
+    match = {"replications": "^replications must be >= 1$", "level": "^level must be in",
+             "master_seed": "^master_seed must be a 64-bit unsigned integer$"}[next(iter(bad))]
     with pytest.raises(InputError, match=match) as scan_error:
         lag_scan(spec, 256, [1, 2], **bad)
     with pytest.raises(InputError, match=match) as config_error:

@@ -4,6 +4,7 @@ profile, so every run draws the same examples."""
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from dftstat.numerics import (  # noqa: E402
     _half_dft_rows,
     _takes_chirp,
 )
-from dftstat.simulate import _min_root_modulus  # noqa: E402
+from dftstat import simulate  # noqa: E402
+from dftstat.simulate import (  # noqa: E402
+    ArmaSpec,
+    ChangepointArSpec,
+    TvInnovationArSpec,
+    _filter_rows,
+    _min_root_modulus,
+)
 from dftstat.stattest import (  # noqa: E402
     _block_covariances,
     _lag_covariances,
@@ -267,6 +275,75 @@ def nudged(ar):
 @given(st.lists(st.lists(coefficient, max_size=3).map(tuple), max_size=8))
 def test_min_root_modulus_memoized_equals_uncached(calls):
     cold_and_warm(_min_root_modulus, [(a,) for ar in calls for a in (ar, nudged(ar))])
+
+
+# ---------------------------------------------------------------------------
+# AR generation against the recursion, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def recursion_rows(spec, eps, T, burn):
+    """y_t = v_t + sum_i a_i(t) y_{t-i}, step by step, with y = 0 before the
+    first column. Column c is time t = c - burn + 1; the burn-in runs with
+    the first segment's coefficients at the initial scale."""
+    t = np.arange(eps.shape[1]) - burn + 1
+    v = eps.copy()
+    if isinstance(spec, ArmaSpec):
+        for j, c in enumerate(spec.ma, start=1):
+            v[:, j:] += c * eps[:, :-j]
+        ars = [spec.ar] * t.size
+    elif isinstance(spec, TvInnovationArSpec):
+        v *= spec.sigma(np.clip(t / T, 0.0, 1.0))
+        ars = [spec.ar] * t.size
+    else:  # segment j holds floor(f_{j-1} T) < t <= floor(f_j T)
+        ends = [math.floor(frac * T) for frac, _ in spec.segments]
+        ars = [spec.segments[sum(e < tc for e in ends[:-1])][1] for tc in t]
+    y = np.zeros_like(v)
+    for c, ar in enumerate(ars):
+        y[:, c] = v[:, c] + sum(a * y[:, c - i] for i, a in enumerate(ar, start=1) if c >= i)
+    return y[:, burn:]
+
+
+@st.composite
+def ar_coefficients(draw):
+    """Up to 20 coefficients with sum |a_i| < 1, so the recursion is stable."""
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), max_size=20)), dtype=float)
+    return tuple((raw * 0.95 / max(1.0, np.abs(raw).sum())).tolist())
+
+
+@st.composite
+def recursion_cases(draw):
+    """(spec, eps, T, burn, piece): order 0-20, MA terms, a time-varying scale,
+    or changepoints whose segments may be empty or shorter than their order;
+    rows of up to 180 columns, walked in pieces of 1-40 columns."""
+    T, burn = draw(st.integers(1, 150)), draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(("arma", "tv", "changepoint")))
+    if kind == "arma":
+        ma = tuple(draw(st.lists(st.floats(-2.0, 2.0), max_size=3)))
+        spec = ArmaSpec(ar=draw(ar_coefficients()), ma=ma)
+    elif kind == "tv":
+        amp = draw(st.floats(0.0, 0.9))
+        spec = TvInnovationArSpec(ar=draw(ar_coefficients()),
+                                  sigma=lambda u: 1.0 + amp * np.sin(7.0 * u))
+    else:  # fractions k / (4T): several may share a floor(f T)
+        ks = sorted(set(draw(st.lists(st.integers(1, 4 * T - 1), max_size=4)))) if T > 1 else []
+        spec = ChangepointArSpec(segments=tuple(
+            (frac, draw(ar_coefficients())) for frac in [k / (4 * T) for k in ks] + [1.0]))
+    rows = draw(st.integers(1, 3))
+    eps = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((rows, T + burn))
+    return spec, eps, T, burn, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300)
+@given(recursion_cases())
+def test_ar_generation_follows_the_recursion(case):
+    spec, eps, T, burn, piece = case
+    with mock.patch.object(simulate, "_PIECE", piece):
+        got = _filter_rows(spec, eps.copy(), T, burn)
+        rows = [_filter_rows(spec, eps[i:i + 1].copy(), T, burn)[0] for i in range(len(eps))]
+    want = recursion_rows(spec, eps, T, burn)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert all(np.array_equal(row, got[i]) for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

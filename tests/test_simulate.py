@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dftstat
 from dftstat import (
     ArmaSpec,
     ChangepointArSpec,
@@ -17,6 +23,7 @@ from dftstat import (
     model_preset,
     spec_from_dict,
 )
+from dftstat.numerics import _gauss_rows
 from dftstat.simulate import (
     _arma_spectrum_fn,
     _filter_rows,
@@ -170,7 +177,7 @@ def test_burn_in_doubling_leaves_output_unchanged():
     spec = model_preset("model1", 512)
     T = 512
     eps = gauss_stream(RngStream(45, 0), 1000 + T)[None, :]
-    long = _filter_rows(spec, eps, T, 1000)
+    long = _filter_rows(spec, eps.copy(), T, 1000)  # it overwrites its input
     short = _filter_rows(spec, eps[:, 500:], T, 500)
     assert np.allclose(long, short, atol=1e-12)
 
@@ -197,6 +204,52 @@ def test_tv_innovation_scale_may_change_sign():
     spec = model_preset("model4", 512)
     x = generate(spec, GeneratorConfig(T=512, rng=RngStream(47, 0)))
     assert np.all(np.isfinite(x))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_stays_near_its_output():
+    # the banded solve walks the columns in pieces and overwrites the
+    # innovations; one band over the whole row of AR(20) traced 22x the output
+    generate(ArmaSpec(ar=(0.5,)), GeneratorConfig(T=64))  # loads scipy.linalg first
+    T = 2 ** 20
+    x, peak = traced_peak(generate, ArmaSpec(ar=(0.04,) * 20), GeneratorConfig(T=T))
+    assert peak <= 1.5 * x.nbytes
+    for name in ("model1", "model2", "model3", "model4", "model5"):
+        E = _gauss_rows(7, 0, 64, 1012)
+        _, peak = traced_peak(_filter_rows, model_preset(name, 512), E, 512, 500)
+        assert peak <= 4 * E.nbytes, name
+
+
+_BLOCK_HASHES = """
+import hashlib
+from dftstat import ArmaSpec, model_preset
+from dftstat.numerics import _gauss_rows
+from dftstat.simulate import _filter_rows
+for spec in (ArmaSpec(ar=(1.5, -0.75)), model_preset("model3", 512)):
+    X = _filter_rows(spec, _gauss_rows(9, 0, 64, 1012), 512, 500)
+    print(hashlib.sha256(X.tobytes()).hexdigest())
+"""
+
+
+def test_blocks_do_not_depend_on_the_blas_thread_count():
+    env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))
+    hashes = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _BLOCK_HASHES],
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
 
 def test_generator_config_validation():
