@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ComputationError, InputError, StationarityTestError
-from .numerics import RngStream, _checked_int, _gauss_rows, _rfft_at, chisq_quantile
+from .numerics import RngStream, _checked_int, _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
@@ -189,22 +189,30 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _eval_local(f_local, u, w) -> np.ndarray:
+    """f on the (u, w) grid as a read-only view of f's output, which is
+    broadcast to the grid if smaller and never copied; checked by min/max."""
     vals = np.asarray(f_local(u[:, None], w[None, :]), dtype=float)
-    if vals.shape != (u.size, w.size):
-        vals = np.broadcast_to(vals, (u.size, w.size)).copy()
-    if not np.all(np.isfinite(vals)):
+    grid = np.broadcast_to(vals, (u.size, w.size))
+    lo, hi = vals.min(), vals.max()  # a NaN anywhere makes both NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ComputationError("local spectrum produced non-finite values")
-    if np.any(vals < 0.0):
+    if lo < 0.0:
         raise ComputationError("local spectrum produced negative values")
-    return vals
+    return grid
 
 
-def _time_average(wu: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """fbar = wu @ vals, checked to be at least 1e-10 at every frequency."""
-    fbar = wu @ vals
+def _time_average(vals: np.ndarray) -> np.ndarray:
+    """fbar, the trapezoid rule along axis 0 over the uniform grid j/N, j = 0..N:
+    (column sums of vals[:N] + (vals[N] - vals[0])/2) / N, no BLAS product.
+    Checked to be at least 1e-10 at every frequency."""
+    N = vals.shape[0] - 1
+    fbar = (vals[:N].sum(axis=0) + 0.5 * (vals[N] - vals[0])) / N
     if np.any(fbar < 1e-10):
         raise ComputationError("integrated spectrum below 1e-10")
     return fbar
+
+
+_GRID_PIECE = 2 ** 17  # bytes of u-transform output per piece, so it stays in L2
 
 
 def _u_fourier(vals: np.ndarray, lags) -> np.ndarray:
@@ -213,12 +221,25 @@ def _u_fourier(vals: np.ndarray, lags) -> np.ndarray:
 
     As exp(-2*pi*i*r*u_N) = 1 = exp(-2*pi*i*r*u_0), the sum is the length-N
     DFT of vals[:N] at r mod N plus the end correction (vals[N] - vals[0])/2,
-    all over N. Being a transform and not a BLAS product, the result does
-    not depend on the number of BLAS threads.
+    all over N. Pieces of columns go through one reused buffer of at most
+    ``_GRID_PIECE`` bytes (or one column), which keeps only the lags' rows;
+    a column's bits do not depend on the piece width. Being a transform and
+    not a BLAS product, the result does not depend on the BLAS thread count.
     """
     N = vals.shape[0] - 1
-    rows = _rfft_at(np.fft.rfft(vals[:N], axis=0), lags, N, axis=0)
-    return (rows + 0.5 * (vals[N] - vals[0])) / N
+    k = np.array([r % N for r in lags])  # reduced as Python ints: a lag of any size
+    above = k > N // 2  # the DFT at k is conj of the DFT at N - k
+    rows = np.where(above, N - k, k)
+    width = max(1, _GRID_PIECE // (16 * (N // 2 + 1)))
+    buf = np.empty((N // 2 + 1, width), dtype=complex)
+    out = np.empty((k.size, vals.shape[1]), dtype=complex)
+    for c in range(0, vals.shape[1], width):
+        piece = vals[:N, c:c + width]
+        out[:, c:c + width] = np.fft.rfft(piece, axis=0, out=buf[:, :piece.shape[1]])[rows]
+    out[above] = out[above].conj()
+    out += 0.5 * (vals[N] - vals[0])
+    out /= N
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,9 +265,13 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     lag r drives the test's power there.
 
     All lags share one trapezoid quadrature on the (u_points, omega_points)
-    grid: f is evaluated once on it, fbar is the u weight row times the
-    grid, and the u-integrals of all L lags come from one real FFT of the
-    grid along u (``_u_fourier``).
+    grid: f is evaluated once on it and its output read as returned (a
+    smaller output is broadcast, never copied, and never written to), fbar
+    is its column sums with the end correction, and the u-integrals of all
+    L lags come from real FFTs of the grid along u, a few columns at a time
+    (``_u_fourier``). The quadrature allocates nothing the size of the grid
+    beyond what f returns. A lag r enters only as r mod (u_points - 1) and,
+    with ``T``, r mod T, so a lag of any size is exact.
     With ``T`` given and n = omega_points - 1 grid steps, a lag whose shift
     is whole steps, (n * r) % T == 0, takes fbar(w + w_r) as fbar rolled by
     n * r / T steps, with no evaluation. Any other lag costs one more grid
@@ -254,41 +279,41 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     one grid for any number of lags.
     """
     lags = tuple(_checked_int(r, "lag") for r in lags)
+    if not lags:
+        raise InputError("at least one lag is required")
     u_points = _checked_int(u_points, "u_points")
     omega_points = _checked_int(omega_points, "omega_points")
     if u_points < 128 or omega_points < 256:
         raise InputError(
             f"quadrature grid must be at least 128 x 256, got {u_points} x {omega_points}"
         )
-    r = np.asarray(lags, dtype=float)
-    if np.any(r == 0):
+    if 0 in lags:
         raise InputError("lag r must be nonzero")
     if T is not None:
         T = _checked_int(T, "T", positive=True)
     u = np.linspace(0.0, 1.0, u_points)
     w = np.linspace(0.0, _TWO_PI, omega_points)
-    wu = _trapezoid_weights(u)
     vals = _eval_local(f_local, u, w)
-    fbar = _time_average(wu, vals)
+    fbar = _time_average(vals)
     inner = _u_fourier(vals, lags)
     if T is None:
         integrand = inner / fbar
     else:
         n = w.size - 1
         steps = np.arange(w.size)
-        shifted = np.empty((r.size, w.size))
+        shifted = np.empty((len(lags), w.size))
         for row, lag in zip(shifted, lags):
             s, rem = divmod(lag * n, T)
             if rem == 0:
                 row[:] = fbar[(steps + s % n) % n]
             else:
                 row[:] = _time_average(
-                    wu, _eval_local(f_local, u, (w + _TWO_PI * lag / T) % _TWO_PI))
+                    _eval_local(f_local, u, (w + _TWO_PI * (lag % T) / T) % _TWO_PI))
         integrand = inner / (np.sqrt(fbar) * np.sqrt(shifted))
     bad = ~np.isfinite(integrand)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ComputationError(
-            f"non-finite integrand value at lag r={r[i]:g}, omega={w[j]!r}"
+            f"non-finite integrand value at lag r={lags[i]}, omega={w[j]!r}"
         )
     return PowerProfile(lags=lags, B_values=integrand @ _trapezoid_weights(w) / _TWO_PI)

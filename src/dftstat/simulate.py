@@ -258,14 +258,15 @@ def local_spectrum(spec: ModelSpec) -> Callable[[np.ndarray, np.ndarray], np.nda
 
     The returned callable broadcasts over numpy arrays in both arguments.
     Stationary models give a u-constant surface; the modulated-noise family
-    gives s(u)^2 / (2*pi).
+    gives s(u)^2 / (2*pi). Where the surface is constant along an argument,
+    the result may be a read-only view that broadcasts the varying values.
     """
     if isinstance(spec, ArmaSpec):
         s = _arma_spectrum_fn(spec.ar, spec.ma)
 
         def f(u, omega):
-            u = np.asarray(u, dtype=float)
-            return np.broadcast_arrays(u, s(omega))[1].copy()
+            u, vals = np.asarray(u, dtype=float), s(omega)
+            return np.broadcast_to(vals, np.broadcast_shapes(u.shape, vals.shape))
 
         return f
 
@@ -298,7 +299,7 @@ def local_spectrum(spec: ModelSpec) -> Callable[[np.ndarray, np.ndarray], np.nda
         def f(u, omega):
             u = np.asarray(u, dtype=float)
             scale = np.asarray(sig(u), dtype=float) ** 2 / _TWO_PI
-            return np.broadcast_arrays(scale, np.asarray(omega, dtype=float))[0].copy()
+            return np.broadcast_to(scale, np.broadcast_shapes(scale.shape, np.shape(omega)))
 
         return f
 

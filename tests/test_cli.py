@@ -490,6 +490,20 @@ def test_power_time_constant_model_is_flat(tmp_path):
     assert max(mags) < 1e-8
 
 
+@pytest.mark.parametrize("shift", [[], ["--finite-lag-shift"]], ids=["limit", "finite_shift"])
+def test_power_command_takes_a_lag_beyond_int64(shift, tmp_path):
+    # 10**23 is a multiple of 512, so with the default 257 u-points and T=512
+    # the huge lag's row is lag 3's
+    rows = []
+    for lag in (10 ** 23 + 3, 3):
+        rc = main(["power", "model6", "--lags", str(lag), "--outdir", str(tmp_path)] + shift)
+        assert rc == 0
+        lines = (tmp_path / "model6_power.csv").read_text().strip().splitlines()
+        rows.append(lines[1].split(","))
+    assert rows[0][0] == str(10 ** 23 + 3)
+    assert rows[0][1:] == rows[1][1:]
+
+
 def test_power_artifact_does_not_depend_on_blas_threads(tmp_path):
     # the BLAS thread count is read when numpy loads, so each run is its own
     # process; on a one-CPU machine both runs use one thread and agree trivially

@@ -25,7 +25,7 @@ from dftstat.experiments import (
     _empirical_density,
     _eval_local,
     _time_average,
-    _trapezoid_weights,
+    _u_fourier,
 )
 
 BLOCKED_CHANGEPOINT = (
@@ -270,14 +270,14 @@ def test_integrated_spectrum_time_constant():
     w = np.linspace(0, 2 * np.pi, 65)
     expected = (1 / (2 * np.pi)) / np.abs(1 - 0.8 * np.exp(1j * w)) ** 2
     u = np.linspace(0, 1, 257)
-    fbar = _time_average(_trapezoid_weights(u), _eval_local(f, u, w))
+    fbar = _time_average(_eval_local(f, u, w))
     assert np.allclose(fbar, expected, rtol=1e-10)
 
 
 def test_integrated_spectrum_modulated():
     w = np.linspace(0, 2 * np.pi, 33)
     u = np.linspace(0, 1, 257)
-    out = _time_average(_trapezoid_weights(u), _eval_local(flat_modulated, u, w))
+    out = _time_average(_eval_local(flat_modulated, u, w))
     assert np.allclose(out, 1 / (2 * np.pi), atol=1e-10)
 
 
@@ -289,7 +289,7 @@ def test_integrated_spectrum_separable_model4():
     sval = spec.sigma(u)
     scale = np.trapezoid(sval ** 2, u) if hasattr(np, "trapezoid") else np.trapz(sval ** 2, u)
     base = (1 / (2 * np.pi)) / np.abs(1 - 0.8 * np.exp(1j * w)) ** 2
-    fbar = _time_average(_trapezoid_weights(u), _eval_local(f, u, w))
+    fbar = _time_average(_eval_local(f, u, w))
     assert np.allclose(fbar, scale * base, rtol=1e-6)
 
 
@@ -376,6 +376,110 @@ def test_power_profile_memory_stays_at_one_grid():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, T
+
+
+def u_only(u, w):
+    return 1.5 + np.cos(2 * np.pi * u)
+
+
+def w_only(u, w):
+    return 2.0 + np.sin(w)
+
+
+def returned_as(form, f):
+    """f with its output returned as it is, as a read-only broadcast view of
+    the evaluation grid, or as a writable or read-only full array."""
+    def g(u, w):
+        vals = np.asarray(f(u, w), dtype=float)
+        shape = np.broadcast_shapes(np.shape(u), np.shape(w))
+        if form == "view":
+            return np.broadcast_to(vals, shape)
+        if form == "as is":
+            return vals
+        full = np.array(np.broadcast_to(vals, shape))
+        full.flags.writeable = form == "writable"
+        return full
+    return g
+
+
+@pytest.mark.parametrize("T", [None, 300, 512])
+@pytest.mark.parametrize("f", [u_only, w_only, local_spectrum(model_preset("model3", 512))],
+                         ids=["u_only", "w_only", "model3"])
+def test_power_profile_uses_f_output_as_returned(f, T):
+    lags = (-7, -1, 1, 2, 3, 17, 64, 120)
+    want = power_profile(returned_as("writable", f), lags, T=T).B_values
+    for form in ("as is", "view", "read-only"):
+        got = power_profile(returned_as(form, f), lags, T=T).B_values
+        assert got.tobytes() == want.tobytes(), form
+
+
+def test_power_profile_reduces_huge_lags_to_their_residue():
+    # the u-transform reads r mod (u_points - 1) = 256; the shift reads r mod T
+    f = local_spectrum(model_preset("model6", 512))
+    for T, period in ((None, 256), (512, 512), (300, math.lcm(256, 300))):
+        for lag in (10 ** 23 + 3, -(10 ** 23 + 3), 10 ** 400 + 3):  # the last is no float
+            got = power_profile(f, [lag], T=T).B_values
+            want = power_profile(f, [lag % period], T=T).B_values
+            assert got.tobytes() == want.tobytes(), (T, lag)
+
+
+def test_power_profile_needs_a_lag():
+    for T in (None, 512):
+        with pytest.raises(InputError, match="^at least one lag is required$"):
+            power_profile(flat_modulated, [], T=T)
+
+
+@pytest.mark.parametrize("T", [None, 300, 512])
+def test_power_profile_allocates_nothing_the_size_of_the_grid(T):
+    # one 257 x 513 grid is 1 MiB of floats and 2 MiB as a complex transform;
+    # a u-only f returns a (257, 1) column, so the grid is never built
+    power_profile(u_only, range(1, 13), T=T)
+    tracemalloc.start()
+    try:
+        power_profile(u_only, range(1, 13), T=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("u_points", [129, 257, 4097])
+def test_u_fourier_bits_do_not_depend_on_the_piece_width(u_points, monkeypatch):
+    vals = np.random.default_rng(u_points).random((u_points, 45))
+    lags = (-(10 ** 20), -7, -1, 1, 2, 3, 64, u_points, 10 ** 20 + 1)
+    row = 16 * ((u_points - 1) // 2 + 1)  # bytes of one transformed column
+    results = []
+    for piece in (1, 7 * row + 5, 10 ** 9):  # one column, 7 columns, the whole grid
+        monkeypatch.setattr("dftstat.experiments._GRID_PIECE", piece)
+        results.append(_u_fourier(vals, lags).tobytes())
+    assert results[0] == results[1] == results[2]
+
+
+def spoiled(values, on_grid):
+    """1 everywhere but a few scattered cells, which hold ``values``: on the
+    plain quadrature grid if ``on_grid``, else only on shifted evaluations."""
+    plain = np.linspace(0.0, 2 * np.pi, 513)
+
+    def f(u, w):
+        out = np.ones(np.broadcast_shapes(np.shape(u), np.shape(w)))
+        if np.array_equal(np.ravel(w), plain) == on_grid:
+            out.flat[np.arange(len(values)) * 9973 + 11] = values
+        return out
+    return f
+
+
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
+@pytest.mark.parametrize("values, message", [
+    ((-1.0, np.nan, -2.0), "non-finite values"),
+    ((np.nan, -1.0), "non-finite values"),
+    ((-np.inf,), "non-finite values"),
+    ((-1e-300,), "negative values"),
+], ids=["nan_between_negatives", "nan_then_negative", "minus_inf", "one_negative_cell"])
+def test_power_profile_checks_every_cell_in_order(values, message, on_grid):
+    # at T = 300, 512 * r / 300 is not whole for r = 1, 2: both shifts are
+    # evaluated off the grid
+    with pytest.raises(ComputationError, match=f"^local spectrum produced {message}$"):
+        power_profile(spoiled(values, on_grid), [1, 2], T=None if on_grid else 300)
 
 
 def counted(f):

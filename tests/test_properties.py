@@ -60,11 +60,10 @@ def power_profile_evaluating_every_shift(f_local, lags, T, u_points, omega_point
     every lag, whether or not the shift is whole grid steps."""
     u = np.linspace(0.0, 1.0, u_points)
     w = np.linspace(0.0, 2 * math.pi, omega_points)
-    wu = _trapezoid_weights(u)
     vals = _eval_local(f_local, u, w)
-    fbar = _time_average(wu, vals)
+    fbar = _time_average(vals)
     shifted = np.array([
-        _time_average(wu, _eval_local(f_local, u, (w + 2 * math.pi * r / T) % (2 * math.pi)))
+        _time_average(_eval_local(f_local, u, (w + 2 * math.pi * r / T) % (2 * math.pi)))
         for r in lags])
     integrand = _u_fourier(vals, lags) / (np.sqrt(fbar) * np.sqrt(shifted))
     return integrand @ _trapezoid_weights(w) / (2 * math.pi)

@@ -330,6 +330,24 @@ def test_local_spectrum_changepoint_equals_masked_evaluation(spec):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", ["model1", "model2", "model6"])
+def test_local_spectrum_returns_read_only_views_of_the_same_values(name):
+    spec = model_preset(name, 512)
+    f = local_spectrum(spec)
+    u = np.linspace(0, 1, 257)
+    w = np.linspace(0, 2 * np.pi, 513)
+    for uu, ww in ((u[:, None], w[None, :]), (0.3, w), (u, 1.0)):
+        if name == "model6":
+            varying, other = spec.sigma(np.asarray(uu)) ** 2 / (2 * np.pi), ww
+        else:
+            varying, other = _arma_spectrum_fn(spec.ar, spec.ma)(ww), uu
+        want = np.broadcast_arrays(varying, np.asarray(other, dtype=float))[0]
+        vals = f(uu, ww)
+        assert vals.shape == want.shape and np.array_equal(vals, want)
+        with pytest.raises(ValueError):
+            vals[...] = 1.0
+
+
 def test_local_spectrum_broadcasts():
     f = local_spectrum(model_preset("model6", 512))
     u = np.linspace(0, 1, 11)[:, None]
