@@ -190,10 +190,12 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 def _eval_local(f_local, u, w) -> np.ndarray:
     """f on the (u, w) grid as a read-only view of f's output, which is
-    broadcast to the grid if smaller and never copied; checked by min/max."""
+    broadcast to the grid if smaller and never copied. Checked by min/max,
+    which are exact, over the distinct cells: stride-0 axes cut to length one."""
     vals = np.asarray(f_local(u[:, None], w[None, :]), dtype=float)
     grid = np.broadcast_to(vals, (u.size, w.size))
-    lo, hi = vals.min(), vals.max()  # a NaN anywhere makes both NaN
+    cells = grid[tuple(slice(None if s else 1) for s in grid.strides)]
+    lo, hi = cells.min(), cells.max()  # a NaN anywhere makes both NaN
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ComputationError("local spectrum produced non-finite values")
     if lo < 0.0:
@@ -217,15 +219,19 @@ _GRID_PIECE = 2 ** 17  # bytes of u-transform output per piece, so it stays in L
 
 def _u_fourier(vals: np.ndarray, lags) -> np.ndarray:
     """Trapezoid rule of vals[j] * exp(-2*pi*i*r*u_j) over the uniform grid
-    u_j = j/N, j = 0..N, for each integer lag r: shape (L, w).
+    u_j = j/N, j = 0..N, for each integer lag r: shape (L, w), or (L, 1) if
+    vals has stride 0 along w, whose one column is transformed once.
 
     As exp(-2*pi*i*r*u_N) = 1 = exp(-2*pi*i*r*u_0), the sum is the length-N
     DFT of vals[:N] at r mod N plus the end correction (vals[N] - vals[0])/2,
     all over N. Pieces of columns go through one reused buffer of at most
     ``_GRID_PIECE`` bytes (or one column), which keeps only the lags' rows;
-    a column's bits do not depend on the piece width. Being a transform and
-    not a BLAS product, the result does not depend on the BLAS thread count.
+    a column's bits do not depend on the piece width, nor on how many
+    columns there are. Being a transform and not a BLAS product, the result
+    does not depend on the BLAS thread count.
     """
+    if vals.strides[1] == 0:
+        vals = vals[:, :1]
     N = vals.shape[0] - 1
     k = np.array([r % N for r in lags])  # reduced as Python ints: a lag of any size
     above = k > N // 2  # the DFT at k is conj of the DFT at N - k
@@ -266,12 +272,13 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
 
     All lags share one trapezoid quadrature on the (u_points, omega_points)
     grid: f is evaluated once on it and its output read as returned (a
-    smaller output is broadcast, never copied, and never written to), fbar
-    is its column sums with the end correction, and the u-integrals of all
-    L lags come from real FFTs of the grid along u, a few columns at a time
-    (``_u_fourier``). The quadrature allocates nothing the size of the grid
-    beyond what f returns. A lag r enters only as r mod (u_points - 1) and,
-    with ``T``, r mod T, so a lag of any size is exact.
+    smaller output is broadcast, never copied, and never written to), and
+    checked once per distinct cell. fbar is its column sums with the end
+    correction, and the u-integrals of all L lags come from real FFTs of the
+    grid along u, a few columns at a time (``_u_fourier``), or of one column
+    when f is constant in w. The quadrature allocates nothing the size of
+    the grid beyond what f returns. A lag r enters only as r mod
+    (u_points - 1) and, with ``T``, r mod T, so a lag of any size is exact.
     With ``T`` given and n = omega_points - 1 grid steps, a lag whose shift
     is whole steps, (n * r) % T == 0, takes fbar(w + w_r) as fbar rolled by
     n * r / T steps, with no evaluation. Any other lag costs one more grid

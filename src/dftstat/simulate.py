@@ -183,7 +183,8 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
 
     y_t = v_t + sum_i a_i(t) y_{t-i} is a unit lower-triangular banded system
     in y, which LAPACK's ``dtbtrs`` solves for all rows at once; v is ``eps``,
-    scaled by sigma or passed through the MA terms. The columns go in pieces
+    scaled by sigma or passed through the MA terms, in place and a piece of
+    at most ``_MA_PIECE`` elements at a time. The solve's columns go in pieces
     of at most ``_PIECE``, cut also at changepoint switches, so a piece has
     one band. A piece from column t0 starts with k = min(p, t0) pinned rows,
     the outputs before t0, whose band entries are zero, so state carries over
@@ -197,10 +198,14 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
         ends = [burn + math.floor(frac * T) for frac, _ in spec.segments[:-1]] + [burn + T]
         stretches = zip(ends, (ar for _, ar in spec.segments))
     elif isinstance(spec, ArmaSpec):
-        e = eps.copy() if spec.ma else eps
-        for j, c in enumerate(spec.ma, start=1):
-            if c:  # model2's zero term would cost a pass
-                eps[:, j:] += c * e[:, :-j]
+        terms = [(j, c) for j, c in enumerate(spec.ma, start=1) if c]  # model2 has a zero term
+        width = max(1, _MA_PIECE // eps.shape[0])
+        for b in range(eps.shape[1], 0, -width) if terms else ():
+            a = max(b - width, 0)  # right to left, so a piece reads only unwritten columns
+            v = eps[:, a:b].copy()
+            for j, c in terms:  # each element adds its terms in order of j
+                v[:, max(j - a, 0):] += c * eps[:, max(a - j, 0):max(b - j, 0)]
+            eps[:, a:b] = v
         stretches = [(burn + T, spec.ar)]
     elif isinstance(spec, TvInnovationArSpec):
         u = np.clip(np.arange(1 - burn, T + 1) / T, 0.0, 1.0)  # burn-in at the initial scale
@@ -229,6 +234,7 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
 
 
 _PIECE = 8192  # columns per banded solve: the band takes 8 (p + 1) bytes a column
+_MA_PIECE = 2 ** 14  # elements of v per piece of the MA pass, 128 KiB, so it stays in L2
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,9 @@ def returned_as(form, f):
 
 
 @pytest.mark.parametrize("T", [None, 300, 512])
-@pytest.mark.parametrize("f", [u_only, w_only, local_spectrum(model_preset("model3", 512))],
-                         ids=["u_only", "w_only", "model3"])
+@pytest.mark.parametrize("f", [u_only, w_only, local_spectrum(model_preset("model3", 512)),
+                               local_spectrum(model_preset("model6", 512))],
+                         ids=["u_only", "w_only", "model3", "model6"])
 def test_power_profile_uses_f_output_as_returned(f, T):
     lags = (-7, -1, 1, 2, 3, 17, 64, 120)
     want = power_profile(returned_as("writable", f), lags, T=T).B_values
@@ -455,6 +456,22 @@ def test_u_fourier_bits_do_not_depend_on_the_piece_width(u_points, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_power_profile_transforms_an_omega_constant_f_once(monkeypatch):
+    # model6's f is sigma(u)^2 / (2 pi), a column broadcast along omega
+    columns, rfft = [], np.fft.rfft
+
+    def counted_rfft(a, *args, **kwargs):
+        columns.append(a.shape[1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    f = local_spectrum(model_preset("model6", 512))
+    for T in (None, 500, 512):
+        columns.clear()
+        power_profile(f, range(1, 13), T=T)
+        assert columns == [1], T
+
+
 def spoiled(values, on_grid):
     """1 everywhere but a few scattered cells, which hold ``values``: on the
     plain quadrature grid if ``on_grid``, else only on shifted evaluations."""
@@ -468,18 +485,46 @@ def spoiled(values, on_grid):
     return f
 
 
-@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
-@pytest.mark.parametrize("values, message", [
+def spoiled_line(values, axis, on_grid):
+    """f constant along one axis: a line along u (axis 0) or omega (axis 1),
+    1 but for a few cells holding ``values``, returned as a read-only view
+    broadcast to the grid, so the other axis has stride 0; spoiled as in
+    ``spoiled``."""
+    plain = np.linspace(0.0, 2 * np.pi, 513)
+
+    def f(u, w):
+        shape = np.broadcast_shapes(np.shape(u), np.shape(w))
+        line = np.ones(shape[axis])
+        if np.array_equal(np.ravel(w), plain) == on_grid:
+            line[np.arange(len(values)) * 37 + 11] = values
+        return np.broadcast_to(np.expand_dims(line, 1 - axis), shape)
+    return f
+
+
+SPOILS = [
     ((-1.0, np.nan, -2.0), "non-finite values"),
     ((np.nan, -1.0), "non-finite values"),
     ((-np.inf,), "non-finite values"),
     ((-1e-300,), "negative values"),
-], ids=["nan_between_negatives", "nan_then_negative", "minus_inf", "one_negative_cell"])
+]
+SPOIL_IDS = ["nan_between_negatives", "nan_then_negative", "minus_inf", "one_negative_cell"]
+
+
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
+@pytest.mark.parametrize("values, message", SPOILS, ids=SPOIL_IDS)
 def test_power_profile_checks_every_cell_in_order(values, message, on_grid):
     # at T = 300, 512 * r / 300 is not whole for r = 1, 2: both shifts are
     # evaluated off the grid
     with pytest.raises(ComputationError, match=f"^local spectrum produced {message}$"):
         power_profile(spoiled(values, on_grid), [1, 2], T=None if on_grid else 300)
+
+
+@pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["u_column", "omega_row"])
+@pytest.mark.parametrize("values, message", SPOILS, ids=SPOIL_IDS)
+def test_power_profile_checks_every_distinct_cell_of_a_view(values, message, axis, on_grid):
+    with pytest.raises(ComputationError, match=f"^local spectrum produced {message}$"):
+        power_profile(spoiled_line(values, axis, on_grid), [1, 2], T=None if on_grid else 300)
 
 
 def counted(f):

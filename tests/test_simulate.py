@@ -171,6 +171,29 @@ def test_changepoint_first_segment_matches_pure_ar():
     assert not np.allclose(a[64:], b[64:])
 
 
+def ma_rows(spec, eps):
+    """v_t = e_t + sum_j c_j e_{t-j} over whole rows, the terms added in order
+    of j and the zero ones skipped."""
+    v = eps.copy()
+    for j, c in enumerate(spec.ma, start=1):
+        if c:
+            v[:, j:] += c * eps[:, :-j]
+    return v
+
+
+@pytest.mark.parametrize("piece", [1, 7, 120, 2 ** 14])
+def test_ma_pass_in_pieces_equals_whole_rows_bit_for_bit(piece, monkeypatch):
+    # pieces of one column, of fewer columns than the MA order, of a few
+    # columns, and the whole block; the AR solve that follows is the same code
+    monkeypatch.setattr("dftstat.simulate._MA_PIECE", piece)
+    long_ma = ArmaSpec(ar=(0.5,), ma=(0.4, -1.0, 0.0, 0.7, 0.2, -0.3, 1.1))
+    for spec, rows, n in ((model_preset("model2", 512), 40, 1012), (long_ma, 3, 1012),
+                          (long_ma, 2, 5)):
+        eps = _gauss_rows(piece, 0, rows, n)
+        want = _filter_rows(ArmaSpec(ar=spec.ar), ma_rows(spec, eps), n, 0)
+        assert _filter_rows(spec, eps, n, 0).tobytes() == want.tobytes(), (spec, rows, n)
+
+
 def test_burn_in_doubling_leaves_output_unchanged():
     # with the same trailing innovations, the extra history decays away
     # geometrically, so doubling the burn-in does not move the kept sample
