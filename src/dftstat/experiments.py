@@ -307,16 +307,16 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
         integrand = inner / fbar
     else:
         n = w.size - 1
-        steps = np.arange(w.size)
-        shifted = np.empty((len(lags), w.size))
-        for row, lag in zip(shifted, lags):
-            s, rem = divmod(lag * n, T)
-            if rem == 0:
-                row[:] = fbar[(steps + s % n) % n]
-            else:
-                row[:] = _time_average(
-                    _eval_local(f_local, u, (w + _TWO_PI * (lag % T) / T) % _TWO_PI))
-        integrand = inner / (np.sqrt(fbar) * np.sqrt(shifted))
+        whole = [lag * n % T == 0 for lag in lags]  # shifts reduced as Python ints: exact
+        s = np.array([(lag * n // T) % n for lag, ok in zip(lags, whole) if ok], dtype=np.intp)
+        root = np.sqrt(fbar)  # sqrt(fbar)[i] is sqrt(fbar[i]): the rows are one gather
+        shifted = np.empty((len(lags), w.size))  # sqrt(fbar(w + w_r)) per lag
+        shifted[whole] = root[(np.arange(w.size) + s[:, None]) % n]
+        for row, lag, ok in zip(shifted, lags, whole):
+            if not ok:
+                row[:] = np.sqrt(_time_average(
+                    _eval_local(f_local, u, (w + _TWO_PI * (lag % T) / T) % _TWO_PI)))
+        integrand = inner / (root * shifted)
     bad = ~np.isfinite(integrand)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import ComputationError, InputError
 
 _TWO_PI = 2.0 * math.pi
+_PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state)
 
 
 def _checked_int(value, name: str, positive: bool = False) -> int:
@@ -224,18 +226,20 @@ def _unfold(half: np.ndarray, T: int) -> np.ndarray:
     return out
 
 
-def _rfft_at(half: np.ndarray, k, n: int, axis: int = -1) -> np.ndarray:
+def _rfft_at(half: np.ndarray, k, n: int) -> np.ndarray:
     """Entries k (any integers) of the length-n DFT of real data, read from
-    its rfft ``half`` along ``axis``: index k mod n, conjugated above n/2.
+    its rfft ``half`` along the last axis: index k mod n, conjugated above
+    n/2. When no k mod n lies above n/2 the entries are read as they are.
 
     The result is a new C-ordered array, so a reduction over it runs in the
     same order whatever the other axes' sizes.
     """
     k = np.asarray(k) % n
     above = k > n // 2
-    out = np.take(half, np.where(above, n - k, k), axis=axis)
-    view = np.moveaxis(out, axis, -1)
-    view[..., above] = np.conj(view[..., above])
+    if not above.any():
+        return half.take(k, axis=-1)
+    out = half.take(np.where(above, n - k, k), axis=-1)
+    out[..., above] = np.conj(out[..., above])
     return out
 
 
@@ -309,10 +313,11 @@ def chisq_sf(x: float, dof: int) -> float:
 def chisq_quantile(p: float, dof: int) -> float:
     """Inverse of the chi-square CDF: x with chisq_sf(x, dof) = 1 - p.
 
-    Accepts p in [0, 1); nondecreasing in p. Bisection on ``chisq_sf`` down
-    to adjacent floats returns the x with chisq_sf(x, dof) <= 1 - p <
+    Accepts p in [0, 1). Returns an x with chisq_sf(x, dof) <= 1 - p <
     chisq_sf(the float below x), so the equation holds as closely as
-    ``chisq_sf`` resolves it, far in either tail.
+    ``chisq_sf`` resolves it, far in either tail. Nondecreasing in p, but
+    for p closer than about 1e-13: ``chisq_sf`` is not monotone at the ulp
+    scale, so more than one float can meet that condition.
     """
     if not (0.0 <= p < 1.0):
         raise InputError(f"chisq_quantile requires p in [0, 1), got {p}")
@@ -324,21 +329,48 @@ def chisq_quantile(p: float, dof: int) -> float:
 @functools.lru_cache(maxsize=256)
 def _chisq_quantile(p: float, dof: int) -> float:
     """``chisq_quantile`` of checked arguments, memoized: a Monte Carlo study
-    asks for one or two quantiles, and a run of studies for the same ones."""
+    asks for one or two quantiles, and a run of studies for the same ones.
+
+    Newton steps from the Wilson-Hilferty start on the log of the smaller
+    tail against log x, until a step is below 1e-8 of x (the lower tail is
+    P(a, x/2), precise where 1 - chisq_sf rounds). Then a walk, one float and
+    then doubling strides, as chisq_sf can round to one value over many
+    floats near 1, brackets the condition, and bisection meets it.
+    """
     if p == 0.0:
         return 0.0
-    target = 1.0 - p  # sf value at the quantile
+    from statistics import NormalDist  # deferred: its import costs 4 ms
+    target, a, lower = 1.0 - p, 0.5 * dof, p < 0.5
+    z = NormalDist().inv_cdf(p)
+    x = max(dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3,
+            # or, where that is poor, below the quantile: P(a, x/2) < (x/2)**a / Gamma(a + 1)
+            2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    try:
+        for _ in range(50):  # a cap: from the start it takes about 3 steps
+            tail = _lower_reg_gamma(a, 0.5 * x) if lower else chisq_sf(x, dof)
+            # the tail's slope against log x: x times the density, over the tail
+            slope = math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a) - math.log(tail))
+            step = x * math.expm1((math.log(p if lower else target) - math.log(tail))
+                                  / (slope if lower else -slope))
+            x += step
+            if abs(step) <= 1e-8 * x:  # what is left is about (step / x)**2 of x: an ulp or so
+                break
+    except ValueError:  # x or its tail underflowed at a tiny p: the walk starts at x
+        pass
 
-    # bracket [lo, hi] with sf(lo) > target >= sf(hi)
-    lo = 0.0
-    hi = float(max(dof, 1))
-    while chisq_sf(hi, dof) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ComputationError("chisq_quantile bracket growth failed")
-    mid = 0.5 * hi
+    def at_or_below(y):  # 0 never is: p > 0
+        return y > 0.0 and chisq_sf(y, dof) <= target
+
+    lo, hi, stride = x, x, math.ulp(x)
+    if at_or_below(x):
+        while at_or_below(lo := max(hi - stride, 0.0)):
+            hi, stride = lo, 2.0 * stride
+    else:
+        while not at_or_below(hi := lo + stride):
+            lo, stride = hi, 2.0 * stride
+    mid = 0.5 * (lo + hi)
     while lo < mid < hi:  # until lo and hi are adjacent floats
-        lo, hi = (mid, hi) if chisq_sf(mid, dof) > target else (lo, mid)
+        lo, hi = (lo, mid) if at_or_below(mid) else (mid, hi)
         mid = 0.5 * (lo + hi)
     return hi
 
@@ -388,12 +420,16 @@ def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
 def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i holds the first n draws of ``RngStream(master_seed, start + i)``.
 
-    One Philox serves the block, reset per row to the stream's start, since
-    each Philox constructor draws unused OS entropy.
+    One Philox per thread, built on the thread's first call (seeding it costs
+    about seven row resets) and reset per row to the stream's start: counter 0,
+    no buffered draw. Studies running in concurrent threads share none.
     """
     RngStream(master_seed, start)  # the seed and stream checks
-    bits = np.random.Philox(0)
-    gen, state = np.random.Generator(bits), bits.state  # a fresh state: counter 0, no buffer
+    rng = getattr(_PHILOX, "rng", None)
+    if rng is None:
+        bits = np.random.Philox(0)
+        rng = _PHILOX.rng = (bits, np.random.Generator(bits), bits.state)
+    bits, gen, state = rng
     out = np.empty((stop - start, n))
     for row, stream in enumerate(range(start, stop)):
         state["state"]["key"] = np.array([master_seed, stream], dtype=np.uint64)

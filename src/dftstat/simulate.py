@@ -21,6 +21,7 @@ from .errors import InputError
 from .numerics import RngStream, _checked_int, gauss_stream
 
 _TWO_PI = 2.0 * math.pi
+_SIGMA_PROBE = np.linspace(0.0, 1.0, 1025)  # where ModulatedNoiseSpec checks sigma
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +120,11 @@ class ModulatedNoiseSpec:
     sigma: Callable[[np.ndarray], np.ndarray]
 
     def validate(self):
+        """Check sigma on ``_SIGMA_PROBE``, 1025 points of [0, 1], passed as
+        a copy, so a sigma that writes into its argument leaves the probe as it was."""
         if not callable(self.sigma):
             raise InputError("sigma must be callable on [0, 1]")
-        probe = np.asarray(self.sigma(np.linspace(0.0, 1.0, 1025)), dtype=float)
+        probe = np.asarray(self.sigma(_SIGMA_PROBE.copy()), dtype=float)
         if np.any(probe <= 0.0):
             raise InputError("modulated-noise sigma must be positive on [0, 1]")
 
@@ -325,7 +328,7 @@ _SIGMA6_LEVELS = np.array(
 def _sigma_piecewise6(u):
     """Three-level piecewise scale function on [0, 1] used by model6."""
     u = np.asarray(u, dtype=float)
-    idx = np.clip(np.floor(u * 20.0).astype(int), 0, 19)
+    idx = np.minimum(np.maximum(np.floor(u * 20.0).astype(int), 0), 19)
     out = _SIGMA6_LEVELS[idx]
     return out if out.ndim else float(out)
 

@@ -5,7 +5,10 @@ statistics per stream, results independent of chunking, bounded memory, and
 the per-replication error messages."""
 
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,6 +89,48 @@ def test_gauss_rows_are_the_streams():
         block = _gauss_rows(seed, 5, 12, 300)
         for row in range(7):
             assert np.array_equal(block[row], gauss_stream(RngStream(seed, 5 + row), 300))
+
+
+def studies_on(seed):
+    """Draws and statistics of one seed: several blocks and a two-chunk study."""
+    blocks = [_gauss_rows(seed, start, start + 30, 400) for start in range(0, 150, 30)]
+    spec = model_preset("model1", 64)
+    config = McConfig(model=spec, T=64, replications=chunk_rows(spec, 64) + 5, master_seed=seed)
+    return blocks + [rejection_rate(config).statistics]
+
+
+def test_concurrent_threads_draw_their_own_streams():
+    # each thread resets its own generator, so threads interleaving between a
+    # reset and its draws (a short switch interval makes that likely) still
+    # draw exactly the sequential streams
+    seeds = range(80, 88)
+    expected = [studies_on(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(studies_on, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, have in zip(expected, got):
+        assert all(np.array_equal(a, b) for a, b in zip(want, have))
+
+
+def test_a_thread_builds_one_philox_for_all_its_studies(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    done = []
+    worker = threading.Thread(target=lambda: done.extend(studies_on(s) for s in (1, 2, 3)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(done) == 3
+    assert built == [worker.ident]
 
 
 def test_chunk_seams_match_single_tests():

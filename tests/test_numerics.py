@@ -12,7 +12,7 @@ from dftstat import (
     dft_canonical,
     gauss_stream,
 )
-from dftstat.numerics import _chirp_rfft, _half_dft_rows, _takes_chirp, _unfold
+from dftstat.numerics import _chirp_rfft, _half_dft_rows, _rfft_at, _takes_chirp, _unfold
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +224,20 @@ def test_dft_rejects_short_input():
         dft_canonical([])
     with pytest.raises(InputError, match=match):
         dft_canonical([1.0])
+
+
+@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("lags", [
+    [1, 2, 3, 0, -19, 10],  # all at or below n/2 once reduced, so read as they are
+    [11, 12, -1, -7, 19],  # all above n/2: every entry conjugated
+    [1, 15, -3, 10, 10 ** 15 + 4, -(10 ** 15) - 4],  # mixed
+])
+def test_rfft_at_reads_the_full_dft(n, lags):
+    x = np.random.default_rng(n).standard_normal((3, n))
+    got = _rfft_at(np.fft.rfft(x, axis=-1), lags, n)
+    want = np.fft.fft(x, axis=-1)[:, np.array(lags) % n]
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

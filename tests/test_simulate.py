@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dftstat
+import dftstat.simulate as simulate
 from dftstat import (
     ArmaSpec,
     ChangepointArSpec,
@@ -50,6 +51,7 @@ def test_piecewise_scale_lookup():
     assert sigma_piecewise6(0.0) == 3.0
     assert sigma_piecewise6(0.45) == 2.0
     assert sigma_piecewise6(1.0) == 2.0  # closed right end of the last bin
+    assert sigma_piecewise6(-0.5) == 3.0 and sigma_piecewise6(1.5) == 2.0  # clamped bins
     vals = sigma_piecewise6(np.linspace(0, 1, 2001))
     assert set(np.unique(vals)) == {1.0, 2.0, 3.0}
 
@@ -220,6 +222,19 @@ def test_modulated_noise_requires_positive_scale():
     with pytest.raises(InputError, match=r"^modulated-noise sigma must be positive on \[0, 1\]$"):
         generate(ModulatedNoiseSpec(sigma=lambda u: np.cos(2 * np.pi * u)),
                  GeneratorConfig(T=64, rng=RngStream(0, 0)))
+
+
+def test_modulated_noise_sigma_that_writes_into_its_argument_validates():
+    # sigma gets a copy of the probe grid: writing into it changes neither this
+    # check nor the next one, and the grid stays 1025 points of [0, 1]
+    def sigma(u):
+        u -= 0.75  # were the grid shared, the second check would see u < 0
+        return u + 1.0
+
+    spec = ModulatedNoiseSpec(sigma=sigma)
+    spec.validate()
+    spec.validate()
+    assert np.array_equal(simulate._SIGMA_PROBE, np.linspace(0.0, 1.0, 1025))
 
 
 def test_tv_innovation_scale_may_change_sign():
