@@ -27,14 +27,10 @@ from .numerics import RngStream, _checked_int, _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
-    _ZERO_SPECTRUM,
-    _block_covariances,
+    _block_terms,
     _checked_level,
-    _contributions,
-    _first_nonfinite_row,
     _plan,
     _scan_rows,
-    _statistics,
     validate_lags,
 )
 from .simulate import GeneratorConfig, ModelSpec, _filter_rows, innovation_count
@@ -87,10 +83,10 @@ class McReport:
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
 
 
-def _replications(config: McConfig, reduce):
-    """Yield ``reduce(C, plan)`` chunk by chunk, C holding the covariances of
-    the chunk's replications, one row each, in order. A replication whose
-    result is not finite (a zero smoothed spectrum) stops the study.
+def _replications(config: McConfig):
+    """Yield the terms Q = |c(r)|^2 / denom_r (``_block_terms``) chunk by
+    chunk, one row per replication, in order. A replication whose terms are
+    not finite (a zero smoothed spectrum) stops the study.
 
     The per-study checks run once, before the first chunk. A failure there
     would have stopped the first replication, so it is reported as
@@ -110,16 +106,11 @@ def _replications(config: McConfig, reduce):
     for start in range(0, config.replications, rows):
         stop = min(start + rows, config.replications)
         X = _filter_rows(model, _gauss_rows(config.master_seed, start, stop, n), T, burn_in)
+        name = lambda row: f"replication {start + row} (stream {start + row}): "  # noqa: E731
         bad, exponents = _scan_rows(X)
         if bad is not None:
-            i = start + bad[0]
-            raise InputError(f"replication {i} (stream {i}): {bad[1]}")
-        out = reduce(_block_covariances(X, plan, exponents), plan)
-        bad = _first_nonfinite_row(out)
-        if bad is not None:
-            i = start + bad
-            raise ComputationError(f"replication {i} (stream {i}): {_ZERO_SPECTRUM}")
-        yield out
+            raise InputError(name(bad[0]) + bad[1])
+        yield _block_terms(X, plan, exponents, name)[1]
 
 
 def rejection_rate(config: McConfig) -> McReport:
@@ -133,7 +124,7 @@ def rejection_rate(config: McConfig) -> McReport:
     count beyond the statistics array.
     """
     threshold = chisq_quantile(1.0 - config.level, 2 * len(config.lags))
-    stats = np.concatenate(list(_replications(config, _statistics)))
+    stats = config.T * np.concatenate([Q.sum(axis=-1) for Q in _replications(config)])
     rate = float(np.count_nonzero(stats > threshold)) / config.replications
     return McReport(
         rejection_rate=rate,
@@ -143,17 +134,19 @@ def rejection_rate(config: McConfig) -> McReport:
     )
 
 
-def _empirical_density(statistics, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram (area one) of test statistics over [0, max]."""
+_DENSITY_BINS = 50
+
+
+def _empirical_density(statistics) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized histogram (area one) of test statistics over [0, max] in
+    ``_DENSITY_BINS`` bins."""
     stats = np.asarray(statistics, dtype=float)
     if stats.size == 0:
         raise InputError("the empirical density needs at least one statistic")
-    if bins < 2:
-        raise InputError(f"bins must be >= 2, got {bins}")
     top = float(stats.max())
     if top <= 0.0:
         top = 1.0
-    density, edges = np.histogram(stats, bins=bins, range=(0.0, top), density=True)
+    density, edges = np.histogram(stats, bins=_DENSITY_BINS, range=(0.0, top), density=True)
     return edges, density
 
 
@@ -169,23 +162,14 @@ def lag_scan(model: ModelSpec, T: int, lags, **study) -> np.ndarray:
     """
     config = McConfig(model=model, T=T, lags=lags, **study)
     threshold = chisq_quantile(1.0 - config.level, 2)
-    rejections = sum(np.count_nonzero(stats > threshold, axis=0)
-                     for stats in _replications(config, _contributions))
+    rejections = sum(np.count_nonzero(config.T * Q > threshold, axis=0)
+                     for Q in _replications(config))
     return rejections / config.replications
 
 
 # ---------------------------------------------------------------------------
 # power diagnostics for locally stationary alternatives
 # ---------------------------------------------------------------------------
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Weights v with v @ y the composite trapezoid rule of y over the grid x."""
-    half = 0.5 * np.diff(x)
-    v = np.zeros(x.size)
-    v[:-1] += half
-    v[1:] += half
-    return v
 
 
 def _eval_local(f_local, u, w) -> np.ndarray:
@@ -203,12 +187,17 @@ def _eval_local(f_local, u, w) -> np.ndarray:
     return grid
 
 
+def _trapezoid(g: np.ndarray) -> np.ndarray:
+    """The trapezoid rule along axis 0 over the uniform grid j/N, j = 0..N,
+    as a mean: (sums of g[:N] + (g[N] - g[0])/2) / N, no BLAS product."""
+    N = g.shape[0] - 1
+    return (g[:N].sum(axis=0) + 0.5 * (g[N] - g[0])) / N
+
+
 def _time_average(vals: np.ndarray) -> np.ndarray:
-    """fbar, the trapezoid rule along axis 0 over the uniform grid j/N, j = 0..N:
-    (column sums of vals[:N] + (vals[N] - vals[0])/2) / N, no BLAS product.
-    Checked to be at least 1e-10 at every frequency."""
-    N = vals.shape[0] - 1
-    fbar = (vals[:N].sum(axis=0) + 0.5 * (vals[N] - vals[0])) / N
+    """fbar, the trapezoid rule over u, checked to be at least 1e-10 at
+    every frequency."""
+    fbar = _trapezoid(vals)
     if np.any(fbar < 1e-10):
         raise ComputationError("integrated spectrum below 1e-10")
     return fbar
@@ -323,4 +312,4 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
         raise ComputationError(
             f"non-finite integrand value at lag r={lags[i]}, omega={w[j]!r}"
         )
-    return PowerProfile(lags=lags, B_values=integrand @ _trapezoid_weights(w) / _TWO_PI)
+    return PowerProfile(lags=lags, B_values=_trapezoid(integrand.T))

@@ -317,7 +317,8 @@ def chisq_quantile(p: float, dof: int) -> float:
     chisq_sf(the float below x), so the equation holds as closely as
     ``chisq_sf`` resolves it, far in either tail. Nondecreasing in p, but
     for p closer than about 1e-13: ``chisq_sf`` is not monotone at the ulp
-    scale, so more than one float can meet that condition.
+    scale, so more than one float can meet that condition. For p <= 2**-54,
+    where 1 - p rounds to 1, x is instead Newton's root of P(dof/2, x/2) = p.
     """
     if not (0.0 <= p < 1.0):
         raise InputError(f"chisq_quantile requires p in [0, 1), got {p}")
@@ -357,6 +358,8 @@ def _chisq_quantile(p: float, dof: int) -> float:
                 break
     except ValueError:  # x or its tail underflowed at a tiny p: the walk starts at x
         pass
+    if target == 1.0:  # p <= 2**-54: only 0 has chisq_sf <= 1 - p, so no walk
+        return x
 
     def at_or_below(y):  # 0 never is: p > 0
         return y > 0.0 and chisq_sf(y, dof) <= target

@@ -296,7 +296,7 @@ class TestResult:
     reject_at: dict[float, bool]
     lags: tuple[int, ...]
     covariances: tuple[complex, ...]   # c(r), in lags order
-    contributions: tuple[float, ...]   # T * |c(r)|^2 / denom_r, summing to statistic
+    contributions: tuple[float, ...]   # single-lag statistics; sum = statistic up to rounding
     T: int
     kernel: KernelSpec
     ridge_factor: float
@@ -369,15 +369,6 @@ _ZERO_SPECTRUM = ("the smoothed spectrum is zero at some frequency, so the DFT c
                   "standardized; use ridge_factor > 0")
 
 
-def _first_nonfinite_row(S: np.ndarray):
-    """The lowest row of S (statistics, one per row, or per-lag terms, a
-    row each) holding a non-finite value, else None."""
-    finite = np.isfinite(S)
-    if finite.all():
-        return None
-    return int(np.flatnonzero(~finite.reshape(len(S), -1).all(axis=-1))[0])
-
-
 def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     """Standardized covariances at the plan's lags for each row of X.
 
@@ -387,7 +378,7 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     where the periodogram of X itself is in range, and keeps it in range
     at any other scale. A zero of the smoothed spectrum gives a non-finite
     row, with no warning, for the caller to report
-    (``_first_nonfinite_row``). Rows are processed independently: row i of
+    (``_block_terms``). Rows are processed independently: row i of
     the result is bit-identical whether X holds one row or many. The DFT,
     the smoothed spectrum and the standardized DFT are formed only at
     k = 0..T//2, which holds all of them for a real series.
@@ -418,15 +409,18 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
         return _lag_covariances(half, T, plan.lags, work)
 
 
-def _statistics(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
-    """Portmanteau statistic of each row of covariances C."""
-    return plan.T * np.sum(np.abs(C) ** 2 / plan.corrections, axis=-1)
-
-
-def _contributions(C: np.ndarray, plan: _TestPlan) -> np.ndarray:
-    """Per-lag terms T * |c(r)|^2 / denom_r of each row of C: the single-lag
-    statistics, which sum to the row's statistic up to rounding."""
-    return plan.T * (np.abs(C) ** 2 / plan.corrections)
+def _block_terms(X: np.ndarray, plan: _TestPlan, exponents, name):
+    """(C, Q) for the rows of X: C their covariances (``_block_covariances``)
+    and Q = |c(r)|^2 / denom_r, whose row sum times T is the row's statistic
+    and whose entries times T are its single-lag statistics. The lowest row
+    with a non-finite term (a zero smoothed spectrum) raises
+    ComputationError, its message prefixed by ``name(row)``."""
+    C = _block_covariances(X, plan, exponents)
+    Q = np.abs(C) ** 2 / plan.corrections
+    finite = np.isfinite(Q).all(axis=-1)
+    if not finite.all():
+        raise ComputationError(name(int(np.flatnonzero(~finite)[0])) + _ZERO_SPECTRUM)
+    return C, Q
 
 
 def _checked_series(series) -> np.ndarray:
@@ -439,28 +433,24 @@ def _checked_series(series) -> np.ndarray:
 
 
 def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean, levels,
-               prefixes=None) -> list[TestResult]:
+               name=lambda row: "") -> list[TestResult]:
     """``stationarity_test`` of every row of X; the rows share one plan. The
-    error of a row that cannot be tested starts with its entry of ``prefixes``."""
+    error of a row that cannot be tested starts with ``name(row)``."""
     levels = tuple(_checked_level(a) for a in levels)
     if X.shape[-1] < MIN_SERIES_LENGTH:
         raise InputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
         )
-    prefixes = prefixes or [""] * len(X)
     bad, exponents = _scan_rows(X)
     if bad is not None:
-        raise InputError(prefixes[bad[0]] + bad[1])
+        raise InputError(name(bad[0]) + bad[1])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
-    C = _block_covariances(X, plan, exponents)
-    stats = _statistics(C, plan)
-    bad = _first_nonfinite_row(stats)
-    if bad is not None:
-        raise ComputationError(prefixes[bad] + _ZERO_SPECTRUM)
+    C, Q = _block_terms(X, plan, exponents, name)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []
-    for stat, c, parts in zip(stats.tolist(), C.tolist(), _contributions(C, plan).tolist()):
+    for stat, c, parts in zip((plan.T * Q.sum(axis=-1)).tolist(), C.tolist(),
+                              (plan.T * Q).tolist()):
         p = chisq_sf(stat, dof)
         results.append(TestResult(
             statistic=stat,
@@ -594,10 +584,10 @@ def segmented_test(series, depth: int, lags=None, m: int = 4,
         equal = len(bounds) if T % len(bounds) == 0 else len(bounds) - 1
         names = [f"depth {d} block {i} [{a}, {b}): " for i, (a, b) in enumerate(bounds)]
         results = _test_rows(x[: equal * base].reshape(equal, base), lags, m, kernel,
-                             correction, ridge_factor, demean, levels, names)
+                             correction, ridge_factor, demean, levels, names.__getitem__)
         if equal < len(bounds):
             results += _test_rows(x[None, bounds[-1][0]:], lags, m, kernel, correction,
-                                  ridge_factor, demean, levels, names[equal:])
+                                  ridge_factor, demean, levels, names[equal:].__getitem__)
         blocks += [SegmentBlock(depth=d, index=i, start=a, stop=b, result=res)
                    for i, ((a, b), res) in enumerate(zip(bounds, results))]
     return SegmentReport(T=T, depth=depth, blocks=tuple(blocks))

@@ -1,0 +1,223 @@
+"""Fingerprint the numbers a source tree of dftstat computes.
+
+    python tests/fingerprint.py --src TREE [--save DIR] [--against DIR]
+
+imports ``dftstat`` from ``TREE/src`` alone and prints the module file it
+loaded, then one SHA-256 per family of results as JSON. ``--save`` writes
+each family's arrays to ``DIR/<family>.npz``; ``--against`` reads a saved
+fingerprint and prints, for each family whose hash differs, its largest
+relative difference: max |a - b| / max |b| over each array of the family
+(inf where an array's shape or a message differs). Two trees compute the
+same numbers where their hashes agree, so a change that should keep every
+bit is checked by fingerprinting its parent and itself:
+
+    python tests/fingerprint.py --src ../parent --save /tmp/fp-parent
+    python tests/fingerprint.py --src . --against /tmp/fp-parent
+
+The families use the public API only, so any tree with it can be compared:
+
+rejection_rate  statistics and rate of six presets x T 256/257/375/512 x
+                m 1/4/10 x daniell/bartlett, plus a linear_plugin study
+lag_scan        rates of six presets x T 512/257 at lags 1..40
+test            stationarity_test at T 2**18, 262139, 4096, 1000 and 33,
+                demean on and off: statistic, p-value, c(r), contributions
+segmented       segmented_test at T 2**16 and 5003, depth 3
+generate        generate of models 1-6 at T 64, 257 and 512
+power_profile   B of six presets x T None/500/512 at 14 lags
+threshold       McReport.threshold at dof 2 and 20 over nine levels
+quantile        chisq_quantile at dof 1/2/3/20/61/240 for p above 2**-54
+quantile_tiny   the same for p at or below 2**-54
+errors          the class and message of the error each of ten bad calls raises
+
+It takes about a second on one core. The file is not collected by
+pytest.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PRESETS = [f"model{i}" for i in range(1, 7)]
+DOFS = (1, 2, 3, 20, 61, 240)
+
+
+def rejection_rate_family(ds):
+    out = {}
+    for name in PRESETS:
+        for T in (256, 257, 375, 512):
+            for m in (1, 4, 10):
+                for kind in ("daniell", "bartlett"):
+                    rep = ds.rejection_rate(ds.McConfig(
+                        model=ds.model_preset(name, T), T=T, lags=range(1, m + 1),
+                        replications=20, master_seed=7, kernel=ds.KernelSpec(kind)))
+                    key = f"{name}_{T}_{m}_{kind}"
+                    out[key] = np.append(rep.statistics, rep.rejection_rate)
+    rep = ds.rejection_rate(ds.McConfig(
+        model=ds.model_preset("model1", 256), T=256, replications=20, master_seed=7,
+        correction=ds.CorrectionSpec.linear([1.0, 0.8, 0.64], 1.5)))
+    out["linear_plugin"] = np.append(rep.statistics, rep.rejection_rate)
+    return out
+
+
+def lag_scan_family(ds):
+    return {f"{name}_{T}": ds.lag_scan(ds.model_preset(name, T), T, range(1, 41),
+                                       replications=20, master_seed=8)
+            for name in PRESETS for T in (512, 257)}
+
+
+def _result_arrays(res):
+    return np.concatenate([[res.statistic, res.p_value],
+                           np.array(res.covariances).view(float), res.contributions])
+
+
+def stationarity_family(ds):
+    out = {}
+    for T in (2 ** 18, 262139, 4096, 1000, 33):
+        x = ds.generate(ds.model_preset("model3", T),
+                        ds.GeneratorConfig(T=T, rng=ds.RngStream(9)))
+        for demean in (True, False):
+            out[f"{T}_{demean}"] = _result_arrays(ds.stationarity_test(x, m=10, demean=demean))
+    return out
+
+
+def segmented_family(ds):
+    out = {}
+    for T in (2 ** 16, 5003):
+        x = ds.generate(ds.model_preset("model5", T),
+                        ds.GeneratorConfig(T=T, rng=ds.RngStream(10)))
+        report = ds.segmented_test(x, depth=3)
+        out[str(T)] = np.concatenate([_result_arrays(b.result) for b in report.blocks])
+    return out
+
+
+def generate_family(ds):
+    return {f"{name}_{T}": ds.generate(ds.model_preset(name, T),
+                                       ds.GeneratorConfig(T=T, rng=ds.RngStream(11, 3)))
+            for name in PRESETS for T in (64, 257, 512)}
+
+
+def power_profile_family(ds):
+    lags = list(range(1, 13)) + [60, 120]
+    return {f"{name}_{T}": ds.power_profile(ds.local_spectrum(ds.model_preset(name, T or 512)),
+                                            lags, T=T).B_values
+            for name in PRESETS for T in (None, 500, 512)}
+
+
+def threshold_family(ds):
+    levels = (1e-9, 1e-4, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99, 1 - 1e-9)
+    return {str(2 * m): np.array([ds.rejection_rate(ds.McConfig(
+                model=ds.model_preset("model1", 64), T=64, lags=range(1, m + 1), level=a,
+                replications=1)).threshold for a in levels])
+            for m in (1, 10)}
+
+
+def quantile_family(ds, ps):
+    return {str(dof): np.array([ds.chisq_quantile(p, dof) for p in ps]) for dof in DOFS}
+
+
+def errors_family(ds):
+    t = np.arange(1, 257)
+    cosine = np.cos(2 * np.pi * 5 * t / 256)
+    noisy = ds.generate(ds.model_preset("model1", 256), ds.GeneratorConfig(T=256))
+    zero_scale = ds.TvInnovationArSpec(ar=(0.5,),
+                                       sigma=lambda u: np.zeros_like(np.asarray(u, float)))
+    calls = [
+        lambda: ds.stationarity_test(cosine, ridge_factor=0.0),
+        lambda: ds.segmented_test(cosine, depth=1, ridge_factor=0.0),
+        lambda: ds.segmented_test(np.concatenate([noisy[:128], cosine[::2]]), depth=1,
+                                  ridge_factor=0.0),
+        lambda: ds.stationarity_test(np.where(t == 9, np.nan, noisy), lags=[300]),  # two faults
+        lambda: ds.stationarity_test(noisy, lags=[128]),
+        lambda: ds.stationarity_test(noisy[:20]),
+        lambda: ds.rejection_rate(ds.McConfig(model=zero_scale, T=128, replications=5)),
+        lambda: ds.rejection_rate(ds.McConfig(model=ds.ArmaSpec(ar=(1.2,)), T=128)),
+        lambda: ds.lag_scan(ds.model_preset("model1", 128), 128, [1], level=1.5),
+        lambda: ds.power_profile(ds.local_spectrum(ds.model_preset("model3")), [0]),
+    ]
+    out = []
+    for call in calls:
+        try:
+            call()
+            out.append("no error")
+        except ds.StationarityTestError as exc:  # its class and message are the fingerprint
+            out.append(f"{type(exc).__name__}: {exc}")
+    return {"messages": np.array(out)}
+
+
+def families(ds):
+    tiny = (2.0 ** -54, 5e-17, 1e-17, 1e-20, 1e-50, 1e-100, 1e-300)
+    above = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1 - 1e-10)
+    return {
+        "rejection_rate": rejection_rate_family, "lag_scan": lag_scan_family,
+        "test": stationarity_family, "segmented": segmented_family,
+        "generate": generate_family,
+        "power_profile": power_profile_family, "threshold": threshold_family,
+        "quantile": lambda ds: quantile_family(ds, above),
+        "quantile_tiny": lambda ds: quantile_family(ds, tiny),
+        "errors": errors_family,
+    }
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for key in sorted(arrays):
+        a = np.ascontiguousarray(arrays[key])
+        h.update(f"{key}|{a.dtype.str}|{a.shape}|".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def largest_difference(arrays, saved):
+    worst = 0.0
+    for key in sorted(set(arrays) | set(saved)):
+        if key not in arrays or key not in saved:
+            return float("inf")
+        a, b = np.asarray(arrays[key]), np.asarray(saved[key])
+        if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+            return float("inf")
+        if a.dtype.kind == "U":
+            worst = max(worst, 0.0 if np.array_equal(a, b) else float("inf"))
+            continue
+        with np.errstate(all="ignore"):
+            scale = np.max(np.abs(b)) if b.size else 0.0
+            gap = np.max(np.abs(a - b)) if a.size else 0.0
+            worst = max(worst, float(gap / scale) if scale else float(gap))
+    return worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="source tree whose src/ holds dftstat")
+    parser.add_argument("--save", type=Path, help="write each family's arrays here")
+    parser.add_argument("--against", type=Path, help="a saved fingerprint to compare with")
+    args = parser.parse_args(argv)
+    src = (Path(args.src) / "src").resolve()
+    sys.path.insert(0, str(src))
+    import dftstat as ds
+
+    if not Path(ds.__file__).resolve().is_relative_to(src):
+        sys.exit(f"dftstat was imported from {ds.__file__}, not from {src}")
+    print(ds.__file__)
+    hashes, differences = {}, {}
+    for name, family in families(ds).items():
+        arrays = family(ds)
+        hashes[name] = digest(arrays)
+        if args.save:
+            args.save.mkdir(parents=True, exist_ok=True)
+            np.savez(args.save / f"{name}.npz", **arrays)
+        if args.against:
+            with np.load(args.against / f"{name}.npz") as saved:
+                saved = dict(saved)
+            if digest(saved) != hashes[name]:
+                differences[name] = largest_difference(arrays, saved)
+    print(json.dumps(hashes, indent=1))
+    if args.against:
+        print(json.dumps({"largest relative difference": differences}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

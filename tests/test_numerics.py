@@ -354,6 +354,24 @@ def test_chisq_quantile_strictly_increasing():
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
 
+@pytest.mark.parametrize("dof", [1, 2, 3, 20, 61, 240])
+def test_chisq_quantile_where_one_minus_p_rounds_to_one(dof):
+    # for p <= 2**-54, 1 - p == 1.0: the quantile is the root of the lower
+    # tail P(dof/2, x/2) = p, not the smallest float
+    from scipy.special import gammaincinv
+
+    for p in (5e-17, 1e-17, 1e-20, 1e-50, 1e-100):
+        want = 2 * gammaincinv(dof / 2, p)  # down to 1.6e-200 (dof 1): no absolute tolerance
+        assert abs(chisq_quantile(p, dof) - want) <= 1e-12 * want, p
+    # no drop where the rule changes; p a relative 2**-20 either side of
+    # 2**-54, since ulp-close p can be an ulp out of order (the docstring):
+    # at dof 20 the quantile at the float above 2**-54 is an ulp below the
+    # one at the float below it
+    below, above = 2.0 ** -54 * (1 - 2.0 ** -20), 2.0 ** -54 * (1 + 2.0 ** -20)
+    assert 1.0 - below == 1.0 > 1.0 - above
+    assert chisq_quantile(below, dof) <= chisq_quantile(above, dof)
+
+
 def test_chisq_quantile_invalid_inputs():
     match = r"^chisq_quantile requires p in \[0, 1\), got "
     with pytest.raises(InputError, match=match + "-0.1$"):

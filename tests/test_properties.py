@@ -26,7 +26,6 @@ from dftstat.cli import main  # noqa: E402
 from dftstat.experiments import (  # noqa: E402
     _eval_local,
     _time_average,
-    _trapezoid_weights,
     _u_fourier,
 )
 from dftstat.numerics import (  # noqa: E402
@@ -66,7 +65,7 @@ def power_profile_evaluating_every_shift(f_local, lags, T, u_points, omega_point
         _time_average(_eval_local(f_local, u, (w + 2 * math.pi * r / T) % (2 * math.pi)))
         for r in lags])
     integrand = _u_fourier(vals, lags) / (np.sqrt(fbar) * np.sqrt(shifted))
-    return integrand @ _trapezoid_weights(w) / (2 * math.pi)
+    return np.trapezoid(integrand, w, axis=-1) / (2 * math.pi)
 
 
 @st.composite

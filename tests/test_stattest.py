@@ -705,3 +705,21 @@ def test_a_zero_smoothed_spectrum_is_a_degenerate_spectrum(name):
         segmented_test(x, depth=1, ridge_factor=0.0)
     # a ridge floors the spectrum, and the same series is tested
     assert math.isfinite(stationarity_test(x, ridge_factor=1e-3).statistic)
+
+
+def test_a_zero_spectrum_error_starts_with_its_row_name():
+    # the message starts with the name of the lowest row whose terms are
+    # not finite: nothing for one series, the block in a segmented test,
+    # whether it is a row of its depth's batch or the remainder run alone
+    zero = r"the smoothed spectrum is zero at some frequency, .* ridge_factor > 0$"
+    x = ZERO_RIDGE_SERIES["cosine"]
+    with pytest.raises(ComputationError, match="^" + zero):
+        stationarity_test(x, ridge_factor=0.0)
+    with pytest.raises(ComputationError, match=r"^depth 0 block 0 \[0, 256\): " + zero):
+        segmented_test(x, depth=1, ridge_factor=0.0)
+    noise = np.random.default_rng(31).standard_normal(128)
+    for n in (128, 129):  # block 1 is row 1 of the depth's batch, then a batch of one
+        y = np.concatenate([noise, np.cos(2 * np.pi * 5 * np.arange(1, n + 1) / n)])
+        with pytest.raises(ComputationError,
+                           match=rf"^depth 1 block 1 \[128, {128 + n}\): " + zero):
+            segmented_test(y, depth=1, ridge_factor=0.0)
