@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ComputationError, InputError
 
 _TWO_PI = 2.0 * math.pi
-_PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state)
+_PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state, its key)
 
 
 def _checked_int(value, name: str, positive: bool = False) -> int:
@@ -251,8 +251,8 @@ _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITER = 10_000
 
 
-def _lower_reg_gamma(a: float, x: float) -> float:
-    """P(a, x) by series expansion, x > 0; accurate for x < a + 1."""
+def _lower_reg_gamma(a: float, x: float, log: bool = False) -> float:
+    """P(a, x), or log P if ``log``, by series expansion, x > 0; accurate for x < a + 1."""
     term = 1.0 / a
     total = term
     n = 1
@@ -265,7 +265,7 @@ def _lower_reg_gamma(a: float, x: float) -> float:
     else:
         raise ComputationError(f"incomplete gamma series failed to converge at a={a}, x={x}")
     log_scale = -x + a * math.log(x) - math.lgamma(a)
-    return total * math.exp(log_scale)
+    return math.log(total) + log_scale if log else total * math.exp(log_scale)
 
 
 def _upper_reg_gamma(a: float, x: float) -> float:
@@ -334,7 +334,8 @@ def _chisq_quantile(p: float, dof: int) -> float:
 
     Newton steps from the Wilson-Hilferty start on the log of the smaller
     tail against log x, until a step is below 1e-8 of x (the lower tail is
-    P(a, x/2), precise where 1 - chisq_sf rounds). Then a walk, one float and
+    P(a, x/2), precise where 1 - chisq_sf rounds; log P if p <= 2**-54, where
+    P can be subnormal). Then a walk, one float and
     then doubling strides, as chisq_sf can round to one value over many
     floats near 1, brackets the condition, and bisection meets it.
     """
@@ -342,23 +343,25 @@ def _chisq_quantile(p: float, dof: int) -> float:
         return 0.0
     from statistics import NormalDist  # deferred: its import costs 4 ms
     target, a, lower = 1.0 - p, 0.5 * dof, p < 0.5
+    tiny = target == 1.0  # p <= 2**-54
     z = NormalDist().inv_cdf(p)
     x = max(dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3,
             # or, where that is poor, below the quantile: P(a, x/2) < (x/2)**a / Gamma(a + 1)
             2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
     try:
         for _ in range(50):  # a cap: from the start it takes about 3 steps
-            tail = _lower_reg_gamma(a, 0.5 * x) if lower else chisq_sf(x, dof)
+            tail = _lower_reg_gamma(a, 0.5 * x, tiny) if lower else chisq_sf(x, dof)
+            log_tail = tail if tiny else math.log(tail)
             # the tail's slope against log x: x times the density, over the tail
-            slope = math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a) - math.log(tail))
-            step = x * math.expm1((math.log(p if lower else target) - math.log(tail))
+            slope = math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a) - log_tail)
+            step = x * math.expm1((math.log(p if lower else target) - log_tail)
                                   / (slope if lower else -slope))
             x += step
             if abs(step) <= 1e-8 * x:  # what is left is about (step / x)**2 of x: an ulp or so
                 break
-    except ValueError:  # x or its tail underflowed at a tiny p: the walk starts at x
+    except ValueError:  # x underflowed at a tiny p: the walk starts at x
         pass
-    if target == 1.0:  # p <= 2**-54: only 0 has chisq_sf <= 1 - p, so no walk
+    if tiny:  # only 0 has chisq_sf <= 1 - p, so no walk
         return x
 
     def at_or_below(y):  # 0 never is: p > 0
@@ -424,18 +427,21 @@ def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i holds the first n draws of ``RngStream(master_seed, start + i)``.
 
     One Philox per thread, built on the thread's first call (seeding it costs
-    about seven row resets) and reset per row to the stream's start: counter 0,
-    no buffered draw. Studies running in concurrent threads share none.
+    about seven row resets) and reset per row to the stream's start, from int
+    lists (numpy reads them faster than arrays): counter 0, no buffered draw,
+    key (master_seed, stream). Studies running in concurrent threads share none.
     """
     RngStream(master_seed, start)  # the seed and stream checks
     rng = getattr(_PHILOX, "rng", None)
     if rng is None:
-        bits = np.random.Philox(0)
-        rng = _PHILOX.rng = (bits, np.random.Generator(bits), bits.state)
-    bits, gen, state = rng
+        bits, key = np.random.Philox(0), [0, 0]
+        state = {**bits.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
+        rng = _PHILOX.rng = (bits, np.random.Generator(bits), state, key)
+    bits, gen, state, key = rng
+    key[0] = master_seed
     out = np.empty((stop - start, n))
     for row, stream in enumerate(range(start, stop)):
-        state["state"]["key"] = np.array([master_seed, stream], dtype=np.uint64)
+        key[1] = stream
         bits.state = state
         gen.standard_normal(out=out[row])
     return out

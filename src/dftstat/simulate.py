@@ -188,8 +188,9 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
     in y, which LAPACK's ``dtbtrs`` solves for all rows at once; v is ``eps``,
     scaled by sigma or passed through the MA terms, in place and a piece of
     at most ``_MA_PIECE`` elements at a time. The solve's columns go in pieces
-    of at most ``_PIECE``, cut also at changepoint switches, so a piece has
-    one band. A piece from column t0 starts with k = min(p, t0) pinned rows,
+    of at most ``_PIECE``, one solve each; the band holds each row's own
+    coefficients, zero past its stretch's order, so a changepoint switch needs
+    no cut. A piece from column t0 starts with k = min(p, t0) pinned rows,
     the outputs before t0, whose band entries are zero, so state carries over
     exactly; the values before the first column are zeros and drop out.
     """
@@ -199,7 +200,7 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
 
     if isinstance(spec, ChangepointArSpec):  # the last segment ends at T
         ends = [burn + math.floor(frac * T) for frac, _ in spec.segments[:-1]] + [burn + T]
-        stretches = zip(ends, (ar for _, ar in spec.segments))
+        stretches = list(zip([0] + ends[:-1], ends, (ar for _, ar in spec.segments)))
     elif isinstance(spec, ArmaSpec):
         terms = [(j, c) for j, c in enumerate(spec.ma, start=1) if c]  # model2 has a zero term
         width = max(1, _MA_PIECE // eps.shape[0])
@@ -209,30 +210,31 @@ def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndar
             for j, c in terms:  # each element adds its terms in order of j
                 v[:, max(j - a, 0):] += c * eps[:, max(a - j, 0):max(b - j, 0)]
             eps[:, a:b] = v
-        stretches = [(burn + T, spec.ar)]
+        stretches = [(0, burn + T, spec.ar)]
     elif isinstance(spec, TvInnovationArSpec):
         u = np.clip(np.arange(1 - burn, T + 1) / T, 0.0, 1.0)  # burn-in at the initial scale
         eps *= np.asarray(spec.sigma(u), dtype=float)
-        stretches = [(burn + T, spec.ar)]
+        stretches = [(0, burn + T, spec.ar)]
     else:
         raise InputError(f"unsupported model spec {type(spec).__name__}")
 
     from scipy.linalg.lapack import dtbtrs  # deferred: only the simulators need it
 
-    start = 0
-    for stop, ar in stretches:
-        p = len(ar)
-        band = np.empty((min(stop - start, _PIECE) + p, p + 1))  # band[j, i] = A[j + i, j]
-        band[:, 0], band[:, 1:] = 1.0, np.negative(ar)  # the unit diagonal is not read
-        for t0 in range(start, stop, _PIECE):
-            k = min(p, t0)  # k only grows, and so does the zeroed corner
-            for i in range(1, k):
-                band[: k - i, i] = 0.0  # the pinned rows' band
-            w = eps[:, t0 - k: min(t0 + _PIECE, stop)]
-            x, _ = dtbtrs(band[: w.shape[1]].T, w.T, uplo="L", diag="U", overwrite_b=True)
-            if not np.may_share_memory(x, w):  # a multi-row piece is solved in a copy
-                w[...] = x.T
-        start = stop
+    p, n, built = max(len(ar) for _, _, ar in stretches), burn + T, None
+    for t0 in range(0, n, _PIECE):
+        k, t1 = min(p, t0), min(t0 + _PIECE, n)
+        w = eps[:, t0 - k:t1]  # row j of the system is column t0 - k + j
+        here = [(max(a, t0) - t0 + k, min(b, t1) - t0 + k, ar)
+                for a, b, ar in stretches if a < t1 and b > t0]
+        if (w.shape[1], here) != built:  # pieces inside one stretch share a band
+            # band[j, i] = A[j + i, j] = -a_i(j + i); the unit diagonal, i = 0, is not read
+            band, built = np.zeros((w.shape[1], p + 1)), (w.shape[1], here)
+            for a, b, ar in here:  # rows a..b-1; a_i is zero past the stretch's order
+                for i, c in enumerate(ar, start=1):
+                    band[max(a - i, 0):max(b - i, 0), i] = -c
+        x, _ = dtbtrs(band.T, w.T, uplo="L", diag="U", overwrite_b=True)
+        if not np.may_share_memory(x, w):  # a multi-row piece is solved in a copy
+            w[...] = x.T
     return eps[:, burn:]
 
 

@@ -27,6 +27,8 @@ power_profile   B of six presets x T None/500/512 at 14 lags
 threshold       McReport.threshold at dof 2 and 20 over nine levels
 quantile        chisq_quantile at dof 1/2/3/20/61/240 for p above 2**-54
 quantile_tiny   the same for p at or below 2**-54
+gauss_stream    1012 draws at seeds 0, 2**63, 2**64 - 1 x streams 0, 1, 2**63 + 5
+study_pair      three rejection_rate studies of one shape, back to back
 errors          the class and message of the error each of ten bad calls raises
 
 It takes about a second on one core. The file is not collected by
@@ -115,6 +117,23 @@ def threshold_family(ds):
             for m in (1, 10)}
 
 
+def gauss_stream_family(ds):
+    return {f"{seed}_{stream}": ds.gauss_stream(ds.RngStream(seed, stream), 1012)
+            for seed in (0, 2 ** 63, 2 ** 64 - 1) for stream in (0, 1, 2 ** 63 + 5)}
+
+
+def study_pair_family(ds):
+    # the second study of a shape reuses the first one's plan
+    out = {}
+    for name, seed in (("model1", 12), ("model3", 13), ("model1", 12)):
+        rep = ds.rejection_rate(ds.McConfig(
+            model=ds.model_preset(name, 300), T=300, lags=(1, 3, 5), replications=20,
+            master_seed=seed, kernel=ds.KernelSpec("bartlett", 0.2),
+            correction=ds.CorrectionSpec.linear([1.0, 0.6], 0.8)))
+        out[f"{len(out)}_{name}"] = np.append(rep.statistics, rep.rejection_rate)
+    return out
+
+
 def quantile_family(ds, ps):
     return {str(dof): np.array([ds.chisq_quantile(p, dof) for p in ps]) for dof in DOFS}
 
@@ -149,7 +168,7 @@ def errors_family(ds):
 
 
 def families(ds):
-    tiny = (2.0 ** -54, 5e-17, 1e-17, 1e-20, 1e-50, 1e-100, 1e-300)
+    tiny = (2.0 ** -54, 5e-17, 1e-17, 1e-20, 1e-50, 1e-100, 1e-300, 1e-310, 1e-320, 5e-324)
     above = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1 - 1e-10)
     return {
         "rejection_rate": rejection_rate_family, "lag_scan": lag_scan_family,
@@ -159,6 +178,7 @@ def families(ds):
         "quantile": lambda ds: quantile_family(ds, above),
         "quantile_tiny": lambda ds: quantile_family(ds, tiny),
         "errors": errors_family,
+        "gauss_stream": gauss_stream_family, "study_pair": study_pair_family,
     }
 
 

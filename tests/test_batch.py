@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ import dftstat.simulate as simulate
 import dftstat.stattest as stattest
 from dftstat import (
     ArmaSpec,
+    BandwidthWarning,
     CorrectionSpec,
     ComputationError,
     GeneratorConfig,
@@ -91,6 +93,16 @@ def test_gauss_rows_are_the_streams():
             assert np.array_equal(block[row], gauss_stream(RngStream(seed, 5 + row), 300))
 
 
+def test_gauss_rows_are_the_reference_generators_at_extreme_keys():
+    # the key is the pair (seed, stream) as two 64-bit words
+    for seed in (0, 2 ** 63, 2 ** 64 - 1):
+        for start in (0, 2 ** 40, 2 ** 63 + 5):
+            block = _gauss_rows(seed, start, start + 3, 1012)
+            for row in range(3):
+                want = RngStream(seed, start + row).generator().standard_normal(1012)
+                assert np.array_equal(block[row], want), (seed, start + row)
+
+
 def studies_on(seed):
     """Draws and statistics of one seed: several blocks and a two-chunk study."""
     blocks = [_gauss_rows(seed, start, start + 30, 400) for start in range(0, 150, 30)]
@@ -114,6 +126,28 @@ def test_concurrent_threads_draw_their_own_streams():
         sys.setswitchinterval(interval)
     for want, have in zip(expected, got):
         assert all(np.array_equal(a, b) for a, b in zip(want, have))
+
+
+def test_concurrent_studies_share_the_plan_memo(monkeypatch):
+    # more shapes than the memo keeps, in more threads than cores: studies
+    # insert and evict plans while others read them, and keep their statistics
+    monkeypatch.setattr(experiments, "_PLANS", {})
+    spec = model_preset("model6")
+    configs = [McConfig(model=spec, T=T, replications=2, master_seed=T)
+               for T in range(64, 76)] * 3
+    expected = [rejection_rate(config).statistics for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda config: rejection_rate(config).statistics, configs,
+                                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+    plans = experiments._PLANS.values()
+    assert len(plans) <= experiments._MAX_PLANS
+    assert not any(plan.weight_spectrum.flags.writeable for plan in plans)
 
 
 def test_a_thread_builds_one_philox_for_all_its_studies(monkeypatch):
@@ -206,18 +240,70 @@ def counting(monkeypatch, owner, attr):
 
 
 def test_study_work_is_hoisted_out_of_replications(monkeypatch):
+    monkeypatch.setattr(experiments, "_PLANS", {})  # no plan of this shape yet
     validate = counting(monkeypatch, ArmaSpec, "validate")
     corrections = counting(monkeypatch, stattest, "_correction_denominators")
     # patch the names the library looks up, which it binds at import
     sf = counting(monkeypatch, stattest, "chisq_sf")
     quantile = counting(monkeypatch, experiments, "chisq_quantile")
-    for n in (5, 40):
+    for n, plans in ((5, 1), (40, 0)):
         cfg = McConfig(model=model_preset("model1", 128), T=128, replications=n,
                        master_seed=76, correction=CorrectionSpec.linear([1.0, 0.5], 1.0))
         rejection_rate(cfg)
-        # once per study whatever the replication count; no per-replication p-values
-        assert (len(validate), len(corrections), len(quantile), len(sf)) == (1, 1, 1, 0)
+        # once per study whatever the replication count, the plan's corrections
+        # once per study shape; no per-replication p-values
+        assert (len(validate), len(corrections), len(quantile), len(sf)) == (1, plans, 1, 0)
         del validate[:], corrections[:], quantile[:], sf[:]
+
+
+def test_a_memoized_plan_is_read_only(monkeypatch):
+    monkeypatch.setattr(experiments, "_PLANS", {})
+    rejection_rate(McConfig(model=model_preset("model1", 128), T=128, replications=2,
+                            correction=CorrectionSpec.linear([1.0, 0.5], 1.0)))
+    (plan,) = experiments._PLANS.values()
+    for shared in (plan.weight_spectrum, plan.corrections):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+
+def test_every_study_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
+    monkeypatch.setattr(experiments, "_PLANS", {})
+    model, wide = model_preset("model1", 256), KernelSpec("daniell", 0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):  # the second study reuses the first one's plan
+            rejection_rate(McConfig(model=model, T=256, replications=2, kernel=wide))
+    assert [w.category for w in caught] == [BandwidthWarning] * 2
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_studies_that_differ_in_kernel_ridge_or_correction_build_their_own_plans(monkeypatch):
+    monkeypatch.setattr(experiments, "_PLANS", {})
+    built = counting(monkeypatch, experiments, "_plan")
+    spec, lags = model_preset("model3", 128), (1, 2, 3)
+    variants = [{}, {"kernel": KernelSpec("bartlett")}, {"ridge_factor": 0.05},
+                {"correction": CorrectionSpec.user([0.5, -0.4, 1.0])}]
+    for rounds in range(2):
+        for variant in variants:
+            stats = rejection_rate(McConfig(model=spec, T=128, lags=lags, replications=3,
+                                            master_seed=79, **variant)).statistics
+            # a reused plan is this study's own: replication i is the single test on stream i
+            for i in range(3):
+                assert stats[i] == single_path(spec, 128, 79, i, lags=lags, **variant)
+        assert len(built) == len(variants)  # once each, in the first round only
+
+
+def test_the_plan_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(experiments, "_PLANS", {})
+    spec = model_preset("model6")
+    for T in range(64, 74):
+        rejection_rate(McConfig(model=spec, T=T, replications=1))
+    assert sorted(key[0] for key in experiments._PLANS) == list(range(66, 74))  # oldest out
+    rejection_rate(McConfig(model=spec, T=2 ** 15, replications=1))  # a plan of 137 KiB
+    assert 2 ** 15 not in [key[0] for key in experiments._PLANS]
+    assert len(experiments._PLANS) == experiments._MAX_PLANS
+    assert all(plan.weight_spectrum.nbytes + plan.corrections.nbytes <= 2 ** 16
+               for plan in experiments._PLANS.values())
 
 
 # ---------------------------------------------------------------------------

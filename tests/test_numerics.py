@@ -372,6 +372,22 @@ def test_chisq_quantile_where_one_minus_p_rounds_to_one(dof):
     assert chisq_quantile(below, dof) <= chisq_quantile(above, dof)
 
 
+@pytest.mark.parametrize("dof", [2, 3, 20, 61, 240, 400])
+def test_chisq_quantile_at_subnormal_p_matches_mpmath(dof):
+    # the lower tail P(dof/2, x/2) = p is subnormal here, so Newton reads its log
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a = mpmath.mpf(dof) / 2
+        for p in (5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-200):
+            log_p = mpmath.log(p)
+            # start where P(a, y) ~ y**a / Gamma(a + 1) meets p, then log P = log p in log x
+            start = (log_p + mpmath.loggamma(a + 1)) / a + mpmath.log(2)
+            root = mpmath.findroot(lambda lx: mpmath.log(mpmath.gammainc(
+                a, 0, mpmath.exp(lx) / 2, regularized=True)) - log_p, start)
+            want = float(mpmath.exp(root))
+            assert abs(chisq_quantile(p, dof) - want) <= 1e-13 * want, p
+
+
 def test_chisq_quantile_invalid_inputs():
     match = r"^chisq_quantile requires p in \[0, 1\), got "
     with pytest.raises(InputError, match=match + "-0.1$"):
