@@ -81,30 +81,6 @@ class McReport:
 
 
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
-_PLANS: dict = {}  # plans by study shape, oldest first; replaced whole, so threads need no lock
-_MAX_PLANS, _MAX_PLAN_BYTES = 8, 2 ** 16  # 64 KiB holds a plan up to T of about 14 000
-
-
-def _study_plan(config: McConfig):
-    """The plan of a study's shape (T, lags, kernel, correction, ridge_factor),
-    memoized, read-only, for the last ``_MAX_PLANS`` shapes of at most
-    ``_MAX_PLAN_BYTES``. Each call resolves the bandwidth, so each study warns."""
-    global _PLANS
-    key = (config.T, config.lags, config.kernel, config.correction, config.ridge_factor)
-    try:
-        plan = _PLANS.get(key)
-    except TypeError:  # an unhashable field, such as a list in a correction
-        plan = key = None
-    if plan is not None:
-        (config.kernel or KernelSpec()).resolve_bandwidth(config.T)
-        return plan
-    plan = _plan(config.T, config.lags, None, config.kernel, config.correction,
-                 config.ridge_factor, True)
-    spectrum, corrections = plan.weight_spectrum, plan.corrections
-    if key is not None and spectrum.nbytes + corrections.nbytes <= _MAX_PLAN_BYTES:
-        spectrum.flags.writeable = corrections.flags.writeable = False
-        _PLANS = dict([*_PLANS.items()][1 - _MAX_PLANS:] + [(key, plan)])
-    return plan
 
 
 def _replications(config: McConfig):
@@ -120,7 +96,8 @@ def _replications(config: McConfig):
     try:
         gen = GeneratorConfig(T=T, burn_in=burn_in)
         model.validate()
-        plan = _study_plan(config)
+        plan = _plan(T, config.lags, None, config.kernel, config.correction,
+                     config.ridge_factor, True)
     except StationarityTestError as exc:
         exc.args = (f"replication 0 (stream 0): {exc}",)
         raise

@@ -406,6 +406,8 @@ class RngStream:
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if self.stream_id < 0:
             raise InputError("stream_id must be nonnegative")
+        if self.stream_id >= 2 ** 64:  # the high word of Philox's 128-bit key
+            raise InputError("stream_id must be below 2**64")
 
     def generator(self) -> np.random.Generator:
         key = (int(self.stream_id) << 64) | int(self.master_seed)

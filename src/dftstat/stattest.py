@@ -186,8 +186,7 @@ def _transfer(psi: np.ndarray, omega):
     """A(w) = (2*pi)**-0.5 * sum_j psi_j exp(i*w*j) for a causal filter."""
     w = np.asarray(omega, dtype=float)
     j = np.arange(psi.size)
-    vals = np.exp(1j * np.multiply.outer(w, j)) @ psi / math.sqrt(_TWO_PI)
-    return vals
+    return np.exp(1j * np.multiply.outer(w, j)) @ psi / math.sqrt(_TWO_PI)
 
 
 def _phase_coherence(psi, x: float, grid: int = 2048) -> float:
@@ -322,14 +321,35 @@ class _TestPlan:
     demean: bool
 
 
+_PLANS: dict = {}  # plans by test shape, oldest first; replaced whole, so threads need no lock
+_MAX_PLANS, _MAX_PLAN_BYTES = 8, 2 ** 16  # 64 KiB holds a plan up to T of about 14 000
+
+
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
+    """The plan of a test's shape, memoized and read-only for the last ``_MAX_PLANS``
+    shapes of at most ``_MAX_PLAN_BYTES``, m keyed apart from the lags and only when
+    they are None. Each call resolves the bandwidth, so each test warns."""
+    global _PLANS
+    try:
+        lags = lags if lags is None else tuple(lags)
+        key = (T, lags, m if lags is None else None, kernel, correction, ridge_factor, demean)
+        plan = _PLANS.get(key)
+    except TypeError:  # lags that are not iterable, or an unhashable field
+        plan = key = None
+    if plan is not None:
+        (kernel or KernelSpec()).resolve_bandwidth(T)
+        return plan
     kern, weights = _smoother(kernel, T, ridge_factor)
     n, spectrum = _half_transform(weights, T)
     lags = validate_lags(_consecutive_lags(m, T) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
-    return _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
+    plan = _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum, corrections=corr,
                      ridge_factor=ridge_factor, demean=demean)
+    if key is not None and spectrum.nbytes + corr.nbytes <= _MAX_PLAN_BYTES:
+        spectrum.flags.writeable = corr.flags.writeable = False
+        _PLANS = dict([*_PLANS.items()][1 - _MAX_PLANS:] + [(key, plan)])
+    return plan
 
 
 def _scan_rows(X: np.ndarray):

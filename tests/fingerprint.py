@@ -30,6 +30,8 @@ quantile_tiny   the same for p at or below 2**-54
 gauss_stream    1012 draws at seeds 0, 2**63, 2**64 - 1 x streams 0, 1, 2**63 + 5
 study_pair      three rejection_rate studies of one shape, back to back
 errors          the class and message of the error each of ten bad calls raises
+test_pair       stationarity_test before and after a rejection_rate study of its
+                shape, then segmented_test at T 5003, depth 3, twice
 
 It takes about a second on one core. The file is not collected by
 pytest.
@@ -134,6 +136,25 @@ def study_pair_family(ds):
     return out
 
 
+def test_pair_family(ds):
+    # single tests share plans with a study of their shape and with each other
+    shape = dict(lags=(2, 3, 7), kernel=ds.KernelSpec("bartlett", 0.2),
+                 correction=ds.CorrectionSpec.linear([1.0, -0.5], 0.9))
+    model = ds.model_preset("model3", 320)
+    x = ds.generate(model, ds.GeneratorConfig(T=320, rng=ds.RngStream(14)))
+    out = {"before": _result_arrays(ds.stationarity_test(x, **shape))}
+    rep = ds.rejection_rate(ds.McConfig(model=model, T=320, replications=20, master_seed=14,
+                                        **shape))
+    out["study"] = np.append(rep.statistics, rep.rejection_rate)
+    out["after"] = _result_arrays(ds.stationarity_test(x, **shape))
+    y = ds.generate(ds.model_preset("model5", 5003),
+                    ds.GeneratorConfig(T=5003, rng=ds.RngStream(15)))
+    for i in range(2):
+        report = ds.segmented_test(y, depth=3)
+        out[f"segmented_{i}"] = np.concatenate([_result_arrays(b.result) for b in report.blocks])
+    return out
+
+
 def quantile_family(ds, ps):
     return {str(dof): np.array([ds.chisq_quantile(p, dof) for p in ps]) for dof in DOFS}
 
@@ -179,6 +200,7 @@ def families(ds):
         "quantile_tiny": lambda ds: quantile_family(ds, tiny),
         "errors": errors_family,
         "gauss_stream": gauss_stream_family, "study_pair": study_pair_family,
+        "test_pair": test_pair_family,
     }
 
 

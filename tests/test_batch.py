@@ -131,7 +131,7 @@ def test_concurrent_threads_draw_their_own_streams():
 def test_concurrent_studies_share_the_plan_memo(monkeypatch):
     # more shapes than the memo keeps, in more threads than cores: studies
     # insert and evict plans while others read them, and keep their statistics
-    monkeypatch.setattr(experiments, "_PLANS", {})
+    monkeypatch.setattr(stattest, "_PLANS", {})
     spec = model_preset("model6")
     configs = [McConfig(model=spec, T=T, replications=2, master_seed=T)
                for T in range(64, 76)] * 3
@@ -145,8 +145,8 @@ def test_concurrent_studies_share_the_plan_memo(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(expected, got))
-    plans = experiments._PLANS.values()
-    assert len(plans) <= experiments._MAX_PLANS
+    plans = stattest._PLANS.values()
+    assert len(plans) <= stattest._MAX_PLANS
     assert not any(plan.weight_spectrum.flags.writeable for plan in plans)
 
 
@@ -240,7 +240,7 @@ def counting(monkeypatch, owner, attr):
 
 
 def test_study_work_is_hoisted_out_of_replications(monkeypatch):
-    monkeypatch.setattr(experiments, "_PLANS", {})  # no plan of this shape yet
+    monkeypatch.setattr(stattest, "_PLANS", {})  # no plan of this shape yet
     validate = counting(monkeypatch, ArmaSpec, "validate")
     corrections = counting(monkeypatch, stattest, "_correction_denominators")
     # patch the names the library looks up, which it binds at import
@@ -257,17 +257,17 @@ def test_study_work_is_hoisted_out_of_replications(monkeypatch):
 
 
 def test_a_memoized_plan_is_read_only(monkeypatch):
-    monkeypatch.setattr(experiments, "_PLANS", {})
+    monkeypatch.setattr(stattest, "_PLANS", {})
     rejection_rate(McConfig(model=model_preset("model1", 128), T=128, replications=2,
                             correction=CorrectionSpec.linear([1.0, 0.5], 1.0)))
-    (plan,) = experiments._PLANS.values()
+    (plan,) = stattest._PLANS.values()
     for shared in (plan.weight_spectrum, plan.corrections):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
 
 def test_every_study_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
-    monkeypatch.setattr(experiments, "_PLANS", {})
+    monkeypatch.setattr(stattest, "_PLANS", {})
     model, wide = model_preset("model1", 256), KernelSpec("daniell", 0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -278,8 +278,8 @@ def test_every_study_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
 
 
 def test_studies_that_differ_in_kernel_ridge_or_correction_build_their_own_plans(monkeypatch):
-    monkeypatch.setattr(experiments, "_PLANS", {})
-    built = counting(monkeypatch, experiments, "_plan")
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    built = counting(monkeypatch, stattest, "_smoother")  # plan builds, not _plan calls
     spec, lags = model_preset("model3", 128), (1, 2, 3)
     variants = [{}, {"kernel": KernelSpec("bartlett")}, {"ridge_factor": 0.05},
                 {"correction": CorrectionSpec.user([0.5, -0.4, 1.0])}]
@@ -294,16 +294,80 @@ def test_studies_that_differ_in_kernel_ridge_or_correction_build_their_own_plans
 
 
 def test_the_plan_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(experiments, "_PLANS", {})
+    monkeypatch.setattr(stattest, "_PLANS", {})
     spec = model_preset("model6")
     for T in range(64, 74):
         rejection_rate(McConfig(model=spec, T=T, replications=1))
-    assert sorted(key[0] for key in experiments._PLANS) == list(range(66, 74))  # oldest out
+    assert sorted(key[0] for key in stattest._PLANS) == list(range(66, 74))  # oldest out
     rejection_rate(McConfig(model=spec, T=2 ** 15, replications=1))  # a plan of 137 KiB
-    assert 2 ** 15 not in [key[0] for key in experiments._PLANS]
-    assert len(experiments._PLANS) == experiments._MAX_PLANS
+    assert 2 ** 15 not in [key[0] for key in stattest._PLANS]
+    assert len(stattest._PLANS) == stattest._MAX_PLANS
     assert all(plan.weight_spectrum.nbytes + plan.corrections.nbytes <= 2 ** 16
-               for plan in experiments._PLANS.values())
+               for plan in stattest._PLANS.values())
+
+
+@pytest.mark.parametrize("study_first", [True, False])
+def test_a_single_test_shares_the_plan_of_a_study_of_its_shape(study_first, monkeypatch):
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    built = counting(monkeypatch, stattest, "_smoother")
+    spec = model_preset("model3", 200)
+    shape = dict(lags=(1, 4), kernel=KernelSpec("bartlett"),
+                 correction=CorrectionSpec.linear([1.0, 0.5], 0.6))
+    x = generate(spec, GeneratorConfig(T=200, burn_in=BURN_IN, rng=RngStream(80, 0)))
+    study = lambda: rejection_rate(McConfig(model=spec, T=200, replications=3,  # noqa: E731
+                                            master_seed=80, **shape)).statistics[0]
+    single = lambda: stationarity_test(x, **shape).statistic  # noqa: E731
+    first, second = (call() for call in ((study, single) if study_first else (single, study)))
+    assert first == second
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("T, rebuilt", [(5003, 0), (2 ** 15, 2)])
+def test_a_second_segmented_test_builds_only_the_plans_above_the_bound(T, rebuilt, monkeypatch):
+    # 5003 at depth 3 has seven block lengths, each with a small plan; at 2**15
+    # the depths of 32768 and 16384 points have plans above 64 KiB
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    x = np.random.default_rng(81).standard_normal(T)
+    first = segmented_test(x, depth=3)
+    built = counting(monkeypatch, stattest, "_smoother")
+    second = segmented_test(x, depth=3)
+    assert len(built) == rebuilt
+    assert [b.result for b in second.blocks] == [b.result for b in first.blocks]
+
+
+def test_every_single_test_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    x, wide = np.random.default_rng(82).standard_normal(512), KernelSpec("daniell", 0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):  # the second round reuses the first one's plans
+            stationarity_test(x, kernel=wide)
+            segmented_test(x, depth=1, kernel=wide)
+    assert [w.category for w in caught] == [BandwidthWarning] * 6
+    assert [str(w.message).split("T=")[1] for w in caught] == ["512", "512", "256"] * 2
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_lags_given_as_any_iterable_share_one_plan(monkeypatch):
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    built = counting(monkeypatch, stattest, "_smoother")
+    x = np.random.default_rng(83).standard_normal(300)
+    # an iterator first: the one that builds the plan must not be read up by its key
+    forms = [iter([1, 3, 5]), [1, 3, 5], (1, 3, 5), range(1, 6, 2), np.array([1, 3, 5])]
+    results = [stationarity_test(x, lags=lags) for lags in forms]
+    assert all(res == results[0] for res in results) and results[0].lags == (1, 3, 5)
+    assert len(built) == len(stattest._PLANS) == 1
+
+
+def test_m_and_lags_are_keyed_apart(monkeypatch):
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    x = np.random.default_rng(84).standard_normal(256)
+    assert stationarity_test(x, lags=(1, 2)).lags == (1, 2)
+    with pytest.raises(InputError, match=re.escape("m must be an integer, got (1, 2)")):
+        stationarity_test(x, m=(1, 2))
+    assert stationarity_test(x, m=4).lags == (1, 2, 3, 4)
+    with pytest.raises(InputError, match="^at least one lag is required$"):
+        stationarity_test(x, lags=[])
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,18 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert len(read_series(str(a))) == 256
 
 
+def test_a_stream_past_2_64_exits_2_and_the_last_one_draws():
+    env = dict(os.environ, PYTHONPATH=str(Path(dftstat.__file__).resolve().parents[1]))
+    run = lambda stream: subprocess.run(  # noqa: E731
+        [sys.executable, "-m", "dftstat.cli", "simulate", "model1", "--T", "64",
+         "--stream", str(stream)], env=env, capture_output=True, text=True, timeout=120)
+    past, last = run(2 ** 64), run(2 ** 64 - 1)
+    assert (past.returncode, past.stdout) == (2, "")
+    assert past.stderr == "error: stream_id must be below 2**64\n"
+    assert last.returncode == 0, last.stderr
+    assert len(last.stdout.splitlines()) == 65  # the header and 64 values
+
+
 def test_unknown_model_lists_presets(capsys):
     rc = main(["simulate", "modelx", "--T", "64"])
     assert rc == 2

@@ -439,6 +439,14 @@ def test_gauss_stream_validation():
         RngStream(0, -2)
 
 
+def test_stream_ids_end_below_2_64():
+    # the stream id is the high word of Philox's 128-bit key
+    with pytest.raises(InputError, match=r"^stream_id must be below 2\*\*64$"):
+        RngStream(0, 2 ** 64)
+    last = RngStream(3, 2 ** 64 - 1)
+    assert np.array_equal(gauss_stream(last, 5), last.generator().standard_normal(5))
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
