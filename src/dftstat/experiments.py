@@ -27,6 +27,7 @@ from .numerics import RngStream, _checked_int, _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     CorrectionSpec,
+    _block_source,
     _block_terms,
     _checked_level,
     _plan,
@@ -81,6 +82,8 @@ class McReport:
 
 
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
+_SPECTRA: dict = {}  # of the last study within the bound; replaced whole, so threads need no lock
+_MAX_SPECTRA_BYTES = 2 ** 22  # 4 MiB holds the paper's N = 1000 at T = 512 (4.11 MB)
 
 
 def _replications(config: McConfig):
@@ -91,7 +94,11 @@ def _replications(config: McConfig):
     The per-study checks run once, before the first chunk. A failure there
     would have stopped the first replication, so it is reported as
     replication 0: the same exception class under a prefixed message.
+
+    A study of the replications kept in ``_SPECTRA`` (the chunks' ``_block_source``
+    arrays, keyed by all that fixes them) only reads its own lags from them.
     """
+    global _SPECTRA
     model, T, burn_in = config.model, config.T, config.burn_in
     try:
         gen = GeneratorConfig(T=T, burn_in=burn_in)
@@ -103,14 +110,28 @@ def _replications(config: McConfig):
         raise
     n = innovation_count(model, gen)
     rows = max(1, _CHUNK_ELEMENTS // n)
-    for start in range(0, config.replications, rows):
-        stop = min(start + rows, config.replications)
-        X = _filter_rows(model, _gauss_rows(config.master_seed, start, stop, n), T, burn_in)
+    try:
+        key = (model, T, burn_in, config.master_seed, config.replications, rows,
+               config.kernel, config.ridge_factor)
+        kept = _SPECTRA.get(key)
+    except TypeError:  # an unhashable field
+        key = kept = None
+    fresh, size = [], 0 if kept is None and key is not None else math.inf  # inf: keep nothing
+    for i, start in enumerate(range(0, config.replications, rows)):
         name = lambda row: f"replication {start + row} (stream {start + row}): "  # noqa: E731
-        bad, exponents = _scan_rows(X)
-        if bad is not None:
-            raise InputError(name(bad[0]) + bad[1])
-        yield _block_terms(X, plan, exponents, name)[1]
+        if kept is None:
+            stop = min(start + rows, config.replications)
+            X = _filter_rows(model, _gauss_rows(config.master_seed, start, stop, n), T, burn_in)
+            bad, exponents = _scan_rows(X)
+            if bad is not None:
+                raise InputError(name(bad[0]) + bad[1])
+            S = _block_source(X, plan, exponents)
+            S.flags.writeable = False
+            size += S.nbytes
+            fresh = fresh + [S] if size <= _MAX_SPECTRA_BYTES else []  # outgrown: drop all
+        yield _block_terms(S if kept is None else kept[i], plan, name)[1]
+    if size <= _MAX_SPECTRA_BYTES:
+        _SPECTRA = {key: tuple(fresh)}
 
 
 def rejection_rate(config: McConfig) -> McReport:

@@ -101,7 +101,8 @@ class TvInnovationArSpec:
     """AR with time-varying innovation scale: X_t = sum ar_i X_{t-i} + s(t/T) e_t.
 
     The scale function may change sign (only s(u)^2 enters the second order
-    structure); the local spectral density uses s(u)^2.
+    structure); the local spectral density uses s(u)^2. It must be a pure
+    function: Monte Carlo studies key their kept replications by sigma's identity.
     """
 
     ar: tuple
@@ -115,7 +116,8 @@ class TvInnovationArSpec:
 
 @dataclass(frozen=True)
 class ModulatedNoiseSpec:
-    """Independent noise with time-varying scale: X_t = s(t/T) e_t, s > 0."""
+    """Independent noise with time-varying scale: X_t = s(t/T) e_t, s > 0, for
+    a pure function s: studies key their kept replications by its identity."""
 
     sigma: Callable[[np.ndarray], np.ndarray]
 

@@ -102,19 +102,20 @@ def _pieces(a: int, b: int):
     return ((s, min(s + _EINSUM_PIECE, b)) for s in range(a, b, _EINSUM_PIECE))
 
 
-def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = None,
-                     transform: bool | None = None) -> np.ndarray:
-    """The covariance kernel: c(r) for every row of the half spectrum Zh.
+def _lag_source(Zh: np.ndarray, T: int, work: np.ndarray | None = None,
+                transform: bool | None = None) -> np.ndarray:
+    """The covariance kernel's first step, all its work that does not depend
+    on the lags: the array S that ``_read_lags`` reads c(r) from at any lags.
 
     Zh holds conj(Z_k) at k = 0..T//2 (last axis), where Z = J / sqrt(f) is
     the standardized DFT; it is Hermitian, since J is the transform of a
     real series and the smoothed spectrum is symmetric, so this half holds
-    all of it. c(r) = mean_k Z_k * conj(Z_{k+r}), k + r taken modulo T.
-    Returns shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on
-    its own, so its values do not depend on the block. The transform route
-    overwrites Zh and writes y to ``work``, a C-ordered real array of shape
-    ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop route leaves
-    both alone.
+    all of it. c(r) = mean_k Z_k * conj(Z_{k+r}), k + r taken modulo T, of
+    shape ``Zh.shape[:-1] + (len(lags),)``. Each row is reduced on its own,
+    so its values do not depend on the block. The transform route returns
+    rfft(y**2) written over Zh, with y written to ``work``, a C-ordered real
+    array of shape ``Zh.shape[:-1] + (T,)`` (a new one when None); the loop
+    route returns Zh and leaves both alone.
 
     Two routes give the same numbers to rounding:
 
@@ -135,30 +136,35 @@ def _lag_covariances(Zh: np.ndarray, T: int, lags, work: np.ndarray | None = Non
         not BLAS, whose results can depend on the thread count.
 
     The transform route runs whenever T is 5-smooth (``transform``, worked
-    out from T when None), the loop otherwise. The route depends on T
-    alone, so a lag's c(r) is the same bits whatever the other lags and
-    rows: a 5-smooth T stays on the transforms even for a few lags at
-    large T, where the loop is faster, so that each of ``lag_scan``'s
-    per-lag terms equals the one-lag test. Other T stay on the loop
-    whatever L, since numpy's real transforms of such lengths cost several
-    times those of a 5-smooth one, more than the loop's passes (README.md,
-    "Performance notes").
+    out from T when None, the same in both steps), the loop otherwise. The
+    route depends on T alone, so a lag's c(r) is the same bits whatever the
+    other lags and rows: a 5-smooth T stays on the transforms even for a
+    few lags at large T, where the loop is faster, so that each of
+    ``lag_scan``'s per-lag terms equals the one-lag test. Other T stay on
+    the loop whatever L, since numpy's real transforms of such lengths cost
+    several times those of a 5-smooth one, more than the loop's passes
+    (README.md, "Performance notes").
     """
-    if transform is None:
-        transform = _fast_length(T) == T
-    if transform:
-        y = np.fft.irfft(Zh, T, axis=-1, norm="forward", out=work)
-        np.square(y, out=y)
-        return _rfft_at(np.fft.rfft(y, axis=-1, out=Zh), lags, T) / T ** 2
+    if not (_fast_length(T) == T if transform is None else transform):
+        return Zh
+    y = np.fft.irfft(Zh, T, axis=-1, norm="forward", out=work)
+    np.square(y, out=y)
+    return np.fft.rfft(y, axis=-1, out=Zh)
+
+
+def _read_lags(S: np.ndarray, T: int, lags, transform: bool | None = None) -> np.ndarray:
+    """The covariance kernel's second step: c(r) at the lags, read from S."""
+    if _fast_length(T) == T if transform is None else transform:
+        return _rfft_at(S, lags, T) / T ** 2
     h = T // 2
     q = [min(r, T - r) for r in lags]
     o, top = max(q) // 2, (T + max(q)) // 2  # W[..., o + j] = conj(Z_j), j = -o..top
-    W = np.empty(Zh.shape[:-1] + (o + top + 1,), dtype=complex)
-    np.conjugate(Zh[..., o:0:-1], out=W[..., :o])  # j < 0: Z_{-j}
-    W[..., o:o + h + 1] = Zh
-    np.conjugate(Zh[..., T - h - 1:T - top - 1:-1], out=W[..., o + h + 1:])  # Z_{T-j}
+    W = np.empty(S.shape[:-1] + (o + top + 1,), dtype=complex)
+    np.conjugate(S[..., o:0:-1], out=W[..., :o])  # j < 0: Z_{-j}
+    W[..., o:o + h + 1] = S
+    np.conjugate(S[..., T - h - 1:T - top - 1:-1], out=W[..., o + h + 1:])  # Z_{T-j}
     V = np.conjugate(W)
-    out = np.empty(Zh.shape[:-1] + (len(lags),), dtype=complex)
+    out = np.empty(S.shape[:-1] + (len(lags),), dtype=complex)
     for n, qn in enumerate(q):
         a, b = o - (qn - 1) // 2, o + (T - qn + 1) // 2  # -q/2 < k < (T - q)/2
         out[..., n] = sum(np.einsum("...k,...k->...", V[..., s:e], W[..., s + qn:e + qn])
@@ -358,7 +364,7 @@ def _scan_rows(X: np.ndarray):
     bad is (row, reason) of the lowest row that cannot be tested, else
     None. exponents, shape ``X.shape[:-1] + (1,)``, holds for each row the
     power of two of its largest |x| (``np.frexp``) rounded down to a
-    multiple of 16, which ``_block_covariances`` divides out; it is one int
+    multiple of 16, which ``_block_source`` divides out; it is one int
     when every row has the same, as rows of one scale do, since numpy
     multiplies by one number several times faster than by a column (None
     when a row is bad).
@@ -389,8 +395,8 @@ _ZERO_SPECTRUM = ("the smoothed spectrum is zero at some frequency, so the DFT c
                   "standardized; use ridge_factor > 0")
 
 
-def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
-    """Standardized covariances at the plan's lags for each row of X.
+def _block_source(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
+    """The array each row's standardized covariances are read from (``_lag_source``).
 
     X holds one series per row, already checked by ``_scan_rows``, whose
     ``exponents`` divide each row by a power of two near its largest |x|
@@ -426,16 +432,17 @@ def _block_covariances(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     f = _smooth_half(buf, T, H, plan.weight_spectrum, plan.ridge_factor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         half /= np.sqrt(f, out=f)
-        return _lag_covariances(half, T, plan.lags, work)
+        return _lag_source(half, T, work)
 
 
-def _block_terms(X: np.ndarray, plan: _TestPlan, exponents, name):
-    """(C, Q) for the rows of X: C their covariances (``_block_covariances``)
-    and Q = |c(r)|^2 / denom_r, whose row sum times T is the row's statistic
-    and whose entries times T are its single-lag statistics. The lowest row
-    with a non-finite term (a zero smoothed spectrum) raises
+def _block_terms(S: np.ndarray, plan: _TestPlan, name):
+    """(C, Q) for the rows of ``_block_source``'s S: C their covariances at
+    the plan's lags and Q = |c(r)|^2 / denom_r, whose row sum times T is the
+    row's statistic and whose entries times T are its single-lag statistics.
+    The lowest row with a non-finite term (a zero smoothed spectrum) raises
     ComputationError, its message prefixed by ``name(row)``."""
-    C = _block_covariances(X, plan, exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _read_lags(S, plan.T, plan.lags)
     Q = np.abs(C) ** 2 / plan.corrections
     finite = np.isfinite(Q).all(axis=-1)
     if not finite.all():
@@ -465,7 +472,7 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean, levels,
     if bad is not None:
         raise InputError(name(bad[0]) + bad[1])
     plan = _plan(X.shape[1], lags, m, kernel, correction, ridge_factor, demean)
-    C, Q = _block_terms(X, plan, exponents, name)
+    C, Q = _block_terms(_block_source(X, plan, exponents), plan, name)
     dof = 2 * len(plan.lags)
     mode = (correction or CorrectionSpec()).mode
     results = []

@@ -32,6 +32,8 @@ study_pair      three rejection_rate studies of one shape, back to back
 errors          the class and message of the error each of ten bad calls raises
 test_pair       stationarity_test before and after a rejection_rate study of its
                 shape, then segmented_test at T 5003, depth 3, twice
+study_table     rejection_rate at m 1, 5, 10, then lag_scan, of one replication
+                set (two chunks) for models 1/3/6 x T 512/375/257, back to back
 
 It takes about a second on one core. The file is not collected by
 pytest.
@@ -155,6 +157,21 @@ def test_pair_family(ds):
     return out
 
 
+def study_table_family(ds):
+    # the studies after the first of each set read its kept replications
+    out = {}
+    for name in ("model1", "model3", "model6"):
+        for T in (512, 375, 257):  # 257 takes the kernel's loop route
+            model = ds.model_preset(name, T)
+            for m in (1, 5, 10):
+                rep = ds.rejection_rate(ds.McConfig(model=model, T=T, lags=range(1, m + 1),
+                                                    replications=100, master_seed=16))
+                out[f"{name}_{T}_{m}"] = np.append(rep.statistics, rep.rejection_rate)
+            out[f"{name}_{T}_scan"] = ds.lag_scan(model, T, range(1, 41), replications=100,
+                                                  master_seed=16)
+    return out
+
+
 def quantile_family(ds, ps):
     return {str(dof): np.array([ds.chisq_quantile(p, dof) for p in ps]) for dof in DOFS}
 
@@ -200,7 +217,7 @@ def families(ds):
         "quantile_tiny": lambda ds: quantile_family(ds, tiny),
         "errors": errors_family,
         "gauss_stream": gauss_stream_family, "study_pair": study_pair_family,
-        "test_pair": test_pair_family,
+        "test_pair": test_pair_family, "study_table": study_table_family,
     }
 
 

@@ -1,7 +1,10 @@
 """Test helpers for the block pipeline (DFT -> smoothing -> covariances).
 
-``pipeline_input`` makes test series. ``smooth_half`` adapts the
-library's in-place half smoother to a plain periodogram input, and
+``pipeline_input`` makes test series. ``lag_covariances`` and
+``block_covariances`` run the library's two covariance steps (the
+lag-independent source, then the read of the lags) as one call.
+``smooth_half`` adapts the library's in-place half smoother to a plain
+periodogram input, and
 ``half_of`` and ``full_circle`` move a symmetric spectrum between the
 whole circle and its half k = 0..T//2. The
 ``oracle_*`` functions are the pipeline as it ran before it worked in
@@ -15,6 +18,7 @@ import numpy as np
 
 from dftstat.numerics import _rfft_at, _unfold
 from dftstat.spectral import _fast_length, _half_transform, _smooth_half
+from dftstat.stattest import _block_source, _lag_source, _read_lags
 
 
 def pipeline_input(rows, T, seed):
@@ -23,6 +27,19 @@ def pipeline_input(rows, T, seed):
     e = np.random.default_rng(seed).standard_normal((rows, T + 1))
     scale = 1 + 0.5 * np.cos(2 * np.pi * np.arange(1, T + 1) / T)
     return 3.0 + (e[:, 1:] + 0.9 * e[:, :-1]) * scale
+
+
+def lag_covariances(Zh, T, lags, work=None, transform=None):
+    """c(r) at the lags for every row of the half spectrum Zh, which the
+    transform route overwrites (``stattest._lag_source``)."""
+    return _read_lags(_lag_source(Zh, T, work, transform), T, lags, transform)
+
+
+def block_covariances(X, plan, exponents):
+    """The standardized covariances at the plan's lags of each row of X,
+    non-finite where the smoothed spectrum is zero, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _read_lags(_block_source(X, plan, exponents), plan.T, plan.lags)
 
 
 def smooth_half(P, T, weights, ridge_factor):

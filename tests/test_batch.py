@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,14 +180,21 @@ def test_chunk_seams_match_single_tests():
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
     spec = model_preset("model6", 128)
     cfg = McConfig(model=spec, T=128, lags=(1, 3), replications=30, master_seed=73)
+    scan = lambda: lag_scan(spec, 128, range(1, 30), replications=30,  # noqa: E731
+                            master_seed=73)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
     whole = rejection_rate(cfg).statistics
-    scan_whole = lag_scan(spec, 128, range(1, 30), replications=30, master_seed=73)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})  # each study draws its own
+    scan_whole = scan()
     # seven replications per chunk, so the 30 split 7+7+7+7+2
     monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS",
                         7 * innovation_count(spec, GeneratorConfig(T=128)))
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
     assert np.array_equal(rejection_rate(cfg).statistics, whole)
-    assert np.array_equal(lag_scan(spec, 128, range(1, 30), replications=30,
-                                   master_seed=73), scan_whole)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    assert np.array_equal(scan(), scan_whole)
+    # a study of the same chunks reads the last one's kept replications
+    assert np.array_equal(rejection_rate(cfg).statistics, whole)
 
 
 def test_lag_scan_equals_per_replication_covariance_loop():
@@ -371,6 +379,161 @@ def test_m_and_lags_are_keyed_apart(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# studies of the same replications share their lag-independent arrays
+# ---------------------------------------------------------------------------
+
+
+CORRECTION = CorrectionSpec.linear([1.0, 0.7, 0.2], 0.9)
+
+
+def studies_of(config):
+    """Two studies of config's replications at other lags (one above T/2),
+    levels and a correction: a rejection_rate and a lag_scan."""
+    return (lambda: rejection_rate(replace(config, lags=range(1, 11), level=0.1,
+                                           correction=CORRECTION)),
+            lambda: lag_scan(config.model, config.T, [*range(1, 40), config.T - 3], level=0.01,
+                             replications=config.replications,
+                             master_seed=config.master_seed, correction=CORRECTION))
+
+
+# 512 and 375 (5-smooth) take the kernel's transform route, 257 the loop
+@pytest.mark.parametrize("T", [512, 375, 257])
+def test_a_study_of_kept_replications_equals_a_fresh_one(T, monkeypatch):
+    spec = model_preset("model3", T)
+    config = McConfig(model=spec, T=T, lags=(1, 2, 3), replications=chunk_rows(spec, T) + 5,
+                      master_seed=85)  # two chunks
+    fresh = []
+    for study in studies_of(config):
+        monkeypatch.setattr(experiments, "_SPECTRA", {})  # nothing kept: computed afresh
+        fresh.append(study())
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    first = rejection_rate(config)  # keeps both chunks
+    drawn = counting(monkeypatch, experiments, "_gauss_rows")
+    report, scan = (study() for study in studies_of(config))
+    assert drawn == []  # neither later study drew a replication
+    assert np.array_equal(report.statistics, fresh[0].statistics)
+    assert (report.rejection_rate, report.threshold) == (fresh[0].rejection_rate,
+                                                         fresh[0].threshold)
+    assert np.array_equal(scan, fresh[1])
+    assert np.array_equal(rejection_rate(config).statistics, first.statistics)
+    assert len(experiments._SPECTRA) == 1 and drawn == []
+
+
+def test_a_change_to_any_key_field_draws_the_replications_again(monkeypatch):
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    drawn = counting(monkeypatch, experiments, "_gauss_rows")
+    base = McConfig(model=model_preset("model1", 128), T=128, replications=9, master_seed=86)
+    # each variant keeps the chunk rows (innovations per replication within
+    # 628-630) but the last, so only its own field tells it apart
+    variants = [replace(base, model=model_preset("model5", 128)), replace(base, T=130),
+                replace(base, burn_in=501), replace(base, master_seed=87),
+                replace(base, replications=8), replace(base, kernel=KernelSpec("bartlett")),
+                replace(base, kernel=KernelSpec()),  # the kernel as given: None differs
+                replace(base, ridge_factor=1e-2), "chunk rows"]
+    for variant in variants:
+        rejection_rate(base)
+        del drawn[:]
+        rejection_rate(replace(base, lags=(2, 5), level=0.2))  # lags and level are not keyed
+        assert drawn == []
+        if variant == "chunk rows":
+            monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", experiments._CHUNK_ELEMENTS // 2)
+            variant = base
+        rejection_rate(variant)
+        assert len(drawn) == 1, variant
+
+
+# a cosine's smoothed spectrum with no ridge is zero away from its frequency
+@pytest.mark.parametrize("row, error, reason", [
+    (np.cos(2 * np.pi * 5 * np.arange(1, 129) / 128), ComputationError,
+     "the smoothed spectrum is zero"),
+    (np.nan, InputError, "series contains non-finite values"),
+], ids=["zero spectrum", "non-finite value"])
+def test_a_study_that_raises_keeps_nothing(row, error, reason, monkeypatch):
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    spec = model_preset("model1", 128)
+    rows = chunk_rows(spec, 128)
+    original, calls = experiments._filter_rows, []
+
+    def faulty(model, E, T, burn_in):
+        X = original(model, E, T, burn_in)
+        calls.append(1)
+        if len(calls) % 2 == 0:  # row 2 of each study's second chunk
+            X[2] = row
+        return X
+
+    monkeypatch.setattr(experiments, "_filter_rows", faulty)
+    config = McConfig(model=spec, T=128, replications=rows + 5, ridge_factor=0.0,
+                      master_seed=87)
+    match = rf"^replication {rows + 2} \(stream {rows + 2}\): {reason}"
+    for _ in range(2):  # the same study again raises the same error
+        with pytest.raises(error, match=match):
+            rejection_rate(config)
+        assert experiments._SPECTRA == {}
+    assert len(calls) == 4  # both studies drew both chunks
+
+
+def test_kept_arrays_are_read_only_and_within_the_bound(monkeypatch):
+    # the paper's N = 1000 at T = 512 keeps 4.11 MB of 4 MiB: 16 bytes at 257
+    # frequencies a replication, and 1020 replications fit where 1021 do not
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    config = McConfig(model=model_preset("model1", 512), T=512, replications=1000,
+                      master_seed=88)
+    for n, kept in ((1000, True), (1020, True), (1021, False)):
+        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        rejection_rate(replace(config, replications=n))
+        assert bool(experiments._SPECTRA) == kept
+        for arrays in experiments._SPECTRA.values():
+            assert sum(S.nbytes for S in arrays) == n * 257 * 16
+            for S in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    S[0, 0] = 0.0
+    assert 1020 * 257 * 16 <= experiments._MAX_SPECTRA_BYTES < 1021 * 257 * 16
+
+
+def test_concurrent_studies_share_kept_replications(monkeypatch):
+    # studies of two replication sets at three lag sets, in more threads than
+    # cores: studies replace the kept arrays while others read them
+    spec = model_preset("model6", 64)
+    configs = [McConfig(model=spec, T=64, lags=range(1, m + 1), master_seed=seed,
+                        replications=chunk_rows(spec, 64) + 3)
+               for seed in (89, 90) for m in (1, 5, 10)] * 3
+    expected = []
+    for config in configs:
+        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        expected.append(rejection_rate(config).statistics)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda config: rejection_rate(config).statistics, configs,
+                                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+    assert len(experiments._SPECTRA) == 1
+    assert not any(S.flags.writeable for arrays in experiments._SPECTRA.values()
+                   for S in arrays)
+
+
+def test_a_study_of_kept_replications_warns_of_its_bandwidth(monkeypatch):
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    wide = KernelSpec("daniell", 0.3)
+    config = McConfig(model=model_preset("model1", 256), T=256, replications=3,
+                      master_seed=92, kernel=wide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rejection_rate(config)
+    drawn = counting(monkeypatch, experiments, "_gauss_rows")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rejection_rate(replace(config, lags=range(1, 11)))
+        lag_scan(config.model, 256, [1, 7], replications=3, master_seed=92, kernel=wide)
+    assert drawn == []
+    assert [w.category for w in caught] == [BandwidthWarning] * 2
+    assert {w.filename for w in caught} == {__file__}
+
+
+# ---------------------------------------------------------------------------
 # the error contract: lowest failing replication, same type and message
 # ---------------------------------------------------------------------------
 
@@ -386,6 +549,7 @@ def test_zero_scale_fails_at_replication_zero():
 
 
 def test_failing_replication_is_named_across_chunks(monkeypatch):
+    monkeypatch.setattr(experiments, "_SPECTRA", {})  # no kept study hides the poisoned draws
     spec = model_preset("model1", 128)
     original = experiments._gauss_rows
 
@@ -409,6 +573,7 @@ def test_failing_replication_is_named_across_chunks(monkeypatch):
 def test_a_zero_spectrum_replication_is_named_not_counted(study, monkeypatch):
     # with no ridge, a pure cosine's smoothed spectrum is zero away from its
     # frequency: its statistic is not finite, and no rejection count may hide it
+    monkeypatch.setattr(experiments, "_SPECTRA", {})  # no kept study hides the cosine
     spec = model_preset("model1", 128)
     original = experiments._filter_rows
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dftstat.experiments as experiments
 from dftstat import (
     ComputationError,
     InputError,
@@ -53,15 +54,20 @@ def test_single_replication_is_the_single_test_decision():
     assert rep.statistics[0] == res.statistic
 
 
-def test_monte_carlo_determinism():
+def test_monte_carlo_determinism(monkeypatch):
     cfg = McConfig(model=model_preset("model1", 256), T=256, lags=(1,),
                    replications=50, master_seed=51)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
     a = rejection_rate(cfg)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})  # b draws its replications again
     b = rejection_rate(cfg)
     assert a.rejection_rate == b.rejection_rate
     assert np.array_equal(a.statistics, b.statistics)
     assert np.array_equal(a.histogram[0], b.histogram[0])
     assert np.array_equal(a.histogram[1], b.histogram[1])
+    c = rejection_rate(cfg)  # reads b's kept replications
+    assert c.rejection_rate == a.rejection_rate
+    assert np.array_equal(c.statistics, a.statistics)
 
 
 def test_rejection_rate_recomputes_from_statistics():
@@ -208,10 +214,17 @@ def test_lag_scan_rejects_excluded_lags():
         lag_scan(model_preset("model1", 256), 256, [128], replications=2)
 
 
-def test_lag_scan_matches_separate_single_lag_runs():
+def test_lag_scan_matches_separate_single_lag_runs(monkeypatch):
     spec = model_preset("model6", 256)
     rates = lag_scan(spec, 256, [1, 20], replications=60, master_seed=60)
     for pos, lag in enumerate((1, 20)):
+        cfg = McConfig(model=spec, T=256, lags=(lag,), replications=60,
+                       master_seed=60)
+        monkeypatch.setattr(experiments, "_SPECTRA", {})  # drawn again, not read
+        assert rejection_rate(cfg).rejection_rate == rates[pos]
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    rates = lag_scan(spec, 256, [1, 20], replications=60, master_seed=60)
+    for pos, lag in enumerate((1, 20)):  # each reads the scan's kept replications
         cfg = McConfig(model=spec, T=256, lags=(lag,), replications=60,
                        master_seed=60)
         assert rejection_rate(cfg).rejection_rate == rates[pos]

@@ -43,13 +43,15 @@ from dftstat.simulate import (  # noqa: E402
     _min_root_modulus,
 )
 from dftstat.stattest import (  # noqa: E402
-    _block_covariances,
-    _lag_covariances,
     _plan,
     _scan_rows,
     validate_lags,
 )
-from pipeline_oracle import pipeline_input  # noqa: E402
+from pipeline_oracle import (  # noqa: E402
+    block_covariances,
+    lag_covariances,
+    pipeline_input,
+)
 
 PRESETS = ("model1", "model2", "model3", "model4", "model5", "model6")
 
@@ -129,8 +131,8 @@ LENGTHS = st.one_of(st.integers(32, 5000).map(_fast_length).filter(lambda T: T <
 def test_the_kernel_routes_agree(case):
     rows, T, lags, seed = case
     Zh = _half_dft_rows(modulated_rows(rows, T, seed), demean=True)
-    by_transform = _lag_covariances(Zh.copy(), T, lags, transform=True)
-    by_loop = _lag_covariances(Zh.copy(), T, lags, transform=False)
+    by_transform = lag_covariances(Zh.copy(), T, lags, transform=True)
+    by_loop = lag_covariances(Zh.copy(), T, lags, transform=False)
     assert np.max(np.abs(by_transform - by_loop)) <= 1e-13 * np.max(np.abs(by_loop))
 
 
@@ -144,10 +146,10 @@ def test_a_block_equals_its_rows(case, demean):
     rows, T, lags, seed = case
     X = modulated_rows(rows, T, seed)
     plan = _plan(T, lags, None, None, None, 1e-3, demean)
-    block = _block_covariances(X, plan, _scan_rows(X)[1])
+    block = block_covariances(X, plan, _scan_rows(X)[1])
     for i in range(rows):
         row = X[i:i + 1]
-        assert np.array_equal(block[i], _block_covariances(row, plan, _scan_rows(row)[1])[0])
+        assert np.array_equal(block[i], block_covariances(row, plan, _scan_rows(row)[1])[0])
 
 
 def next_prime(n):

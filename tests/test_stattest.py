@@ -25,17 +25,17 @@ from dftstat import (
 from dftstat.numerics import _half_dft_rows, _takes_chirp, _unfold
 from dftstat.spectral import _smoother
 from dftstat.stattest import (
-    _block_covariances,
     _correction_denominators,
-    _lag_covariances,
     _phase_coherence,
     _plan,
     _scan_rows,
     _transfer,
 )
 from pipeline_oracle import (
+    block_covariances,
     full_circle,
     half_of,
+    lag_covariances,
     oracle_block_covariances,
     pipeline_input,
     smooth_half,
@@ -70,7 +70,7 @@ def test_covariance_single_frequency_pair_by_hand():
     x = np.cos(2 * np.pi * t * 3 / T)
     j = dft_canonical(x)
     expected = j[3 - 1] * np.conj(j[13 - 1]) / T
-    got, cold = _lag_covariances(*half_input(j, np.ones(T)), (10, 3))
+    got, cold = lag_covariances(*half_input(j, np.ones(T)), (10, 3))
     assert got == pytest.approx(expected, abs=1e-12)
     # and lags pairing a hot bin with a cold one give zero
     assert abs(cold) < 1e-15
@@ -85,7 +85,7 @@ def test_covariance_white_noise_second_moment():
         x = gauss_stream(RngStream(11, i), T)
         x = x - x.mean()
         J = dft_canonical(x)
-        vals.append(T * abs(_lag_covariances(*half_input(J, smoothed(J)), (1,))[0]) ** 2)
+        vals.append(T * abs(lag_covariances(*half_input(J, smoothed(J)), (1,))[0]) ** 2)
     assert np.mean(vals) == pytest.approx(2.0, abs=0.2)
 
 
@@ -100,7 +100,7 @@ def test_covariance_modulated_noise_known_mean():
     acc = 0.0
     for i in range(500):
         x = scale * gauss_stream(RngStream(12, i), T)
-        acc += _lag_covariances(*half_input(dft_canonical(x), f_const), (1,))[0]
+        acc += lag_covariances(*half_input(dft_canonical(x), f_const), (1,))[0]
     assert abs(acc / 500 - 0.5 / 1.125) < 0.02
 
 
@@ -109,7 +109,7 @@ def test_covariance_with_supplied_spectrum_matches_estimated():
     x = rng.standard_normal(128)
     J = dft_canonical(x)
     a = stationarity_test(x, lags=[3], demean=False).covariances[0]
-    b = _lag_covariances(*half_input(J, smoothed(J)), (3,))[0]
+    b = lag_covariances(*half_input(J, smoothed(J)), (3,))[0]
     assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_covariance_direct_summation_oracle():
         jk = j[k - 1]
         jkr = j[(k + r - 1) % T]
         acc += jk * np.conj(jkr) / math.sqrt(f[k - 1] * f[(k + r - 1) % T])
-    assert _lag_covariances(*half_input(j, f), (r,))[0] == pytest.approx(acc / T, abs=1e-12)
+    assert lag_covariances(*half_input(j, f), (r,))[0] == pytest.approx(acc / T, abs=1e-12)
 
 
 def test_estimated_close_to_true_spectrum_covariance():
@@ -140,8 +140,8 @@ def test_estimated_close_to_true_spectrum_covariance():
         x = generate(spec, GeneratorConfig(T=T, rng=RngStream(15, i)))
         x = x - x.mean()
         J = dft_canonical(x)
-        gaps.append(math.sqrt(T) * abs(_lag_covariances(*half_input(J, smoothed(J)), (1,))[0]
-                                       - _lag_covariances(*half_input(J, f_true), (1,))[0]))
+        gaps.append(math.sqrt(T) * abs(lag_covariances(*half_input(J, smoothed(J)), (1,))[0]
+                                       - lag_covariances(*half_input(J, f_true), (1,))[0]))
     assert np.median(gaps) <= 0.5
 
 
@@ -171,14 +171,14 @@ def transformed_rows(rows, T, seed):
 def test_lag_covariances_match_direct_summation_on_both_routes(T, rows):
     lags = tuple(range(1, 9)) + (T // 2 + 1, T - 2, T - 1)
     J, f = transformed_rows(rows, T, seed=T + rows)
-    got = _lag_covariances(*half_input(J, f), lags)
+    got = lag_covariances(*half_input(J, f), lags)
     want = direct_covariances(J, f, lags)
     assert got.shape == (rows, len(lags))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # each row is reduced on its own: row i of the block is its one-row result
     for i in range(rows):
         assert np.array_equal(got[i],
-                              _lag_covariances(*half_input(J[i:i + 1], f[i:i + 1]), lags)[0])
+                              lag_covariances(*half_input(J[i:i + 1], f[i:i + 1]), lags)[0])
 
 
 # 5-smooth T takes the transform route whatever the number of lags (the kernel
@@ -189,7 +189,7 @@ def test_lag_covariance_route_depends_on_T_only(T, L, monkeypatch):
     calls = []
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
-    _lag_covariances(np.ones((1, T // 2 + 1), dtype=complex), T, tuple(range(1, L + 1)))
+    lag_covariances(np.ones((1, T // 2 + 1), dtype=complex), T, tuple(range(1, L + 1)))
     assert bool(calls) is (T not in (257, 7000))
 
 
@@ -201,7 +201,7 @@ def test_pipeline_never_writes_its_input(T, demean):
     X = pipeline_input(8, T, seed=T)
     X.flags.writeable = False  # a write would raise
     before = X.copy()
-    _block_covariances(X, _plan(T, None, 10, None, None, 1e-3, demean), _scan_rows(X)[1])
+    block_covariances(X, _plan(T, None, 10, None, None, 1e-3, demean), _scan_rows(X)[1])
     stationarity_test(X[3], m=10, demean=demean)
     assert np.array_equal(X, before)
 
@@ -220,7 +220,7 @@ def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
         plan = _plan(T, lags, None, kernel, None, ridge_factor, demean)
         _, weights = _smoother(kernel, T, ridge_factor)
         want = oracle_block_covariances(X, weights, ridge_factor, plan.lags, demean)
-        assert np.array_equal(_block_covariances(X, plan, _scan_rows(X)[1]), want)
+        assert np.array_equal(block_covariances(X, plan, _scan_rows(X)[1]), want)
 
 
 # The block's arrays: the rolled rows and the padded periodogram in one real
@@ -243,10 +243,10 @@ def test_block_pipeline_peak_memory(rows, T, bound):
     X = pipeline_input(rows, T, seed=1)
     plan = _plan(T, None, 10, None, None, 1e-3, True)
     exponents = _scan_rows(X)[1]
-    _block_covariances(X, plan, exponents)
+    block_covariances(X, plan, exponents)
     tracemalloc.start()
     try:
-        _block_covariances(X, plan, exponents)
+        block_covariances(X, plan, exponents)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,7 +566,7 @@ def test_dft_covariances_shared_transform_matches_single_lag():
     J = dft_canonical(x - x.mean())
     f = smoothed(J)
     for lag, val in zip(res.lags, res.covariances):
-        want = _lag_covariances(*half_input(J, f), (lag,))[0]
+        want = lag_covariances(*half_input(J, f), (lag,))[0]
         assert val == pytest.approx(want, abs=1e-14)
 
 
@@ -578,7 +578,7 @@ def test_result_reports_covariances_and_per_lag_contributions(correction):
         half = _half_dft_rows(x - x.mean())
         _, weights = _smoother(None, T, 1e-3)
         f = smooth_half(np.abs(half) ** 2, T, weights, 1e-3)
-        assert res.covariances == tuple(_lag_covariances(half / np.sqrt(f), T, lags).tolist())
+        assert res.covariances == tuple(lag_covariances(half / np.sqrt(f), T, lags).tolist())
         assert all(type(c) is complex for c in res.covariances)
         assert all(type(c) is float for c in res.contributions)
         assert sum(res.contributions) == pytest.approx(res.statistic, rel=1e-12)
