@@ -27,6 +27,7 @@ from .numerics import RngStream
 from .spectral import KernelSpec
 from .stattest import (
     DEFAULT_LEVELS,
+    _DEFAULT_M,
     CorrectionSpec,
     TestResult,
     _consecutive_lags,
@@ -203,7 +204,7 @@ def _lag_kwargs(args, T: int) -> dict:
         raise InputError("give either --m or --lags, not both")
     if args.lags is not None:
         return {"lags": _parse_lag_list(args.lags, T)}
-    m = 4 if args.m is None else args.m
+    m = _DEFAULT_M if args.m is None else args.m
     if m < 1:
         raise InputError(f"--m must be >= 1, got {m}")
     return {"lags": None, "m": m}
@@ -341,19 +342,26 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _study(args, lags) -> tuple[dict, str]:
+    """``McConfig``'s fields from the flags that ``mc`` and ``scan`` share, and
+    the model's name."""
+    kernel, correction = _kernel_from_args(args), _correction_from_args(args)
+    spec, name = _resolve_model(args.model, args.T)
+    return dict(model=spec, T=args.T, lags=lags, level=args.level_single, replications=args.N,
+                master_seed=args.seed, kernel=kernel, correction=correction,
+                ridge_factor=args.ridge_factor, burn_in=args.burn_in), name
+
+
 def _cmd_mc(args) -> int:
     from .experiments import McConfig, rejection_rate
 
     lag_kwargs = _lag_kwargs(args, args.T)
     lags = lag_kwargs["lags"] or _consecutive_lags(lag_kwargs["m"], args.T)
-    kernel = _kernel_from_args(args)
-    correction = _correction_from_args(args)
-    spec, name = _resolve_model(args.model, args.T)
-    config = McConfig(model=spec, T=args.T, lags=lags, level=args.level_single,
-                      replications=args.N, master_seed=args.seed, kernel=kernel,
-                      correction=correction, ridge_factor=args.ridge_factor,
-                      burn_in=args.burn_in)
-    report = rejection_rate(config)
+    study, name = _study(args, lags)
+    report = rejection_rate(McConfig(**study))
+    with warnings.catch_warnings():  # the study has given its BandwidthWarning
+        warnings.simplefilter("ignore", BandwidthWarning)
+        bandwidth = study["kernel"].resolve_bandwidth(args.T)
     outdir = _outdir(args)
     tag = args.tag or name
 
@@ -363,7 +371,7 @@ def _cmd_mc(args) -> int:
         "config": {
             "model": name, "T": args.T, "lags": list(lags), "level": args.level_single,
             "N": args.N, "seed": args.seed, "kernel": args.kernel,
-            "bandwidth": args.bandwidth, "ridge_factor": args.ridge_factor,
+            "bandwidth": bandwidth, "ridge_factor": args.ridge_factor,
             "correction": args.correction, "burn_in": args.burn_in,
         },
         "rejection_rate": report.rejection_rate,
@@ -384,13 +392,8 @@ def _cmd_scan(args) -> int:
     from .experiments import lag_scan
 
     lags = _parse_lag_list(args.lags, args.T)
-    kernel = _kernel_from_args(args)
-    correction = _correction_from_args(args)
-    spec, name = _resolve_model(args.model, args.T)
-    rates = lag_scan(spec, args.T, lags, level=args.level_single,
-                     replications=args.N, master_seed=args.seed, kernel=kernel,
-                     correction=correction, ridge_factor=args.ridge_factor,
-                     burn_in=args.burn_in)
+    study, name = _study(args, lags)
+    rates = lag_scan(**study)
     path = _outdir(args) / f"{args.tag or name}_scan.csv"
     _write_text(path, _csv("lag,rejection_rate", zip(lags, rates)))
     print(f"{name}: wrote per-lag rejection rates for {len(lags)} lags to {path}")
@@ -420,7 +423,7 @@ def _cmd_power(args) -> int:
 
 def _add_lag_options(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=None,
-                   help="number of consecutive lags 1..m (default 4)")
+                   help=f"number of consecutive lags 1..m (default {_DEFAULT_M})")
     p.add_argument("--lags", default=None,
                    help="explicit lag list, e.g. 3,17,40 or 1..10")
 

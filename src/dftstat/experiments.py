@@ -26,6 +26,7 @@ from .errors import ComputationError, InputError, StationarityTestError
 from .numerics import RngStream, _checked_int, _gauss_rows, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
+    _DEFAULT_M,
     CorrectionSpec,
     _block_source,
     _block_terms,
@@ -36,8 +37,6 @@ from .stattest import (
 )
 from .simulate import GeneratorConfig, ModelSpec, _filter_rows, innovation_count
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -46,7 +45,7 @@ class McConfig:
 
     model: ModelSpec
     T: int
-    lags: tuple[int, ...] = (1, 2, 3, 4)
+    lags: tuple[int, ...] = tuple(range(1, _DEFAULT_M + 1))
     level: float = 0.05
     replications: int = 1000
     master_seed: int = 0
@@ -309,7 +308,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     if T is not None:
         T = _checked_int(T, "T", positive=True)
     u = np.linspace(0.0, 1.0, u_points)
-    w = np.linspace(0.0, _TWO_PI, omega_points)
+    w = np.linspace(0.0, math.tau, omega_points)
     vals = _eval_local(f_local, u, w)
     fbar = _time_average(vals)
     inner = _u_fourier(vals, lags)
@@ -325,7 +324,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
         for row, lag, ok in zip(shifted, lags, whole):
             if not ok:
                 row[:] = np.sqrt(_time_average(
-                    _eval_local(f_local, u, (w + _TWO_PI * (lag % T) / T) % _TWO_PI)))
+                    _eval_local(f_local, u, (w + math.tau * (lag % T) / T) % math.tau)))
         integrand = inner / (root * shifted)
     bad = ~np.isfinite(integrand)
     if bad.any():

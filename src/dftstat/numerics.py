@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ComputationError, InputError
 
-_TWO_PI = 2.0 * math.pi
 _PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state, its key)
 
 
@@ -115,7 +114,7 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     # so this is half /= sqrt(2*pi*T) * 2**exponents bit for bit, in one
     # pass of real products, several times faster than complex division
     parts = half.view(float)
-    np.multiply(parts, np.ldexp(1.0 / math.sqrt(_TWO_PI * T), -exponents), out=parts)
+    np.multiply(parts, np.ldexp(1.0 / math.sqrt(math.tau * T), -exponents), out=parts)
     return half
 
 

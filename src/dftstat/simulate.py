@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InputError
 from .numerics import RngStream, _checked_int, gauss_stream
+from .stattest import MIN_SERIES_LENGTH
 
-_TWO_PI = 2.0 * math.pi
 _SIGMA_PROBE = np.linspace(0.0, 1.0, 1025)  # where ModulatedNoiseSpec checks sigma
 
 
@@ -145,8 +145,8 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("T", "burn_in"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
-        if self.T < 32:
-            raise InputError(f"T must be >= 32, got {self.T}")
+        if self.T < MIN_SERIES_LENGTH:
+            raise InputError(f"T must be >= {MIN_SERIES_LENGTH}, got {self.T}")
         if self.burn_in < 0:
             raise InputError(f"burn_in must be >= 0, got {self.burn_in}")
 
@@ -261,7 +261,7 @@ def _arma_spectrum_fn(ar, ma):
         den = np.ones_like(w, dtype=complex)
         for j, c in enumerate(ar, start=1):
             den = den - c * np.exp(1j * j * w)
-        return np.abs(num) ** 2 / (np.abs(den) ** 2 * _TWO_PI)
+        return np.abs(num) ** 2 / (np.abs(den) ** 2 * math.tau)
 
     return spec
 
@@ -311,7 +311,7 @@ def local_spectrum(spec: ModelSpec) -> Callable[[np.ndarray, np.ndarray], np.nda
 
         def f(u, omega):
             u = np.asarray(u, dtype=float)
-            scale = np.asarray(sig(u), dtype=float) ** 2 / _TWO_PI
+            scale = np.asarray(sig(u), dtype=float) ** 2 / math.tau
             return np.broadcast_to(scale, np.broadcast_shapes(scale.shape, np.shape(omega)))
 
         return f
@@ -337,19 +337,16 @@ def _sigma_piecewise6(u):
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=256)
 def _sigma_model4(T: int):
-    """Smooth innovation scale 1/2 + sin(2*pi*t/512) + 0.3*cos(2*pi*t/512).
+    """Smooth innovation scale 1/2 + sin(2*pi*t/512) + 0.3*cos(2*pi*t/512),
+    one harmonic sigma per T, so that model4's presets at one T compare equal.
 
     The 512 in the denominator is fixed regardless of T, so at T = 256 only
     half a cycle is seen (which is why the scale barely varies there).
     """
-    cycles = T / 512.0
-
-    def sigma(u):
-        theta = _TWO_PI * cycles * np.asarray(u, dtype=float)
-        return 0.5 + np.sin(theta) + 0.3 * np.cos(theta)
-
-    return sigma
+    return sigma_from_dict({"kind": "harmonic", "const": 0.5, "sin": 1.0, "cos": 0.3,
+                            "cycles": T / 512.0})
 
 
 def _field(d, key: str, convert, default=...):
@@ -409,7 +406,7 @@ def sigma_from_dict(d: dict) -> Callable[[np.ndarray], np.ndarray]:
         cycles = _field(d, "cycles", _number, 1.0)
 
         def sigma(u):
-            theta = _TWO_PI * cycles * np.asarray(u, dtype=float)
+            theta = math.tau * cycles * np.asarray(u, dtype=float)
             return const + amp_sin * np.sin(theta) + amp_cos * np.cos(theta)
 
         return sigma

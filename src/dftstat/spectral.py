@@ -107,26 +107,19 @@ def _kernel_weights(kind: str, b: float, T: int) -> np.ndarray:
 def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     """Check ``ridge_factor`` and resolve the kernel for length T.
 
-    Returns the kernel with its bandwidth resolved and its weights; both
-    depend only on T, so a batch of equal-length series shares them.
+    Returns the kernel with its bandwidth resolved, its weights, the
+    transform length n of ``_smooth_half`` and the weights' real transform
+    at n; all depend only on T, so a batch of equal-length series shares
+    them. n is the 5-smooth length of the padded half, m = T//2 + 1 + 2H,
+    fast even for prime m and within 16% of it (a power of two may be 2m).
     """
     if not 0.0 <= ridge_factor < math.inf:
         raise InputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
     kern = kernel if kernel is not None else KernelSpec()
     b = kern.resolve_bandwidth(T)
-    return KernelSpec(kern.kind, b), _kernel_weights(kern.kind, b, T)
-
-
-def _half_transform(weights: np.ndarray, T: int) -> tuple[int, np.ndarray]:
-    """The transform length n of ``_smooth_half`` for a length-T series, and
-    the weights' real transform at n: both are fixed by T and the kernel.
-
-    n is the 5-smooth length ``_fast_length(m)`` of the padded half, which
-    keeps the transforms fast even for prime m and is within 16% of m,
-    where the next power of two can be nearly twice it.
-    """
-    n = _fast_length(T // 2 + weights.size)  # the padded half, m = T//2 + 1 + 2H
-    return n, np.fft.rfft(weights, n)
+    weights = _kernel_weights(kern.kind, b, T)
+    n = _fast_length(T // 2 + weights.size)
+    return KernelSpec(kern.kind, b), weights, n, np.fft.rfft(weights, n)
 
 
 def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
@@ -134,7 +127,7 @@ def _smooth_half(buf: np.ndarray, T: int, H: int, spectrum: np.ndarray,
     """The floored estimate of a symmetric length-T periodogram at k = 0..T//2.
 
     ``buf`` has the last-axis length n and ``spectrum`` the weights'
-    transform from :func:`_half_transform`, H being the window half-width;
+    transform from :func:`_smoother`, H being the window half-width;
     ``buf[..., H:H + T//2 + 1]`` holds I_k at k = 0..T//2 and the rest of
     buf is scratch. Since I_{-k} = I_k and I_{T-k} = I_k, the circular sum at
     those k needs only that half padded by H mirrored values on each side,

@@ -35,12 +35,12 @@ import numpy as np
 
 from .errors import ComputationError, InputError
 from .numerics import _checked_int, _fast_length, _half_dft_rows, _rfft_at, chisq_sf
-from .spectral import KernelSpec, _half_transform, _smooth_half, _smoother
+from .spectral import KernelSpec, _smooth_half, _smoother
 
-_TWO_PI = 2.0 * math.pi
 _MAX_FLOAT = float(np.finfo(float).max)
 
 MIN_SERIES_LENGTH = 32
+_DEFAULT_M = 4  # the count of consecutive lags tested when none are given
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 
@@ -102,8 +102,7 @@ def _pieces(a: int, b: int):
     return ((s, min(s + _EINSUM_PIECE, b)) for s in range(a, b, _EINSUM_PIECE))
 
 
-def _lag_source(Zh: np.ndarray, T: int, work: np.ndarray | None = None,
-                transform: bool | None = None) -> np.ndarray:
+def _lag_source(Zh: np.ndarray, plan: _TestPlan, work: np.ndarray | None = None) -> np.ndarray:
     """The covariance kernel's first step, all its work that does not depend
     on the lags: the array S that ``_read_lags`` reads c(r) from at any lags.
 
@@ -135,26 +134,26 @@ def _lag_source(Zh: np.ndarray, T: int, work: np.ndarray | None = None,
         Zh by slices. The sum is ``np.einsum`` over pieces of 8192 points,
         not BLAS, whose results can depend on the thread count.
 
-    The transform route runs whenever T is 5-smooth (``transform``, worked
-    out from T when None, the same in both steps), the loop otherwise. The
-    route depends on T alone, so a lag's c(r) is the same bits whatever the
-    other lags and rows: a 5-smooth T stays on the transforms even for a
-    few lags at large T, where the loop is faster, so that each of
-    ``lag_scan``'s per-lag terms equals the one-lag test. Other T stay on
-    the loop whatever L, since numpy's real transforms of such lengths cost
-    several times those of a 5-smooth one, more than the loop's passes
-    (README.md, "Performance notes").
+    The transform route runs whenever T is 5-smooth (``plan.transform``), the
+    loop otherwise. The route depends on T alone, so a lag's c(r) is the same
+    bits whatever the other lags and rows: a 5-smooth T stays on the
+    transforms even for a few lags at large T, where the loop is faster, so
+    that each of ``lag_scan``'s per-lag terms equals the one-lag test. Other
+    T stay on the loop whatever L, since numpy's real transforms of such
+    lengths cost several times those of a 5-smooth one, more than the loop's
+    passes (README.md, "Performance notes").
     """
-    if not (_fast_length(T) == T if transform is None else transform):
+    if not plan.transform:
         return Zh
-    y = np.fft.irfft(Zh, T, axis=-1, norm="forward", out=work)
+    y = np.fft.irfft(Zh, plan.T, axis=-1, norm="forward", out=work)
     np.square(y, out=y)
     return np.fft.rfft(y, axis=-1, out=Zh)
 
 
-def _read_lags(S: np.ndarray, T: int, lags, transform: bool | None = None) -> np.ndarray:
-    """The covariance kernel's second step: c(r) at the lags, read from S."""
-    if _fast_length(T) == T if transform is None else transform:
+def _read_lags(S: np.ndarray, plan: _TestPlan) -> np.ndarray:
+    """The covariance kernel's second step: c(r) at the plan's lags, read from S."""
+    T, lags = plan.T, plan.lags
+    if plan.transform:
         return _rfft_at(S, lags, T) / T ** 2
     h = T // 2
     q = [min(r, T - r) for r in lags]
@@ -192,7 +191,7 @@ def _transfer(psi: np.ndarray, omega):
     """A(w) = (2*pi)**-0.5 * sum_j psi_j exp(i*w*j) for a causal filter."""
     w = np.asarray(omega, dtype=float)
     j = np.arange(psi.size)
-    return np.exp(1j * np.multiply.outer(w, j)) @ psi / math.sqrt(_TWO_PI)
+    return np.exp(1j * np.multiply.outer(w, j)) @ psi / math.sqrt(math.tau)
 
 
 def _phase_coherence(psi, x: float, grid: int = 2048) -> float:
@@ -203,12 +202,8 @@ def _phase_coherence(psi, x: float, grid: int = 2048) -> float:
     The integrand is evaluated as A(w) * conj(A(w+x)) / |A(w) A(w+x)| so no
     branch choice for phi is needed.
     """
-    if grid < 1024:
-        raise InputError(f"quadrature grid must be >= 1024, got {grid}")
-    p = np.asarray(psi, dtype=float)
-    if p.ndim != 1 or p.size == 0 or p[0] == 0.0:
-        raise InputError("psi must be a nonempty coefficient vector with psi[0] != 0")
-    w = _TWO_PI * np.arange(grid) / grid  # periodic integrand: left rule is exact trapezoid
+    p = np.asarray(psi, dtype=float)  # checked by CorrectionSpec
+    w = math.tau * np.arange(grid) / grid  # periodic integrand: left rule is exact trapezoid
     a0 = _transfer(p, w)
     a1 = _transfer(p, w + x)
     mod = np.abs(a0) * np.abs(a1)
@@ -245,10 +240,8 @@ class CorrectionSpec:
             raise InputError(f"unknown correction mode {self.mode!r}")
         if self.mode == "linear_plugin":
             p = np.asarray(self.psi, dtype=float)
-            if p.size == 0 or not np.all(np.isfinite(p)) or p[0] == 0.0:
-                raise InputError(
-                    "linear_plugin correction needs finite psi with psi[0] != 0"
-                )
+            if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)) or p[0] == 0.0:
+                raise InputError("linear_plugin correction needs finite psi with psi[0] != 0")
             if not math.isfinite(self.kappa4):
                 raise InputError(f"kappa4 must be finite, got {self.kappa4}")
         if self.mode == "user" and len(self.kappa) == 0:
@@ -272,7 +265,7 @@ def _correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
         return np.ones(len(lags))
     if spec.mode == "linear_plugin":
         denom = np.array(
-            [1.0 + 0.5 * spec.kappa4 * _phase_coherence(spec.psi, _TWO_PI * r / T)
+            [1.0 + 0.5 * spec.kappa4 * _phase_coherence(spec.psi, math.tau * r / T)
              for r in lags]
         )
     else:  # user
@@ -312,9 +305,9 @@ class TestResult:
 @dataclass(frozen=True)
 class _TestPlan:
     """What a test needs besides the data, worked out once per series length:
-    the lags, the kernel with its bandwidth resolved, its window half-width,
-    the smoothing transform length and the weights' transform at it, and the
-    correction denominators."""
+    the lags, the resolved kernel, its window half-width, the smoothing
+    transform length and the weights' transform at it, the correction
+    denominators and the covariance route (``_lag_source``)."""
 
     T: int
     lags: tuple[int, ...]
@@ -325,6 +318,7 @@ class _TestPlan:
     corrections: np.ndarray
     ridge_factor: float
     demean: bool
+    transform: bool
 
 
 _PLANS: dict = {}  # plans by test shape, oldest first; replaced whole, so threads need no lock
@@ -345,13 +339,12 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     if plan is not None:
         (kernel or KernelSpec()).resolve_bandwidth(T)
         return plan
-    kern, weights = _smoother(kernel, T, ridge_factor)
-    n, spectrum = _half_transform(weights, T)
+    kern, weights, n, spectrum = _smoother(kernel, T, ridge_factor)
     lags = validate_lags(_consecutive_lags(m, T) if lags is None else lags, T)
     corr = _correction_denominators(correction or CorrectionSpec(), lags, T)
     plan = _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum, corrections=corr,
-                     ridge_factor=ridge_factor, demean=demean)
+                     ridge_factor=ridge_factor, demean=demean, transform=_fast_length(T) == T)
     if key is not None and spectrum.nbytes + corr.nbytes <= _MAX_PLAN_BYTES:
         spectrum.flags.writeable = corr.flags.writeable = False
         _PLANS = dict([*_PLANS.items()][1 - _MAX_PLANS:] + [(key, plan)])
@@ -432,7 +425,7 @@ def _block_source(X: np.ndarray, plan: _TestPlan, exponents) -> np.ndarray:
     f = _smooth_half(buf, T, H, plan.weight_spectrum, plan.ridge_factor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         half /= np.sqrt(f, out=f)
-        return _lag_source(half, T, work)
+        return _lag_source(half, plan, work)
 
 
 def _block_terms(S: np.ndarray, plan: _TestPlan, name):
@@ -442,7 +435,7 @@ def _block_terms(S: np.ndarray, plan: _TestPlan, name):
     The lowest row with a non-finite term (a zero smoothed spectrum) raises
     ComputationError, its message prefixed by ``name(row)``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        C = _read_lags(S, plan.T, plan.lags)
+        C = _read_lags(S, plan)
     Q = np.abs(C) ** 2 / plan.corrections
     finite = np.isfinite(Q).all(axis=-1)
     if not finite.all():
@@ -496,7 +489,7 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean, levels,
     return results
 
 
-def stationarity_test(series, lags=None, m: int = 4, kernel: KernelSpec | None = None,
+def stationarity_test(series, lags=None, m: int = _DEFAULT_M, kernel: KernelSpec | None = None,
                       correction: CorrectionSpec | None = None,
                       ridge_factor: float = 1e-3, demean: bool = True,
                       levels=DEFAULT_LEVELS) -> TestResult:
@@ -505,7 +498,7 @@ def stationarity_test(series, lags=None, m: int = 4, kernel: KernelSpec | None =
     Parameters
     ----------
     series : array_like
-        Observations, length at least 32. The sample mean is removed before
+        Observations, at least ``MIN_SERIES_LENGTH``. The sample mean is removed before
         the transform unless ``demean`` is False.
     lags : iterable of int, optional
         Lags r_1..r_m; default is the consecutive lags 1..m.
@@ -576,7 +569,7 @@ def _block_bounds(T: int, depth: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def segmented_test(series, depth: int, lags=None, m: int = 4,
+def segmented_test(series, depth: int, lags=None, m: int = _DEFAULT_M,
                    kernel: KernelSpec | None = None,
                    correction: CorrectionSpec | None = None,
                    ridge_factor: float = 1e-3, demean: bool = True,

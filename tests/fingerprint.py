@@ -14,7 +14,8 @@ bit is checked by fingerprinting its parent and itself:
     python tests/fingerprint.py --src ../parent --save /tmp/fp-parent
     python tests/fingerprint.py --src . --against /tmp/fp-parent
 
-The families use the public API only, so any tree with it can be compared:
+The families use the public API and the command line only, so any tree
+with them can be compared:
 
 rejection_rate  statistics and rate of six presets x T 256/257/375/512 x
                 m 1/4/10 x daniell/bartlett, plus a linear_plugin study
@@ -34,15 +35,23 @@ test_pair       stationarity_test before and after a rejection_rate study of its
                 shape, then segmented_test at T 5003, depth 3, twice
 study_table     rejection_rate at m 1, 5, 10, then lag_scan, of one replication
                 set (two chunks) for models 1/3/6 x T 512/375/257, back to back
+cli             exit code, stdout, stderr and written files of dftstat test (json,
+                csv, text), segment, mc, scan and power on fixed inputs, run in
+                process through cli.main with a temporary output directory
 
-It takes about a second on one core. The file is not collected by
+It takes about two seconds on one core. The file is not collected by
 pytest.
 """
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +181,40 @@ def study_table_family(ds):
     return out
 
 
+def cli_family(ds):
+    main = importlib.import_module("dftstat.cli").main
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("always")  # every warning line, whatever ran before
+        series = Path(tmp) / "series.txt"
+        x = ds.generate(ds.model_preset("model3", 512),
+                        ds.GeneratorConfig(T=512, rng=ds.RngStream(17)))
+        series.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+        outdir = ["--outdir", tmp]
+        runs = {
+            "test_json": ["test", series, "--m", "5", "--format", "json"],
+            "test_csv": ["test", series, "--lags", "1,3,40", "--kernel", "bartlett",
+                         "--format", "csv"],
+            "test_text": ["test", series, "--bandwidth", "0.3"],  # warns
+            "segment": ["segment", series, "--depth", "2", "--format", "json"],
+            "mc": ["mc", "model4", "--T", "256", "--m", "3", "--N", "40", "--seed", "18",
+                   *outdir],
+            "scan": ["scan", "model6", "--T", "257", "--lags", "1..20", "--N", "30",
+                     "--seed", "19", *outdir],
+            "power": ["power", "model4", "--lags", "1..12", "--T", "500",
+                      "--finite-lag-shift", *outdir],
+        }
+        for name, argv in runs.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(a) for a in argv])
+            out[name] = f"exit {code}\n{stdout.getvalue()}\n{stderr.getvalue()}"
+        for path in sorted(Path(tmp).iterdir()):
+            if path != series:
+                out[path.name] = path.read_text()
+    return {key: np.array(text.replace(tmp, "<tmp>")) for key, text in out.items()}
+
+
 def quantile_family(ds, ps):
     return {str(dof): np.array([ds.chisq_quantile(p, dof) for p in ps]) for dof in DOFS}
 
@@ -218,6 +261,7 @@ def families(ds):
         "errors": errors_family,
         "gauss_stream": gauss_stream_family, "study_pair": study_pair_family,
         "test_pair": test_pair_family, "study_table": study_table_family,
+        "cli": cli_family,
     }
 
 

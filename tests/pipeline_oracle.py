@@ -13,12 +13,13 @@ equal them bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from dftstat.numerics import _rfft_at, _unfold
-from dftstat.spectral import _fast_length, _half_transform, _smooth_half
-from dftstat.stattest import _block_source, _lag_source, _read_lags
+from dftstat.spectral import _fast_length, _smooth_half
+from dftstat.stattest import _block_source, _lag_source, _plan, _read_lags
 
 
 def pipeline_input(rows, T, seed):
@@ -31,21 +32,27 @@ def pipeline_input(rows, T, seed):
 
 def lag_covariances(Zh, T, lags, work=None, transform=None):
     """c(r) at the lags for every row of the half spectrum Zh, which the
-    transform route overwrites (``stattest._lag_source``)."""
-    return _read_lags(_lag_source(Zh, T, work, transform), T, lags, transform)
+    transform route overwrites (``stattest._lag_source``). The route is the
+    one the library's plan for T takes, unless ``transform`` forces it: the
+    two steps read it, with T and the lags, from the plan they are given."""
+    if transform is None:
+        transform = _plan(T, None, 1, None, None, 1e-3, True).transform
+    plan = SimpleNamespace(T=T, lags=tuple(lags), transform=transform)
+    return _read_lags(_lag_source(Zh, plan, work), plan)
 
 
 def block_covariances(X, plan, exponents):
     """The standardized covariances at the plan's lags of each row of X,
     non-finite where the smoothed spectrum is zero, with no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _read_lags(_block_source(X, plan, exponents), plan.T, plan.lags)
+        return _read_lags(_block_source(X, plan, exponents), plan)
 
 
-def smooth_half(P, T, weights, ridge_factor):
+def smooth_half(P, T, smoother, ridge_factor):
     """The library's ``_smooth_half`` of the half periodogram P (I_k at
-    k = 0..T//2, last axis), returned as a new array; P is not written."""
-    n, spectrum = _half_transform(weights, T)
+    k = 0..T//2, last axis) with ``smoother``, what ``_smoother`` returns for
+    T, returned as a new array; P is not written."""
+    _, weights, n, spectrum = smoother
     H = weights.size // 2
     buf = np.empty(P.shape[:-1] + (n,))
     buf[..., H:H + T // 2 + 1] = P

@@ -533,6 +533,55 @@ def test_a_study_of_kept_replications_warns_of_its_bandwidth(monkeypatch):
     assert {w.filename for w in caught} == {__file__}
 
 
+def test_model4_studies_reuse_kept_replications(monkeypatch):
+    # model4's scale is one function per T, so its presets at one T are one key
+    assert model_preset("model4", 256) == model_preset("model4", 256)
+    assert model_preset("model4", 256) != model_preset("model4", 512)
+    config = McConfig(model=model_preset("model4", 256), T=256, lags=(1,),
+                      replications=chunk_rows(model_preset("model4", 256), 256) + 4,
+                      master_seed=93)  # two chunks
+    table = [replace(config, model=model_preset("model4", 256), lags=range(1, m + 1))
+             for m in (1, 10)]
+    fresh = []
+    for study in table:
+        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        fresh.append(rejection_rate(study).statistics)
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    drawn = counting(monkeypatch, experiments, "_gauss_rows")
+    got = [rejection_rate(study).statistics for study in table]
+    assert len(drawn) == 2  # the m = 1 study's two chunks, and nothing for m = 10
+    assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+
+# a field given as a list is unhashable: the memos are skipped, not consulted
+def test_a_test_of_an_unhashable_correction_equals_its_tuple_twin(monkeypatch):
+    monkeypatch.setattr(stattest, "_PLANS", {})
+    x = generate(model_preset("model1", 256), GeneratorConfig(T=256, rng=RngStream(94)))
+    twin = stationarity_test(x, lags=(1, 3), correction=CorrectionSpec.user([0.4, -0.2]))
+    plans, spectra = stattest._PLANS, experiments._SPECTRA
+    listed = CorrectionSpec(mode="user", kappa=[0.4, -0.2])
+    with pytest.raises(TypeError):
+        hash(listed)
+    built = counting(monkeypatch, stattest, "_smoother")
+    assert stationarity_test(x, lags=(1, 3), correction=listed) == twin
+    assert len(built) == 1  # built anew, and not kept
+    assert stattest._PLANS is plans and experiments._SPECTRA is spectra
+
+
+def test_a_study_of_an_unhashable_model_equals_its_tuple_twin(monkeypatch):
+    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    config = McConfig(model=ArmaSpec(ar=(0.8,)), T=256, lags=(1, 2), replications=30,
+                      master_seed=95)
+    twin = rejection_rate(config)
+    plans, spectra = stattest._PLANS, experiments._SPECTRA
+    drawn = counting(monkeypatch, experiments, "_gauss_rows")
+    report = rejection_rate(replace(config, model=ArmaSpec(ar=[0.8])))
+    assert len(drawn) == 1  # drawn anew, not read from the twin's kept replications
+    assert np.array_equal(report.statistics, twin.statistics)
+    assert (report.rejection_rate, report.threshold) == (twin.rejection_rate, twin.threshold)
+    assert stattest._PLANS is plans and experiments._SPECTRA is spectra
+
+
 # ---------------------------------------------------------------------------
 # the error contract: lowest failing replication, same type and message
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,24 @@ def test_mc_command_artifacts(tmp_path, capsys):
     assert rc == 0
     assert (again / "model6_report.json").read_bytes() == \
         (tmp_path / "model6_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("given, warned", [("auto", []), ("0.3", ["(0.0625, 0.25) for T=256"])])
+def test_mc_report_writes_the_bandwidth_the_study_used(given, warned, tmp_path, capsys):
+    # the bandwidth `test` reports for a series of the study's length, with
+    # the one warning the study gives
+    series = tmp_path / "series.txt"
+    write_series(series, np.random.default_rng(35).standard_normal(256).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["test", str(series), "--bandwidth", given, "--format", "json"]) == 0
+        used = json.loads(capsys.readouterr().out)["config"]["bandwidth"]
+        assert main(["mc", "model1", "--T", "256", "--N", "5", "--bandwidth", given,
+                     "--outdir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "model1_report.json").read_text())
+    assert report["config"]["bandwidth"] == used == (256 ** (-1 / 3) if given == "auto" else 0.3)
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: bandwidth 0.3 outside the admissible window {w}" for w in warned]
 
 
 def test_outdir_env_variable(tmp_path, monkeypatch, capsys):

@@ -93,15 +93,19 @@ def test_changepoint_ar_rejection_rate_target():
     assert rep.rejection_rate >= 0.95
 
 
-@pytest.mark.xfail(strict=False, reason=BLOCKED_CHANGEPOINT)
-def test_small_changepoint_power_ordering():
-    # with near-null power at both lengths the ordering is a coin flip
-    rates = {}
+def test_a_small_changepoint_barely_moves_the_statistic():
+    # BLOCKED_CHANGEPOINT, measured: on the same streams, model5's lag-1
+    # statistic tracks that of its stationary first regime, model1, at both
+    # lengths and every seed, so its power stays at model1's level (over 40
+    # seeds x T 256/512 at N = 400: rates at most 0.0175 apart, correlation
+    # at least 0.928)
     for T in (256, 512):
-        cfg = McConfig(model=model_preset("model5", T), T=T, lags=(1,),
-                       replications=500, master_seed=55)
-        rates[T] = rejection_rate(cfg).rejection_rate
-    assert rates[512] > rates[256]
+        for seed in (55, 56, 57):
+            switched, stationary = (rejection_rate(McConfig(
+                model=model_preset(name, T), T=T, lags=(1,), replications=400,
+                master_seed=seed)) for name in ("model5", "model1"))
+            assert abs(switched.rejection_rate - stationary.rejection_rate) <= 0.03
+            assert np.corrcoef(switched.statistics, stationary.statistics)[0, 1] > 0.85
 
 
 def test_mc_config_validation():

@@ -53,8 +53,7 @@ def smoothed(pg, kernel=None, ridge_factor=1e-3):
     """The half smoother of a symmetric periodogram pg (last axis k = 1..T),
     read at k = 0..T//2."""
     T = pg.shape[-1]
-    _, weights = _smoother(kernel, T, ridge_factor)
-    return smooth_half(half_of(pg), T, weights, ridge_factor)
+    return smooth_half(half_of(pg), T, _smoother(kernel, T, ridge_factor), ridge_factor)
 
 
 def _symmetric_periodogram(T, seed):
@@ -134,9 +133,9 @@ def test_smoothing_matches_direct_circular_sum(kind, T, b):
     pg = _model1_periodogram(T, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
-        _, weights = _smoother(KernelSpec(kind, b), T, 0.0)
-    direct = half_of(_direct_smooth(pg, weights))
-    half = smooth_half(half_of(pg), T, weights, 0.0)
+        smoother = _smoother(KernelSpec(kind, b), T, 0.0)
+    direct = half_of(_direct_smooth(pg, smoother[1]))
+    half = smooth_half(half_of(pg), T, smoother, 0.0)
     assert np.max(np.abs(half - direct) / direct) < 1e-13
 
 
@@ -156,10 +155,10 @@ def test_fast_length_is_the_smallest_5_smooth_length():
 @pytest.mark.parametrize("T", [64, 257, 4096])
 def test_smoothing_a_block_equals_its_rows(T):
     pg = np.stack([_model1_periodogram(T, i) for i in range(7)])
-    _, weights = _smoother(KernelSpec("bartlett"), T, 1e-3)
-    block = smooth_half(half_of(pg), T, weights, 1e-3)
+    smoother = _smoother(KernelSpec("bartlett"), T, 1e-3)
+    block = smooth_half(half_of(pg), T, smoother, 1e-3)
     for i in range(7):
-        assert np.array_equal(block[i], smooth_half(half_of(pg[i]), T, weights, 1e-3))
+        assert np.array_equal(block[i], smooth_half(half_of(pg[i]), T, smoother, 1e-3))
 
 
 @pytest.mark.parametrize("T", [64, 257])
@@ -167,12 +166,12 @@ def test_half_smoother_floors_at_the_full_circle_ridge(T):
     # a ridge of half the mean periodogram lies above the smoothed AR(1)
     # spectrum at high frequencies, so the floor binds there
     pg = _model1_periodogram(T, 0)
-    _, weights = _smoother(None, T, 0.5)
+    smoother = _smoother(None, T, 0.5)
     ridge = 0.5 * pg.mean()
-    direct = half_of(_direct_smooth(pg, weights))
+    direct = half_of(_direct_smooth(pg, smoother[1]))
     assert np.any(direct < ridge)
     full = np.maximum(direct, ridge)
-    half = smooth_half(half_of(pg), T, weights, 0.5)
+    half = smooth_half(half_of(pg), T, smoother, 0.5)
     assert np.max(np.abs(half - full) / full) < 1e-13
 
 

@@ -57,8 +57,8 @@ def smoothed(J):
     """The test's smoothed spectrum of a DFT J (last axis k = 1..T): the half
     smoother's estimate at k = 0..T//2, mirrored onto k = 1..T."""
     T = J.shape[-1]
-    _, weights = _smoother(None, T, 1e-3)
-    return full_circle(smooth_half(np.abs(half_of(J)) ** 2, T, weights, 1e-3), T)
+    f = smooth_half(np.abs(half_of(J)) ** 2, T, _smoother(None, T, 1e-3), 1e-3)
+    return full_circle(f, T)
 
 
 def test_covariance_single_frequency_pair_by_hand():
@@ -218,7 +218,7 @@ def test_block_pipeline_equals_out_of_place_oracle(kind, demean, T, rows):
     lags = tuple(range(1, 11)) + (T // 2 + 1, T - 1)
     for ridge_factor in (1e-3, 0.5):
         plan = _plan(T, lags, None, kernel, None, ridge_factor, demean)
-        _, weights = _smoother(kernel, T, ridge_factor)
+        weights = _smoother(kernel, T, ridge_factor)[1]
         want = oracle_block_covariances(X, weights, ridge_factor, plan.lags, demean)
         assert np.array_equal(block_covariances(X, plan, _scan_rows(X)[1]), want)
 
@@ -386,6 +386,8 @@ def test_correction_spec_validation():
         CorrectionSpec.linear([], 1.0)
     with pytest.raises(InputError, match=psi_msg):
         CorrectionSpec.linear([0.0, 1.0], 1.0)
+    with pytest.raises(InputError, match=psi_msg):  # one filter, not a table of them
+        CorrectionSpec(mode="linear_plugin", psi=((1.0, 0.5),), kappa4=1.0)
     with pytest.raises(InputError, match="^user correction needs explicit kappa values$"):
         CorrectionSpec(mode="user")
 
@@ -576,8 +578,7 @@ def test_result_reports_covariances_and_per_lag_contributions(correction):
         x = generate(model_preset("model6", T), GeneratorConfig(T=T, rng=RngStream(28, 0)))
         res = stationarity_test(x, lags=lags, correction=correction)
         half = _half_dft_rows(x - x.mean())
-        _, weights = _smoother(None, T, 1e-3)
-        f = smooth_half(np.abs(half) ** 2, T, weights, 1e-3)
+        f = smooth_half(np.abs(half) ** 2, T, _smoother(None, T, 1e-3), 1e-3)
         assert res.covariances == tuple(lag_covariances(half / np.sqrt(f), T, lags).tolist())
         assert all(type(c) is complex for c in res.covariances)
         assert all(type(c) is float for c in res.contributions)
