@@ -362,8 +362,8 @@ def _cmd_mc(args) -> int:
     with warnings.catch_warnings():  # the study has given its BandwidthWarning
         warnings.simplefilter("ignore", BandwidthWarning)
         bandwidth = study["kernel"].resolve_bandwidth(args.T)
-    outdir = _outdir(args)
-    tag = args.tag or name
+    outdir, tag, correction = _outdir(args), args.tag or name, study["correction"]
+    fields = {"linear_plugin": ("psi", "kappa4"), "user": ("kappa",)}.get(correction.mode, ())
 
     edges, density = report.histogram
     payload = {
@@ -372,7 +372,8 @@ def _cmd_mc(args) -> int:
             "model": name, "T": args.T, "lags": list(lags), "level": args.level_single,
             "N": args.N, "seed": args.seed, "kernel": args.kernel,
             "bandwidth": bandwidth, "ridge_factor": args.ridge_factor,
-            "correction": args.correction, "burn_in": args.burn_in,
+            "correction": correction.mode, **{f: getattr(correction, f) for f in fields},
+            "burn_in": args.burn_in,
         },
         "rejection_rate": report.rejection_rate,
         "threshold": report.threshold,

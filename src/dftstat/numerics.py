@@ -92,8 +92,9 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     (``_takes_chirp``, a rule of T alone). numpy transforms such a length by
     Bluestein's algorithm with a plan and buffers of about 2T points built
     anew on every call; those T take :func:`_chirp_rfft`, the same algorithm
-    at about 1.5T points, which agrees with numpy's rfft to within 1.4e-15
-    of the largest entry. Every other T gives numpy's bits.
+    at about 1.5T points with the chirp's transform built once per length
+    (kept for the last length and shared by every caller), which agrees with
+    numpy's rfft to 1.4e-15 of the largest entry. Other T give numpy's bits.
     """
     T = x.shape[-1]
     rolled = np.empty(x.shape) if work is None else work
@@ -136,6 +137,10 @@ def _takes_chirp(T: int) -> bool:
     return T > _CHIRP_MIN_PRIME
 
 
+_CHIRP: dict = {}  # T: its chirp's transform, the last within the bound; replaced whole, so no lock
+_MAX_CHIRP_BYTES = 2 ** 23  # 8 MiB holds T up to about 349 000 (6.3 MB at 262139)
+
+
 def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     """``np.fft.rfft(x, axis=-1)`` of a real x, by a chirp-z convolution.
 
@@ -145,25 +150,23 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     computed circularly at N = _fast_length(T + T//2) points, where the
     wrap-around misses k = 0..T//2. w_n is taken from n**2 mod 2T, and
     w_{T-n} = w_n for even T and -w_n for odd T, so only n <= T//2 are
-    evaluated. The chirp's transform is planned on every call and shared by
-    the rows; the work is one complex array of rows + 1 rows of N, with
-    every transform in place, and w is written over by the last row's
-    result. Agrees with numpy's rfft to within 1.4e-15 of its largest entry
-    (20 lengths from 32 to 1000003, random normal rows).
+    evaluated, on every call. The chirp's transform, shared by the rows, is
+    kept for the last T whose transform fits in ``_MAX_CHIRP_BYTES``, and a
+    call that fails keeps nothing. The work is one complex array of N per
+    row, every transform in place; the last row's result overwrites w.
+    Agrees with numpy's rfft to within 1.4e-15 of its largest entry (20
+    lengths from 32 to 1000003, random normal rows).
 
     The rule in :func:`_takes_chirp` takes T alone. Its threshold is where
-    one row, the single test of a long series, starts to gain: numpy's rfft
-    shares its plan across a block's rows, where this pays for the chirp's
-    transform on every call (README.md, "Performance notes").
+    one row, the single test of a long series, starts to gain (README.md,
+    "Performance notes").
     """
+    global _CHIRP
     shape, T = x.shape, x.shape[-1]
     x = x.reshape(-1, T)
     rows = x.shape[0]
     K = T // 2 + 1
     L = T - K  # n = K..T-1 is T - n' with n' = L..1
-    N = _fast_length(T + T // 2)
-    work = np.empty((rows + 1, N), dtype=complex)
-    chirp, a = work[0], work[1:]
     out = np.empty((rows, K), dtype=complex)
     w = out[-1]
     n = np.arange(K, dtype=np.int64)
@@ -173,17 +176,12 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     del n
     np.cos(w.imag, out=w.real)
     np.sin(w.imag, out=w.imag)
-    sign = -1.0 if T % 2 else 1.0  # w_{T-n} = sign * w_n
-    # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
-    np.conjugate(w, out=chirp[:K])
-    chirp[K:N - T + 1] = 0.0
-    np.multiply(chirp[1:L + 1], sign, out=chirp[N - T + 1:N - K + 1])
-    chirp[N - K + 1:] = chirp[K - 1:0:-1]
-    # forward norm puts the convolution's 1/N on the chirp's transform
-    np.fft.fft(chirp, out=chirp, norm="forward")
+    kept = _CHIRP.get(T)
+    chirp = _chirp_spectrum(w, T) if kept is None else kept
+    a = np.empty((rows, chirp.size), dtype=complex)
     np.multiply(x[:, :K], w, out=a[:, :K])
     np.multiply(x[:, K:], w[L:0:-1], out=a[:, K:T])
-    if sign < 0:
+    if T % 2:  # w_{T-n} = -w_n
         np.negative(a[:, K:T], out=a[:, K:T])
     a[:, T:] = 0.0
     np.fft.fft(a, axis=-1, out=a)
@@ -191,7 +189,24 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     np.fft.ifft(a, axis=-1, out=a, norm="forward")
     np.multiply(a[:-1, :K], w, out=out[:-1])
     np.multiply(a[-1, :K], w, out=w)
+    if kept is None and chirp.nbytes <= _MAX_CHIRP_BYTES:
+        _CHIRP = {T: chirp}
     return out.reshape(shape[:-1] + (K,))
+
+
+def _chirp_spectrum(w: np.ndarray, T: int) -> np.ndarray:
+    """The transform of the chirp conj(w_j), j = 1-T..T//2 at j mod N, from
+    w_n at n = 0..T//2; read-only, with the convolution's 1/N on it."""
+    K, L, N = w.size, T - w.size, _fast_length(T + T // 2)
+    chirp = np.empty(N, dtype=complex)
+    # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
+    np.conjugate(w, out=chirp[:K])
+    chirp[K:N - T + 1] = 0.0
+    np.multiply(chirp[1:L + 1], -1.0 if T % 2 else 1.0, out=chirp[N - T + 1:N - K + 1])
+    chirp[N - K + 1:] = chirp[K - 1:0:-1]
+    np.fft.fft(chirp, out=chirp, norm="forward")
+    chirp.flags.writeable = False
+    return chirp
 
 
 @functools.lru_cache(maxsize=256)

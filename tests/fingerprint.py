@@ -35,6 +35,10 @@ test_pair       stationarity_test before and after a rejection_rate study of its
                 shape, then segmented_test at T 5003, depth 3, twice
 study_table     rejection_rate at m 1, 5, 10, then lag_scan, of one replication
                 set (two chunks) for models 1/3/6 x T 512/375/257, back to back
+chirp           stationarity_test at chirp-z lengths 16411, 3 * 8209, 16411, 16411,
+                then segmented_test at T 2 * 16411, depth 1 (a block of two rows
+                of 16411) and dft_canonical at 16411; the same at 174763 and
+                2 * 174763, whose depth-0 transform is not kept
 cli             exit code, stdout, stderr and written files of dftstat test (json,
                 csv, text), segment, mc, scan and power on fixed inputs, run in
                 process through cli.main with a temporary output directory
@@ -181,6 +185,22 @@ def study_table_family(ds):
     return out
 
 
+def chirp_family(ds):
+    # lengths with a prime factor above 2**13, in an order that builds, rebuilds
+    # and reuses the kept chirp-z transform, for one row and for two
+    out = {}
+    for T, depth, tests in ((2 * 16411, 1, (16411, 3 * 8209, 16411, 16411)),
+                            (2 * 174763, 1, (174763,))):  # depth 0 over the memo's bound
+        x = ds.generate(ds.model_preset("model3", T),
+                        ds.GeneratorConfig(T=T, rng=ds.RngStream(20)))
+        for n in tests:
+            out[f"{len(out)}_{n}"] = _result_arrays(ds.stationarity_test(x[:n], m=10))
+        report = ds.segmented_test(x, depth=depth)
+        out[f"segmented_{T}"] = np.concatenate([_result_arrays(b.result) for b in report.blocks])
+        out[f"dft_canonical_{T}"] = ds.dft_canonical(x[:T // 2])
+    return out
+
+
 def cli_family(ds):
     main = importlib.import_module("dftstat.cli").main
     out = {}
@@ -261,7 +281,7 @@ def families(ds):
         "errors": errors_family,
         "gauss_stream": gauss_stream_family, "study_pair": study_pair_family,
         "test_pair": test_pair_family, "study_table": study_table_family,
-        "cli": cli_family,
+        "chirp": chirp_family, "cli": cli_family,
     }
 
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import dftstat
-from dftstat.cli import main, read_series, apply_transform, _parse_lag_list, build_parser
+from dftstat import CorrectionSpec
+from dftstat.cli import (main, read_series, apply_transform, _parse_lag_list, _study,
+                         build_parser)
 from dftstat.errors import InputError
 
 
@@ -453,6 +455,28 @@ def test_mc_report_writes_the_bandwidth_the_study_used(given, warned, tmp_path, 
     assert report["config"]["bandwidth"] == used == (256 ** (-1 / 3) if given == "auto" else 0.3)
     assert capsys.readouterr().err.splitlines() == [
         f"warning: bandwidth 0.3 outside the admissible window {w}" for w in warned]
+
+
+@pytest.mark.parametrize("flags", [[], ["--correction", "linear", "--psi", "1,0.8", "--kappa4", "1.2"],
+                                   ["--correction", "user", "--kappa", "0.5,-0.25"]])
+def test_mc_report_rebuilds_the_study_correction(flags, tmp_path, capsys):
+    argv = ["mc", "model1", "--T", "256", "--m", "2", "--N", "5", "--outdir", str(tmp_path),
+            *flags]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "model1_report.json").read_text())["config"]
+    fields = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in config.items() if k in ("psi", "kappa4", "kappa")}
+    assert CorrectionSpec(mode=config["correction"], **fields) == \
+        _study(build_parser().parse_args(argv), (1, 2))[0]["correction"]
+    # the mode as `test` writes it, and a Gaussian study's keys as before
+    series = tmp_path / "series.txt"
+    write_series(series, np.random.default_rng(36).standard_normal(256).tolist())
+    capsys.readouterr()
+    assert main(["test", str(series), "--m", "2", "--format", "json", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["correction"] == config["correction"]
+    if not flags:
+        assert [*config] == ["model", "T", "lags", "level", "N", "seed", "kernel", "bandwidth",
+                             "ridge_factor", "correction", "burn_in"]
 
 
 def test_outdir_env_variable(tmp_path, monkeypatch, capsys):

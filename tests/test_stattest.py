@@ -22,6 +22,7 @@ from dftstat import (
     segmented_test,
     stationarity_test,
 )
+from dftstat import numerics
 from dftstat.numerics import _half_dft_rows, _takes_chirp, _unfold
 from dftstat.spectral import _smoother
 from dftstat.stattest import (
@@ -253,19 +254,80 @@ def test_block_pipeline_peak_memory(rows, T, bound):
     assert peak <= bound * X.nbytes
 
 
-def test_chirp_dft_keeps_nothing_between_calls():
-    # a warm-up at one routed length, then a first call at another: a plan
-    # kept per length would stay allocated after it
-    stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
-    x = pipeline_input(1, 3 * 8209, seed=2)[0]
+def grown_by_a_test(x):
+    """Traced memory a stationarity_test of x leaves allocated, in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         stationarity_test(x, m=10)
-        after = tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert after - before <= 16 * 1024
+
+
+def test_chirp_dft_keeps_one_transform_between_calls(monkeypatch):
+    # a warm-up at one routed length, then a first call at another: only the
+    # chirp's transform of the second length stays allocated after it
+    monkeypatch.setattr(numerics, "_CHIRP", {})
+    stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
+    x = pipeline_input(1, 3 * 8209, seed=2)[0]
+    grown = grown_by_a_test(x)
+    [(T, kept)] = numerics._CHIRP.items()
+    assert T == x.size and not kept.flags.writeable
+    assert grown <= kept.nbytes + 16 * 1024
+    # a transform above the bound is not kept, and the kept one stays
+    monkeypatch.setattr(numerics, "_MAX_CHIRP_BYTES", kept.nbytes - 1)
+    stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
+    assert [*numerics._CHIRP] == [16381]
+    assert grown_by_a_test(x) <= 16 * 1024
+    assert [*numerics._CHIRP] == [16381]
+
+
+def chirp_calls(monkeypatch):
+    """The lengths whose chirp transform is built from here on, the memo emptied."""
+    monkeypatch.setattr(numerics, "_CHIRP", {})
+    calls = []
+    build = numerics._chirp_spectrum
+    monkeypatch.setattr(numerics, "_chirp_spectrum",
+                        lambda w, T: calls.append(T) or build(w, T))
+    return calls
+
+
+def result_bytes(res):
+    return np.concatenate([[res.statistic, res.p_value], np.array(res.covariances).view(float),
+                           res.contributions]).tobytes()
+
+
+def segmented_bytes(x):
+    return [result_bytes(b.result) for b in segmented_test(x, 1).blocks]
+
+
+def test_a_kept_chirp_gives_the_bits_of_a_fresh_one(monkeypatch):
+    calls = chirp_calls(monkeypatch)
+    x = pipeline_input(1, 2 * 16411, seed=3)[0]
+    for run in (lambda: result_bytes(stationarity_test(x[:16411], m=10)),
+                lambda: dft_canonical(x[:16411]).tobytes()):
+        miss = run()
+        assert calls == [16411]
+        assert run() == miss  # a hit
+        assert calls == [16411]
+        monkeypatch.setattr(numerics, "_CHIRP", {})
+        calls.clear()
+    # depth 1's block of two rows of 16411 builds, then reuses, its transform
+    # while depth 0's (2 * 16411) is over the bound and never kept
+    monkeypatch.setattr(numerics, "_MAX_CHIRP_BYTES", 2 ** 19)
+    miss = segmented_bytes(x)
+    assert calls == [2 * 16411, 16411] and [*numerics._CHIRP] == [16411]
+    assert segmented_bytes(x) == miss
+    assert calls == [2 * 16411, 16411, 2 * 16411]
+
+
+def test_chirp_lengths_in_turn_rebuild_and_keep_the_bits(monkeypatch):
+    calls = chirp_calls(monkeypatch)
+    a, b = pipeline_input(1, 16411, seed=4)[0], pipeline_input(1, 3 * 8209, seed=5)[0]
+    runs = [result_bytes(stationarity_test(x, m=10)) for x in (a, b, a, b, b)]
+    assert calls == [16411, 3 * 8209, 16411, 3 * 8209]  # the last one a hit
+    assert runs[0] == runs[2] and runs[1] == runs[3] == runs[4]
 
 
 def test_covariance_lag_validation():
