@@ -15,7 +15,6 @@ from .numerics import (
     chisq_quantile,
     chisq_sf,
     dft_canonical,
-    gauss_stream,
 )
 from .spectral import KernelSpec
 from .stattest import (
@@ -67,7 +66,6 @@ __all__ = [
     "chisq_quantile",
     "chisq_sf",
     "dft_canonical",
-    "gauss_stream",
     "generate",
     "lag_scan",
     "local_spectrum",

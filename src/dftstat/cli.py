@@ -233,15 +233,6 @@ def _result_payload(res: TestResult) -> dict:
     }
 
 
-def _print_test_text(res: TestResult, out):
-    print(f"T = {res.T}   lags = {','.join(str(r) for r in res.lags)}", file=out)
-    print(f"statistic = {res.statistic:.6g}   dof = {res.dof}   "
-          f"p-value = {res.p_value:.6g}", file=out)
-    for level in sorted(res.reject_at):
-        verdict = "reject" if res.reject_at[level] else "do not reject"
-        print(f"  at level {level:g}: {verdict} stationarity", file=out)
-
-
 def _write_text(path_or_none, text: str):
     if path_or_none is None:
         sys.stdout.write(text)
@@ -294,7 +285,11 @@ def _cmd_test(args) -> int:
                *(int(res.reject_at[level]) for level in levels)]
         _write_text(args.output, _csv(header, [row]))
     else:
-        _print_test_text(res, sys.stdout)
+        print(f"T = {res.T}   lags = {','.join(str(r) for r in res.lags)}")
+        print(f"statistic = {res.statistic:.6g}   dof = {res.dof}   p-value = {res.p_value:.6g}")
+        for level in sorted(res.reject_at):
+            verdict = "reject" if res.reject_at[level] else "do not reject"
+            print(f"  at level {level:g}: {verdict} stationarity")
     return EXIT_OK
 
 

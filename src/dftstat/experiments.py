@@ -22,8 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ComputationError, InputError, StationarityTestError
-from .numerics import RngStream, _checked_int, _gauss_rows, chisq_quantile
+from .errors import ComputationError, InputError, StationarityTestError, _as_tuple, _checked_int
+from .numerics import RngStream, _gauss_rows, _Memo, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
     _DEFAULT_M,
@@ -81,8 +81,7 @@ class McReport:
 
 
 _CHUNK_ELEMENTS = 2 ** 16  # innovations per chunk: 0.5 MiB per float array
-_SPECTRA: dict = {}  # of the last study within the bound; replaced whole, so threads need no lock
-_MAX_SPECTRA_BYTES = 2 ** 22  # 4 MiB holds the paper's N = 1000 at T = 512 (4.11 MB)
+_SPECTRA = _Memo(1, 2 ** 22)  # 4 MiB holds the paper's N = 1000 at T = 512 (4.11 MB)
 
 
 def _replications(config: McConfig):
@@ -97,7 +96,6 @@ def _replications(config: McConfig):
     A study of the replications kept in ``_SPECTRA`` (the chunks' ``_block_source``
     arrays, keyed by all that fixes them) only reads its own lags from them.
     """
-    global _SPECTRA
     model, T, burn_in = config.model, config.T, config.burn_in
     try:
         gen = GeneratorConfig(T=T, burn_in=burn_in)
@@ -109,13 +107,10 @@ def _replications(config: McConfig):
         raise
     n = innovation_count(model, gen)
     rows = max(1, _CHUNK_ELEMENTS // n)
-    try:
-        key = (model, T, burn_in, config.master_seed, config.replications, rows,
-               config.kernel, config.ridge_factor)
-        kept = _SPECTRA.get(key)
-    except TypeError:  # an unhashable field
-        key = kept = None
-    fresh, size = [], 0 if kept is None and key is not None else math.inf  # inf: keep nothing
+    key = (model, T, burn_in, config.master_seed, config.replications, rows,
+           config.kernel, config.ridge_factor)
+    kept = _SPECTRA.get(key)
+    fresh, size = [], 0
     for i, start in enumerate(range(0, config.replications, rows)):
         name = lambda row: f"replication {start + row} (stream {start + row}): "  # noqa: E731
         if kept is None:
@@ -125,12 +120,11 @@ def _replications(config: McConfig):
             if bad is not None:
                 raise InputError(name(bad[0]) + bad[1])
             S = _block_source(X, plan, exponents)
-            S.flags.writeable = False
             size += S.nbytes
-            fresh = fresh + [S] if size <= _MAX_SPECTRA_BYTES else []  # outgrown: drop all
+            fresh = fresh + [S] if size <= _SPECTRA.max_bytes else []  # outgrown: drop all
         yield _block_terms(S if kept is None else kept[i], plan, name)[1]
-    if size <= _MAX_SPECTRA_BYTES:
-        _SPECTRA = {key: tuple(fresh)}
+    if fresh:  # empty when the study was kept already or outgrew the bound
+        _SPECTRA.put(key, tuple(fresh), fresh)
 
 
 def rejection_rate(config: McConfig) -> McReport:
@@ -294,7 +288,7 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     evaluation, reduced to its row before the next, so memory stays at about
     one grid for any number of lags.
     """
-    lags = tuple(_checked_int(r, "lag") for r in lags)
+    lags = tuple(_checked_int(r, "lag") for r in _as_tuple(lags, "lags"))
     if not lags:
         raise InputError("at least one lag is required")
     u_points = _checked_int(u_points, "u_points")

@@ -25,21 +25,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, _checked_int, _within
 
 _PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state, its key)
 
 
-def _checked_int(value, name: str, positive: bool = False) -> int:
-    """``value`` as an int if it is integral (an integral float too) and, when
-    ``positive``, at least 1; else InputError naming it: nothing is truncated."""
-    try:
-        if int(value) == value and (value >= 1 or not positive):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # NaN, inf, None, ...
-        pass
-    kind = "a positive integer" if positive else "an integer"
-    raise InputError(f"{name} must be {kind}, got {value!r}")
+class _Memo:
+    """Values kept between calls. ``put`` keeps a value only if its key hashes, is
+    not kept yet and its ``arrays`` total at most ``max_bytes``: it makes them
+    read-only, drops the oldest values past ``entries`` and replaces ``kept``
+    whole, so threads need no lock. ``get`` is None on a miss or an unhashable key."""
+
+    def __init__(self, entries: int, max_bytes: int):
+        self.entries, self.max_bytes, self.kept = entries, max_bytes, {}
+
+    def get(self, key):
+        try:
+            return self.kept.get(key)
+        except TypeError:  # an unhashable key
+            return None
+
+    def put(self, key, value, arrays) -> None:
+        kept = self.kept
+        try:
+            if key in kept or sum(a.nbytes for a in arrays) > self.max_bytes:
+                return
+        except TypeError:  # an unhashable key
+            return
+        for a in arrays:
+            a.flags.writeable = False
+        items = [*kept.items()]
+        self.kept = dict(items[max(0, len(items) + 1 - self.entries):] + [(key, value)])
 
 
 def dft_canonical(series) -> np.ndarray:
@@ -137,8 +153,7 @@ def _takes_chirp(T: int) -> bool:
     return T > _CHIRP_MIN_PRIME
 
 
-_CHIRP: dict = {}  # T: its chirp's transform, the last within the bound; replaced whole, so no lock
-_MAX_CHIRP_BYTES = 2 ** 23  # 8 MiB holds T up to about 349 000 (6.3 MB at 262139)
+_CHIRP = _Memo(1, 2 ** 23)  # T: its chirp's transform; 8 MiB holds T up to about 349 000
 
 
 def _chirp_rfft(x: np.ndarray) -> np.ndarray:
@@ -151,17 +166,16 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     wrap-around misses k = 0..T//2. w_n is taken from n**2 mod 2T, and
     w_{T-n} = w_n for even T and -w_n for odd T, so only n <= T//2 are
     evaluated, on every call. The chirp's transform, shared by the rows, is
-    kept for the last T whose transform fits in ``_MAX_CHIRP_BYTES``, and a
-    call that fails keeps nothing. The work is one complex array of N per
-    row, every transform in place; the last row's result overwrites w.
-    Agrees with numpy's rfft to within 1.4e-15 of its largest entry (20
-    lengths from 32 to 1000003, random normal rows).
+    kept in ``_CHIRP`` (6.3 MB at T = 262139), and a call that fails keeps
+    nothing. The work is one complex array of N per row, every transform in
+    place; the last row's result overwrites w. Agrees with numpy's rfft to
+    within 1.4e-15 of its largest entry (20 lengths from 32 to 1000003,
+    random normal rows).
 
     The rule in :func:`_takes_chirp` takes T alone. Its threshold is where
     one row, the single test of a long series, starts to gain (README.md,
     "Performance notes").
     """
-    global _CHIRP
     shape, T = x.shape, x.shape[-1]
     x = x.reshape(-1, T)
     rows = x.shape[0]
@@ -189,14 +203,13 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     np.fft.ifft(a, axis=-1, out=a, norm="forward")
     np.multiply(a[:-1, :K], w, out=out[:-1])
     np.multiply(a[-1, :K], w, out=w)
-    if kept is None and chirp.nbytes <= _MAX_CHIRP_BYTES:
-        _CHIRP = {T: chirp}
+    _CHIRP.put(T, chirp, [chirp])
     return out.reshape(shape[:-1] + (K,))
 
 
 def _chirp_spectrum(w: np.ndarray, T: int) -> np.ndarray:
     """The transform of the chirp conj(w_j), j = 1-T..T//2 at j mod N, from
-    w_n at n = 0..T//2; read-only, with the convolution's 1/N on it."""
+    w_n at n = 0..T//2, with the convolution's 1/N on it."""
     K, L, N = w.size, T - w.size, _fast_length(T + T // 2)
     chirp = np.empty(N, dtype=complex)
     # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
@@ -205,17 +218,14 @@ def _chirp_spectrum(w: np.ndarray, T: int) -> np.ndarray:
     np.multiply(chirp[1:L + 1], -1.0 if T % 2 else 1.0, out=chirp[N - T + 1:N - K + 1])
     chirp[N - K + 1:] = chirp[K - 1:0:-1]
     np.fft.fft(chirp, out=chirp, norm="forward")
-    chirp.flags.writeable = False
     return chirp
 
 
-@functools.lru_cache(maxsize=256)
 def _fast_length(m: int) -> int:
     """Smallest n = 2**a * 3**b * 5**c with n >= m (m >= 1).
 
     numpy's FFT factors a length into small radices, so these lengths
-    transform fast; for m >= 8 the result is below 1.16 * m. Memoized: a
-    test plan asks for the same few lengths on every call.
+    transform fast; for m >= 8 the result is below 1.16 * m.
     """
     best = 1 << (m - 1).bit_length()
     p5 = 1
@@ -311,7 +321,7 @@ def chisq_sf(x: float, dof: int) -> float:
     no scipy. Absolute error below 1e-10 over the whole domain. Raises on
     negative ``x`` or nonpositive ``dof``.
     """
-    if not math.isfinite(x) or x < 0.0:
+    if not _within(x, 0.0, math.inf, closed=True):
         raise InputError(f"chisq_sf requires x >= 0, got {x}")
     if int(dof) != dof or dof < 1:
         raise InputError(f"chisq_sf requires an integer dof >= 1, got {dof}")
@@ -334,7 +344,7 @@ def chisq_quantile(p: float, dof: int) -> float:
     scale, so more than one float can meet that condition. For p <= 2**-54,
     where 1 - p rounds to 1, x is instead Newton's root of P(dof/2, x/2) = p.
     """
-    if not (0.0 <= p < 1.0):
+    if not _within(p, 0.0, 1.0, closed=True):
         raise InputError(f"chisq_quantile requires p in [0, 1), got {p}")
     if int(dof) != dof or dof < 1:
         raise InputError(f"chisq_quantile requires an integer dof >= 1, got {dof}")
@@ -426,17 +436,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = (int(self.stream_id) << 64) | int(self.master_seed)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def gauss_stream(rng: RngStream, n: int) -> np.ndarray:
-    """n standard normal draws from the start of the given stream.
-
-    Pure in (rng, n): calling twice returns the same vector.
-    """
-    n = _checked_int(n, "draw count")
-    if n < 1:
-        raise InputError(f"draw count must be >= 1, got {n}")
-    return _gauss_rows(rng.master_seed, rng.stream_id, rng.stream_id + 1, n)[0]
 
 
 def _gauss_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:

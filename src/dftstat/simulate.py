@@ -17,8 +17,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError
-from .numerics import RngStream, _checked_int, gauss_stream
+from .errors import InputError, _checked_int
+from .numerics import RngStream, _gauss_rows
 from .stattest import MIN_SERIES_LENGTH
 
 _SIGMA_PROBE = np.linspace(0.0, 1.0, 1025)  # where ModulatedNoiseSpec checks sigma
@@ -175,8 +175,9 @@ def generate(spec: ModelSpec, config: GeneratorConfig) -> np.ndarray:
         on the model, so model variants driven by one stream share their noise.
     """
     spec.validate()
-    eps = gauss_stream(config.rng, innovation_count(spec, config))
-    return _filter_rows(spec, eps[None, :], config.T, config.burn_in)[0]
+    eps = _gauss_rows(config.rng.master_seed, config.rng.stream_id, config.rng.stream_id + 1,
+                      innovation_count(spec, config))
+    return _filter_rows(spec, eps, config.T, config.burn_in)[0]
 
 
 def _filter_rows(spec: ModelSpec, eps: np.ndarray, T: int, burn: int) -> np.ndarray:
@@ -298,20 +299,17 @@ def local_spectrum(spec: ModelSpec) -> Callable[[np.ndarray, np.ndarray], np.nda
 
     if isinstance(spec, TvInnovationArSpec):
         s = _arma_spectrum_fn(spec.ar, ())
-        sig = spec.sigma
 
         def f(u, omega):
             u = np.asarray(u, dtype=float)
-            return np.asarray(sig(u), dtype=float) ** 2 * s(omega)
+            return np.asarray(spec.sigma(u), dtype=float) ** 2 * s(omega)
 
         return f
 
     if isinstance(spec, ModulatedNoiseSpec):
-        sig = spec.sigma
-
         def f(u, omega):
             u = np.asarray(u, dtype=float)
-            scale = np.asarray(sig(u), dtype=float) ** 2 / math.tau
+            scale = np.asarray(spec.sigma(u), dtype=float) ** 2 / math.tau
             return np.broadcast_to(scale, np.broadcast_shapes(scale.shape, np.shape(omega)))
 
         return f

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthWarning, InputError
+from .errors import BandwidthWarning, InputError, _within
 from .numerics import _fast_length
 
 _KERNEL_KINDS = ("daniell", "bartlett")
@@ -65,10 +65,8 @@ class KernelSpec:
             raise InputError(
                 f"unknown kernel kind {self.kind!r}; expected one of {_KERNEL_KINDS}"
             )
-        if self.bandwidth is not None and not (0.0 < self.bandwidth < 0.5):
-            raise InputError(
-                f"bandwidth must lie in (0, 1/2), got {self.bandwidth}"
-            )
+        if self.bandwidth is not None and not _within(self.bandwidth, 0.0, 0.5):
+            raise InputError(f"bandwidth must lie in (0, 1/2), got {self.bandwidth}")
 
     def resolve_bandwidth(self, T: int) -> float:
         """Concrete bandwidth for a length-T series, warning when it falls
@@ -113,7 +111,7 @@ def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     them. n is the 5-smooth length of the padded half, m = T//2 + 1 + 2H,
     fast even for prime m and within 16% of it (a power of two may be 2m).
     """
-    if not 0.0 <= ridge_factor < math.inf:
+    if not _within(ridge_factor, 0.0, math.inf, closed=True):
         raise InputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
     kern = kernel if kernel is not None else KernelSpec()
     b = kern.resolve_bandwidth(T)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, InputError
-from .numerics import _checked_int, _fast_length, _half_dft_rows, _rfft_at, chisq_sf
+from .errors import ComputationError, InputError, _as_tuple, _checked_int, _within
+from .numerics import _fast_length, _half_dft_rows, _Memo, _rfft_at, chisq_sf
 from .spectral import KernelSpec, _smooth_half, _smoother
 
 _MAX_FLOAT = float(np.finfo(float).max)
@@ -58,7 +58,7 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
     checked in one pass of C-level calls; any other list goes lag by lag,
     and a bad one raises InputError for its first bad lag.
     """
-    lags = tuple(lags)
+    lags = _as_tuple(lags, "lags")
     try:
         out = tuple(map(operator.index, lags))
     except TypeError:  # a float, a fraction, None, ...
@@ -80,7 +80,7 @@ def validate_lags(lags, T: int) -> tuple[int, ...]:
 
 def _checked_level(level) -> float:
     """A significance level, which must lie in (0, 1)."""
-    if not (0.0 < level < 1.0):
+    if not _within(level, 0.0, 1.0):
         raise InputError(f"level must be in (0, 1), got {level}")
     return float(level)
 
@@ -321,21 +321,18 @@ class _TestPlan:
     transform: bool
 
 
-_PLANS: dict = {}  # plans by test shape, oldest first; replaced whole, so threads need no lock
-_MAX_PLANS, _MAX_PLAN_BYTES = 8, 2 ** 16  # 64 KiB holds a plan up to T of about 14 000
+_PLANS = _Memo(8, 2 ** 16)  # plans by test shape; 64 KiB holds a plan up to T of about 14 000
 
 
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
-    """The plan of a test's shape, memoized and read-only for the last ``_MAX_PLANS``
-    shapes of at most ``_MAX_PLAN_BYTES``, m keyed apart from the lags and only when
-    they are None. Each call resolves the bandwidth, so each test warns."""
-    global _PLANS
+    """The plan of a test's shape, kept in ``_PLANS``, m keyed apart from the lags
+    and only when they are None. Each call resolves the bandwidth, so each test warns."""
     try:
         lags = lags if lags is None else tuple(lags)
-        key = (T, lags, m if lags is None else None, kernel, correction, ridge_factor, demean)
-        plan = _PLANS.get(key)
-    except TypeError:  # lags that are not iterable, or an unhashable field
-        plan = key = None
+    except TypeError:  # not iterable: validate_lags reports it
+        pass
+    key = (T, lags, m if lags is None else None, kernel, correction, ridge_factor, demean)
+    plan = _PLANS.get(key)
     if plan is not None:
         (kernel or KernelSpec()).resolve_bandwidth(T)
         return plan
@@ -345,9 +342,7 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     plan = _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum, corrections=corr,
                      ridge_factor=ridge_factor, demean=demean, transform=_fast_length(T) == T)
-    if key is not None and spectrum.nbytes + corr.nbytes <= _MAX_PLAN_BYTES:
-        spectrum.flags.writeable = corr.flags.writeable = False
-        _PLANS = dict([*_PLANS.items()][1 - _MAX_PLANS:] + [(key, plan)])
+    _PLANS.put(key, plan, (spectrum, corr))
     return plan
 
 
@@ -456,7 +451,7 @@ def _test_rows(X, lags, m, kernel, correction, ridge_factor, demean, levels,
                name=lambda row: "") -> list[TestResult]:
     """``stationarity_test`` of every row of X; the rows share one plan. The
     error of a row that cannot be tested starts with ``name(row)``."""
-    levels = tuple(_checked_level(a) for a in levels)
+    levels = tuple(_checked_level(a) for a in _as_tuple(levels, "levels"))
     if X.shape[-1] < MIN_SERIES_LENGTH:
         raise InputError(
             f"series too short for the test: T={X.shape[-1]} < {MIN_SERIES_LENGTH}"
@@ -561,14 +556,6 @@ class SegmentReport:
         return tuple(b for b in self.blocks if b.depth == d)
 
 
-def _block_bounds(T: int, depth: int) -> list[tuple[int, int]]:
-    n = 2 ** depth
-    base = T // n
-    bounds = [(i * base, (i + 1) * base) for i in range(n - 1)]
-    bounds.append(((n - 1) * base, T))  # remainder goes to the last block
-    return bounds
-
-
 def segmented_test(series, depth: int, lags=None, m: int = _DEFAULT_M,
                    kernel: KernelSpec | None = None,
                    correction: CorrectionSpec | None = None,
@@ -599,9 +586,9 @@ def segmented_test(series, depth: int, lags=None, m: int = _DEFAULT_M,
         )
     blocks = []
     for d in range(depth + 1):
-        bounds = _block_bounds(T, d)
-        base = bounds[0][1] - bounds[0][0]
-        equal = len(bounds) if T % len(bounds) == 0 else len(bounds) - 1
+        n, base = 2 ** d, T >> d  # n blocks; the remainder joins the last one
+        bounds = [(i * base, (i + 1) * base) for i in range(n - 1)] + [((n - 1) * base, T)]
+        equal = n if T % n == 0 else n - 1
         names = [f"depth {d} block {i} [{a}, {b}): " for i, (a, b) in enumerate(bounds)]
         results = _test_rows(x[: equal * base].reshape(equal, base), lags, m, kernel,
                              correction, ridge_factor, demean, levels, names.__getitem__)

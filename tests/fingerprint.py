@@ -28,7 +28,8 @@ power_profile   B of six presets x T None/500/512 at 14 lags
 threshold       McReport.threshold at dof 2 and 20 over nine levels
 quantile        chisq_quantile at dof 1/2/3/20/61/240 for p above 2**-54
 quantile_tiny   the same for p at or below 2**-54
-gauss_stream    1012 draws at seeds 0, 2**63, 2**64 - 1 x streams 0, 1, 2**63 + 5
+gauss_stream    1012 draws at seeds 0, 2**63, 2**64 - 1 x streams 0, 1, 2**63 + 5,
+                as generate of white noise with no burn-in
 study_pair      three rejection_rate studies of one shape, back to back
 errors          the class and message of the error each of ten bad calls raises
 test_pair       stationarity_test before and after a rejection_rate study of its
@@ -135,7 +136,9 @@ def threshold_family(ds):
 
 
 def gauss_stream_family(ds):
-    return {f"{seed}_{stream}": ds.gauss_stream(ds.RngStream(seed, stream), 1012)
+    # white noise with no burn-in is the stream's draws as they come
+    return {f"{seed}_{stream}": ds.generate(ds.ArmaSpec(), ds.GeneratorConfig(
+                T=1012, burn_in=0, rng=ds.RngStream(seed, stream)))
             for seed in (0, 2 ** 63, 2 ** 64 - 1) for stream in (0, 1, 2 ** 63 + 5)}
 
 

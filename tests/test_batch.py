@@ -31,7 +31,6 @@ from dftstat import (
     RngStream,
     TvInnovationArSpec,
     chisq_quantile,
-    gauss_stream,
     generate,
     lag_scan,
     model_preset,
@@ -91,7 +90,8 @@ def test_gauss_rows_are_the_streams():
     for seed in (0, 71, 2 ** 64 - 1):
         block = _gauss_rows(seed, 5, 12, 300)
         for row in range(7):
-            assert np.array_equal(block[row], gauss_stream(RngStream(seed, 5 + row), 300))
+            want = RngStream(seed, 5 + row).generator().standard_normal(300)
+            assert np.array_equal(block[row], want)
 
 
 def test_gauss_rows_are_the_reference_generators_at_extreme_keys():
@@ -132,7 +132,7 @@ def test_concurrent_threads_draw_their_own_streams():
 def test_concurrent_studies_share_the_plan_memo(monkeypatch):
     # more shapes than the memo keeps, in more threads than cores: studies
     # insert and evict plans while others read them, and keep their statistics
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     spec = model_preset("model6")
     configs = [McConfig(model=spec, T=T, replications=2, master_seed=T)
                for T in range(64, 76)] * 3
@@ -146,8 +146,8 @@ def test_concurrent_studies_share_the_plan_memo(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(expected, got))
-    plans = stattest._PLANS.values()
-    assert len(plans) <= stattest._MAX_PLANS
+    plans = stattest._PLANS.kept.values()
+    assert len(plans) <= stattest._PLANS.entries
     assert not any(plan.weight_spectrum.flags.writeable for plan in plans)
 
 
@@ -182,16 +182,16 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
     cfg = McConfig(model=spec, T=128, lags=(1, 3), replications=30, master_seed=73)
     scan = lambda: lag_scan(spec, 128, range(1, 30), replications=30,  # noqa: E731
                             master_seed=73)
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     whole = rejection_rate(cfg).statistics
-    monkeypatch.setattr(experiments, "_SPECTRA", {})  # each study draws its own
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # each study draws its own
     scan_whole = scan()
     # seven replications per chunk, so the 30 split 7+7+7+7+2
     monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS",
                         7 * innovation_count(spec, GeneratorConfig(T=128)))
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     assert np.array_equal(rejection_rate(cfg).statistics, whole)
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     assert np.array_equal(scan(), scan_whole)
     # a study of the same chunks reads the last one's kept replications
     assert np.array_equal(rejection_rate(cfg).statistics, whole)
@@ -248,7 +248,7 @@ def counting(monkeypatch, owner, attr):
 
 
 def test_study_work_is_hoisted_out_of_replications(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})  # no plan of this shape yet
+    monkeypatch.setattr(stattest._PLANS, "kept", {})  # no plan of this shape yet
     validate = counting(monkeypatch, ArmaSpec, "validate")
     corrections = counting(monkeypatch, stattest, "_correction_denominators")
     # patch the names the library looks up, which it binds at import
@@ -265,17 +265,17 @@ def test_study_work_is_hoisted_out_of_replications(monkeypatch):
 
 
 def test_a_memoized_plan_is_read_only(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     rejection_rate(McConfig(model=model_preset("model1", 128), T=128, replications=2,
                             correction=CorrectionSpec.linear([1.0, 0.5], 1.0)))
-    (plan,) = stattest._PLANS.values()
+    (plan,) = stattest._PLANS.kept.values()
     for shared in (plan.weight_spectrum, plan.corrections):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
 
 def test_every_study_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     model, wide = model_preset("model1", 256), KernelSpec("daniell", 0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -286,7 +286,7 @@ def test_every_study_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
 
 
 def test_studies_that_differ_in_kernel_ridge_or_correction_build_their_own_plans(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     built = counting(monkeypatch, stattest, "_smoother")  # plan builds, not _plan calls
     spec, lags = model_preset("model3", 128), (1, 2, 3)
     variants = [{}, {"kernel": KernelSpec("bartlett")}, {"ridge_factor": 0.05},
@@ -302,21 +302,21 @@ def test_studies_that_differ_in_kernel_ridge_or_correction_build_their_own_plans
 
 
 def test_the_plan_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     spec = model_preset("model6")
     for T in range(64, 74):
         rejection_rate(McConfig(model=spec, T=T, replications=1))
-    assert sorted(key[0] for key in stattest._PLANS) == list(range(66, 74))  # oldest out
+    assert sorted(key[0] for key in stattest._PLANS.kept) == list(range(66, 74))  # oldest out
     rejection_rate(McConfig(model=spec, T=2 ** 15, replications=1))  # a plan of 137 KiB
-    assert 2 ** 15 not in [key[0] for key in stattest._PLANS]
-    assert len(stattest._PLANS) == stattest._MAX_PLANS
+    assert 2 ** 15 not in [key[0] for key in stattest._PLANS.kept]
+    assert len(stattest._PLANS.kept) == stattest._PLANS.entries
     assert all(plan.weight_spectrum.nbytes + plan.corrections.nbytes <= 2 ** 16
-               for plan in stattest._PLANS.values())
+               for plan in stattest._PLANS.kept.values())
 
 
 @pytest.mark.parametrize("study_first", [True, False])
 def test_a_single_test_shares_the_plan_of_a_study_of_its_shape(study_first, monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     built = counting(monkeypatch, stattest, "_smoother")
     spec = model_preset("model3", 200)
     shape = dict(lags=(1, 4), kernel=KernelSpec("bartlett"),
@@ -334,7 +334,7 @@ def test_a_single_test_shares_the_plan_of_a_study_of_its_shape(study_first, monk
 def test_a_second_segmented_test_builds_only_the_plans_above_the_bound(T, rebuilt, monkeypatch):
     # 5003 at depth 3 has seven block lengths, each with a small plan; at 2**15
     # the depths of 32768 and 16384 points have plans above 64 KiB
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     x = np.random.default_rng(81).standard_normal(T)
     first = segmented_test(x, depth=3)
     built = counting(monkeypatch, stattest, "_smoother")
@@ -344,7 +344,7 @@ def test_a_second_segmented_test_builds_only_the_plans_above_the_bound(T, rebuil
 
 
 def test_every_single_test_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     x, wide = np.random.default_rng(82).standard_normal(512), KernelSpec("daniell", 0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -357,18 +357,18 @@ def test_every_single_test_of_a_memoized_shape_warns_of_its_bandwidth(monkeypatc
 
 
 def test_lags_given_as_any_iterable_share_one_plan(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     built = counting(monkeypatch, stattest, "_smoother")
     x = np.random.default_rng(83).standard_normal(300)
     # an iterator first: the one that builds the plan must not be read up by its key
     forms = [iter([1, 3, 5]), [1, 3, 5], (1, 3, 5), range(1, 6, 2), np.array([1, 3, 5])]
     results = [stationarity_test(x, lags=lags) for lags in forms]
     assert all(res == results[0] for res in results) and results[0].lags == (1, 3, 5)
-    assert len(built) == len(stattest._PLANS) == 1
+    assert len(built) == len(stattest._PLANS.kept) == 1
 
 
 def test_m_and_lags_are_keyed_apart(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     x = np.random.default_rng(84).standard_normal(256)
     assert stationarity_test(x, lags=(1, 2)).lags == (1, 2)
     with pytest.raises(InputError, match=re.escape("m must be an integer, got (1, 2)")):
@@ -404,9 +404,9 @@ def test_a_study_of_kept_replications_equals_a_fresh_one(T, monkeypatch):
                       master_seed=85)  # two chunks
     fresh = []
     for study in studies_of(config):
-        monkeypatch.setattr(experiments, "_SPECTRA", {})  # nothing kept: computed afresh
+        monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # nothing kept: computed afresh
         fresh.append(study())
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     first = rejection_rate(config)  # keeps both chunks
     drawn = counting(monkeypatch, experiments, "_gauss_rows")
     report, scan = (study() for study in studies_of(config))
@@ -416,11 +416,11 @@ def test_a_study_of_kept_replications_equals_a_fresh_one(T, monkeypatch):
                                                          fresh[0].threshold)
     assert np.array_equal(scan, fresh[1])
     assert np.array_equal(rejection_rate(config).statistics, first.statistics)
-    assert len(experiments._SPECTRA) == 1 and drawn == []
+    assert len(experiments._SPECTRA.kept) == 1 and drawn == []
 
 
 def test_a_change_to_any_key_field_draws_the_replications_again(monkeypatch):
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     drawn = counting(monkeypatch, experiments, "_gauss_rows")
     base = McConfig(model=model_preset("model1", 128), T=128, replications=9, master_seed=86)
     # each variant keeps the chunk rows (innovations per replication within
@@ -449,7 +449,7 @@ def test_a_change_to_any_key_field_draws_the_replications_again(monkeypatch):
     (np.nan, InputError, "series contains non-finite values"),
 ], ids=["zero spectrum", "non-finite value"])
 def test_a_study_that_raises_keeps_nothing(row, error, reason, monkeypatch):
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     spec = model_preset("model1", 128)
     rows = chunk_rows(spec, 128)
     original, calls = experiments._filter_rows, []
@@ -468,26 +468,26 @@ def test_a_study_that_raises_keeps_nothing(row, error, reason, monkeypatch):
     for _ in range(2):  # the same study again raises the same error
         with pytest.raises(error, match=match):
             rejection_rate(config)
-        assert experiments._SPECTRA == {}
+        assert experiments._SPECTRA.kept == {}
     assert len(calls) == 4  # both studies drew both chunks
 
 
 def test_kept_arrays_are_read_only_and_within_the_bound(monkeypatch):
     # the paper's N = 1000 at T = 512 keeps 4.11 MB of 4 MiB: 16 bytes at 257
     # frequencies a replication, and 1020 replications fit where 1021 do not
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     config = McConfig(model=model_preset("model1", 512), T=512, replications=1000,
                       master_seed=88)
     for n, kept in ((1000, True), (1020, True), (1021, False)):
-        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        monkeypatch.setattr(experiments._SPECTRA, "kept", {})
         rejection_rate(replace(config, replications=n))
-        assert bool(experiments._SPECTRA) == kept
-        for arrays in experiments._SPECTRA.values():
+        assert bool(experiments._SPECTRA.kept) == kept
+        for arrays in experiments._SPECTRA.kept.values():
             assert sum(S.nbytes for S in arrays) == n * 257 * 16
             for S in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     S[0, 0] = 0.0
-    assert 1020 * 257 * 16 <= experiments._MAX_SPECTRA_BYTES < 1021 * 257 * 16
+    assert 1020 * 257 * 16 <= experiments._SPECTRA.max_bytes < 1021 * 257 * 16
 
 
 def test_concurrent_studies_share_kept_replications(monkeypatch):
@@ -499,7 +499,7 @@ def test_concurrent_studies_share_kept_replications(monkeypatch):
                for seed in (89, 90) for m in (1, 5, 10)] * 3
     expected = []
     for config in configs:
-        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        monkeypatch.setattr(experiments._SPECTRA, "kept", {})
         expected.append(rejection_rate(config).statistics)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,13 +510,13 @@ def test_concurrent_studies_share_kept_replications(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(expected, got))
-    assert len(experiments._SPECTRA) == 1
-    assert not any(S.flags.writeable for arrays in experiments._SPECTRA.values()
+    assert len(experiments._SPECTRA.kept) == 1
+    assert not any(S.flags.writeable for arrays in experiments._SPECTRA.kept.values()
                    for S in arrays)
 
 
 def test_a_study_of_kept_replications_warns_of_its_bandwidth(monkeypatch):
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     wide = KernelSpec("daniell", 0.3)
     config = McConfig(model=model_preset("model1", 256), T=256, replications=3,
                       master_seed=92, kernel=wide)
@@ -544,9 +544,9 @@ def test_model4_studies_reuse_kept_replications(monkeypatch):
              for m in (1, 10)]
     fresh = []
     for study in table:
-        monkeypatch.setattr(experiments, "_SPECTRA", {})
+        monkeypatch.setattr(experiments._SPECTRA, "kept", {})
         fresh.append(rejection_rate(study).statistics)
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     drawn = counting(monkeypatch, experiments, "_gauss_rows")
     got = [rejection_rate(study).statistics for study in table]
     assert len(drawn) == 2  # the m = 1 study's two chunks, and nothing for m = 10
@@ -555,31 +555,31 @@ def test_model4_studies_reuse_kept_replications(monkeypatch):
 
 # a field given as a list is unhashable: the memos are skipped, not consulted
 def test_a_test_of_an_unhashable_correction_equals_its_tuple_twin(monkeypatch):
-    monkeypatch.setattr(stattest, "_PLANS", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     x = generate(model_preset("model1", 256), GeneratorConfig(T=256, rng=RngStream(94)))
     twin = stationarity_test(x, lags=(1, 3), correction=CorrectionSpec.user([0.4, -0.2]))
-    plans, spectra = stattest._PLANS, experiments._SPECTRA
+    plans, spectra = stattest._PLANS.kept, experiments._SPECTRA.kept
     listed = CorrectionSpec(mode="user", kappa=[0.4, -0.2])
     with pytest.raises(TypeError):
         hash(listed)
     built = counting(monkeypatch, stattest, "_smoother")
     assert stationarity_test(x, lags=(1, 3), correction=listed) == twin
     assert len(built) == 1  # built anew, and not kept
-    assert stattest._PLANS is plans and experiments._SPECTRA is spectra
+    assert stattest._PLANS.kept is plans and experiments._SPECTRA.kept is spectra
 
 
 def test_a_study_of_an_unhashable_model_equals_its_tuple_twin(monkeypatch):
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     config = McConfig(model=ArmaSpec(ar=(0.8,)), T=256, lags=(1, 2), replications=30,
                       master_seed=95)
     twin = rejection_rate(config)
-    plans, spectra = stattest._PLANS, experiments._SPECTRA
+    plans, spectra = stattest._PLANS.kept, experiments._SPECTRA.kept
     drawn = counting(monkeypatch, experiments, "_gauss_rows")
     report = rejection_rate(replace(config, model=ArmaSpec(ar=[0.8])))
     assert len(drawn) == 1  # drawn anew, not read from the twin's kept replications
     assert np.array_equal(report.statistics, twin.statistics)
     assert (report.rejection_rate, report.threshold) == (twin.rejection_rate, twin.threshold)
-    assert stattest._PLANS is plans and experiments._SPECTRA is spectra
+    assert stattest._PLANS.kept is plans and experiments._SPECTRA.kept is spectra
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +598,7 @@ def test_zero_scale_fails_at_replication_zero():
 
 
 def test_failing_replication_is_named_across_chunks(monkeypatch):
-    monkeypatch.setattr(experiments, "_SPECTRA", {})  # no kept study hides the poisoned draws
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # no kept study hides the poisoned draws
     spec = model_preset("model1", 128)
     original = experiments._gauss_rows
 
@@ -622,7 +622,7 @@ def test_failing_replication_is_named_across_chunks(monkeypatch):
 def test_a_zero_spectrum_replication_is_named_not_counted(study, monkeypatch):
     # with no ridge, a pure cosine's smoothed spectrum is zero away from its
     # frequency: its statistic is not finite, and no rejection count may hide it
-    monkeypatch.setattr(experiments, "_SPECTRA", {})  # no kept study hides the cosine
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # no kept study hides the cosine
     spec = model_preset("model1", 128)
     original = experiments._filter_rows
 

@@ -57,9 +57,9 @@ def test_single_replication_is_the_single_test_decision():
 def test_monte_carlo_determinism(monkeypatch):
     cfg = McConfig(model=model_preset("model1", 256), T=256, lags=(1,),
                    replications=50, master_seed=51)
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     a = rejection_rate(cfg)
-    monkeypatch.setattr(experiments, "_SPECTRA", {})  # b draws its replications again
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # b draws its replications again
     b = rejection_rate(cfg)
     assert a.rejection_rate == b.rejection_rate
     assert np.array_equal(a.statistics, b.statistics)
@@ -224,9 +224,9 @@ def test_lag_scan_matches_separate_single_lag_runs(monkeypatch):
     for pos, lag in enumerate((1, 20)):
         cfg = McConfig(model=spec, T=256, lags=(lag,), replications=60,
                        master_seed=60)
-        monkeypatch.setattr(experiments, "_SPECTRA", {})  # drawn again, not read
+        monkeypatch.setattr(experiments._SPECTRA, "kept", {})  # drawn again, not read
         assert rejection_rate(cfg).rejection_rate == rates[pos]
-    monkeypatch.setattr(experiments, "_SPECTRA", {})
+    monkeypatch.setattr(experiments._SPECTRA, "kept", {})
     rates = lag_scan(spec, 256, [1, 20], replications=60, master_seed=60)
     for pos, lag in enumerate((1, 20)):  # each reads the scan's kept replications
         cfg = McConfig(model=spec, T=256, lags=(lag,), replications=60,

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +12,16 @@ from dftstat import (
     chisq_quantile,
     chisq_sf,
     dft_canonical,
-    gauss_stream,
 )
-from dftstat.numerics import _chirp_rfft, _half_dft_rows, _rfft_at, _takes_chirp, _unfold
+from dftstat.numerics import (
+    _chirp_rfft,
+    _gauss_rows,
+    _half_dft_rows,
+    _Memo,
+    _rfft_at,
+    _takes_chirp,
+    _unfold,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -397,42 +406,117 @@ def test_chisq_quantile_invalid_inputs():
 
 
 # ---------------------------------------------------------------------------
+# values kept between calls
+# ---------------------------------------------------------------------------
+
+
+def test_a_memo_of_one_keeps_only_the_newest_value():
+    memo = _Memo(1, 64)
+    for key in "abc":
+        memo.put(key, key.upper(), [np.zeros(2)])
+        assert memo.kept == {key: key.upper()}
+    assert memo.get("a") is None and memo.get("c") == "C"
+
+
+def test_a_memo_evicts_only_when_full_oldest_first():
+    memo = _Memo(8, 64)
+    for key in range(12):
+        memo.put(key, -key, [])
+        assert [*memo.kept] == list(range(max(0, key - 7), key + 1))
+    assert [memo.get(key) for key in (3, 4, 11)] == [None, -4, -11]
+
+
+def test_a_value_over_the_bound_is_not_kept_and_the_kept_values_stay():
+    memo = _Memo(2, 64)
+    memo.put("a", 1, [np.zeros(8)])  # 64 bytes: at the bound
+    kept, big = memo.kept, [np.zeros(4), np.zeros(5)]  # 72 bytes together
+    memo.put("b", 2, big)
+    assert memo.kept is kept and memo.kept == {"a": 1}
+    assert all(a.flags.writeable for a in big)
+
+
+def test_an_unhashable_key_is_neither_read_nor_kept():
+    memo = _Memo(2, 64)
+    memo.put("a", 1, [])
+    kept, arrays = memo.kept, [np.zeros(1)]
+    for key in (["a"], ("a", [1])):
+        memo.put(key, 2, arrays)
+        assert memo.get(key) is None
+    assert memo.kept is kept and memo.kept == {"a": 1} and arrays[0].flags.writeable
+
+
+def test_a_key_already_kept_is_not_put_again():
+    memo = _Memo(2, 64)
+    memo.put("a", 1, [])
+    memo.put("b", 2, [])
+    kept, arrays = memo.kept, [np.zeros(1)]
+    memo.put("a", 3, arrays)
+    assert memo.kept is kept and [*memo.kept.items()] == [("a", 1), ("b", 2)]
+    assert arrays[0].flags.writeable
+
+
+def test_kept_arrays_are_read_only():
+    memo = _Memo(1, 64)
+    arrays = [np.zeros(3), np.ones(2, dtype=complex)]
+    memo.put("k", tuple(arrays), arrays)
+    assert not any(a.flags.writeable for a in memo.get("k"))
+    with pytest.raises(ValueError):
+        memo.get("k")[0][0] = 1.0
+
+
+def test_a_memo_shared_by_threads_never_raises_nor_overfills():
+    memo, sizes = _Memo(3, 64), []
+
+    def work(thread):
+        for i in range(3000):
+            key = (thread, i % 5)
+            if memo.get(key) is None:
+                memo.put(key, i, [np.zeros(2)])
+            sizes.append(sum(1 for _ in memo.kept))  # a Python-level read, which threads interrupt
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(sizes) == len(memo.kept) == 3
+
+
+# ---------------------------------------------------------------------------
 # Gaussian streams
 # ---------------------------------------------------------------------------
 
 
-def test_gauss_stream_deterministic():
-    a = gauss_stream(RngStream(123, 4), 64)
-    b = gauss_stream(RngStream(123, 4), 64)
-    assert np.array_equal(a, b)
+def test_gauss_rows_deterministic():
+    assert np.array_equal(_gauss_rows(123, 4, 6, 64), _gauss_rows(123, 4, 6, 64))
 
 
-def test_gauss_stream_is_the_keyed_philox_stream():
+def test_gauss_rows_are_the_keyed_philox_streams():
     # the stream's definition, written out: Philox keyed by stream << 64 | seed
     for seed, stream, n in ((0, 0, 5), (123, 4, 1012), (2 ** 64 - 1, 2 ** 40, 300)):
-        bits = np.random.Philox(key=(stream << 64) | seed)
-        want = np.random.Generator(bits).standard_normal(n)
-        assert np.array_equal(gauss_stream(RngStream(seed, stream), n), want)
-        assert np.array_equal(RngStream(seed, stream).generator().standard_normal(n), want)
+        block = _gauss_rows(seed, stream, stream + 3, n)
+        for i, row in enumerate(block):
+            bits = np.random.Philox(key=((stream + i) << 64) | seed)
+            want = np.random.Generator(bits).standard_normal(n)
+            assert np.array_equal(row, want)
+            assert np.array_equal(RngStream(seed, stream + i).generator().standard_normal(n), want)
 
 
-def test_gauss_stream_moments():
-    draws = gauss_stream(RngStream(99, 0), 10 ** 6)
+def test_gauss_rows_moments():
+    draws = _gauss_rows(99, 0, 1, 10 ** 6)[0]
     assert abs(draws.mean()) < 0.005
     assert abs(draws.var() - 1.0) < 0.01
 
 
-def test_gauss_stream_independent_streams():
-    n = 10 ** 6
-    a = gauss_stream(RngStream(7, 1), n)
-    b = gauss_stream(RngStream(7, 2), n)
+def test_gauss_rows_independent_streams():
+    a, b = _gauss_rows(7, 1, 3, 10 ** 6)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.005
 
 
-def test_gauss_stream_validation():
-    with pytest.raises(InputError, match="^draw count must be >= 1, got 0$"):
-        gauss_stream(RngStream(1, 0), 0)
+def test_rng_stream_validation():
     with pytest.raises(InputError, match="^master_seed must be a 64-bit unsigned integer$"):
         RngStream(-1, 0)
     with pytest.raises(InputError, match="^stream_id must be nonnegative$"):
@@ -444,7 +528,8 @@ def test_stream_ids_end_below_2_64():
     with pytest.raises(InputError, match=r"^stream_id must be below 2\*\*64$"):
         RngStream(0, 2 ** 64)
     last = RngStream(3, 2 ** 64 - 1)
-    assert np.array_equal(gauss_stream(last, 5), last.generator().standard_normal(5))
+    assert np.array_equal(_gauss_rows(3, 2 ** 64 - 1, 2 ** 64, 5)[0],
+                          last.generator().standard_normal(5))
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,6 @@ def cold_and_warm(helper, calls):
 
 # small pools, so a list of calls repeats and mixes its arguments
 @settings(max_examples=50)
-@given(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 300_000)), max_size=20))
-def test_fast_length_memoized_equals_uncached(ms):
-    cold_and_warm(_fast_length, [(m,) for m in ms])
-
-
-@settings(max_examples=50)
 @given(st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 0.5, 0.9, 0.95, 0.99)),
                                     st.floats(0.0, 0.999999)),
                           st.integers(1, 4) | st.integers(1, 60)), max_size=12))

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import dftstat
 import dftstat.errors
@@ -28,7 +30,6 @@ PUBLIC_NAMES = [
     "chisq_quantile",
     "chisq_sf",
     "dft_canonical",
-    "gauss_stream",
     "generate",
     "lag_scan",
     "local_spectrum",
@@ -42,7 +43,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert len(set(dftstat.__all__)) == len(dftstat.__all__)
     assert dftstat.__all__ == PUBLIC_NAMES
     for name in dftstat.__all__:
@@ -58,3 +59,12 @@ def test_errors_are_two_families_under_one_base():
                        "BandwidthWarning"}
     for family in (dftstat.InputError, dftstat.ComputationError):
         assert family.__bases__ == (dftstat.StationarityTestError,)
+
+
+def test_no_module_keeps_state_in_a_global_statement():
+    # values kept between calls go through numerics._Memo or functools.lru_cache,
+    # never through a module name rebound by hand
+    for path in sorted(Path(dftstat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        assert found == [], f"{path.name} has a global statement at lines {found}"

@@ -18,7 +18,6 @@ from dftstat import (
     ModulatedNoiseSpec,
     RngStream,
     TvInnovationArSpec,
-    gauss_stream,
     generate,
     local_spectrum,
     model_preset,
@@ -151,7 +150,7 @@ def test_changepoint_matches_loop_oracle():
              (((0.5, (0.5,)), (1.0, (0.0,) * 19 + (0.5,))), 128, 50, 46)]
     for segments, T, burn, seed in cases:
         spec = ChangepointArSpec(segments=segments)
-        eps = gauss_stream(RngStream(seed, 0), T + burn)
+        eps = RngStream(seed, 0).generator().standard_normal(T + burn)
         got = generate(spec, GeneratorConfig(T=T, burn_in=burn, rng=RngStream(seed, 0)))
         switches = [int(np.floor(frac * T)) for frac, _ in segments]
         full = np.zeros(T + burn)
@@ -201,7 +200,7 @@ def test_burn_in_doubling_leaves_output_unchanged():
     # geometrically, so doubling the burn-in does not move the kept sample
     spec = model_preset("model1", 512)
     T = 512
-    eps = gauss_stream(RngStream(45, 0), 1000 + T)[None, :]
+    eps = RngStream(45, 0).generator().standard_normal(1000 + T)[None, :]
     long = _filter_rows(spec, eps.copy(), T, 1000)  # it overwrites its input
     short = _filter_rows(spec, eps[:, 500:], T, 500)
     assert np.allclose(long, short, atol=1e-12)
@@ -210,7 +209,7 @@ def test_burn_in_doubling_leaves_output_unchanged():
 def test_modulated_noise_elementwise():
     spec = ModulatedNoiseSpec(sigma=lambda u: 1.0 + u)
     T = 64
-    eps = gauss_stream(RngStream(46, 0), T)
+    eps = RngStream(46, 0).generator().standard_normal(T)
     cfg = GeneratorConfig(T=T, burn_in=500, rng=RngStream(46, 0))
     assert innovation_count(spec, cfg) == T  # burn-in not consumed
     got = generate(spec, cfg)

@@ -13,7 +13,6 @@ from dftstat import (
     McConfig,
     RngStream,
     dft_canonical,
-    gauss_stream,
     generate,
     lag_scan,
     model_preset,
@@ -45,7 +44,7 @@ def test_periodogram_white_noise_level():
     T = 4096
     acc = 0.0
     for i in range(50):
-        acc += (np.abs(dft_canonical(gauss_stream(RngStream(20, i), T))) ** 2).mean()
+        acc += (np.abs(dft_canonical(RngStream(20, i).generator().standard_normal(T))) ** 2).mean()
     assert acc / 50 == pytest.approx(1 / (2 * np.pi), abs=0.01)
 
 
@@ -179,7 +178,7 @@ def test_white_noise_estimate_tracks_flat_spectrum():
     T = 1024
     avg = np.zeros(T // 2 + 1)
     for i in range(100):
-        avg += smoothed(np.abs(dft_canonical(gauss_stream(RngStream(14, i), T))) ** 2)
+        avg += smoothed(np.abs(dft_canonical(RngStream(14, i).generator().standard_normal(T))) ** 2)
     avg /= 100
     rel = np.max(np.abs(avg - 1 / (2 * np.pi))) * 2 * np.pi
     assert rel < 0.10

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dftstat import (
+    ArmaSpec,
     ComputationError,
     CorrectionSpec,
     GeneratorConfig,
@@ -13,10 +14,11 @@ from dftstat import (
     KernelSpec,
     McConfig,
     RngStream,
+    chisq_quantile,
     chisq_sf,
     dft_canonical,
-    gauss_stream,
     generate,
+    lag_scan,
     model_preset,
     power_profile,
     segmented_test,
@@ -83,7 +85,7 @@ def test_covariance_white_noise_second_moment():
     T = 1024
     vals = []
     for i in range(500):
-        x = gauss_stream(RngStream(11, i), T)
+        x = RngStream(11, i).generator().standard_normal(T)
         x = x - x.mean()
         J = dft_canonical(x)
         vals.append(T * abs(lag_covariances(*half_input(J, smoothed(J)), (1,))[0]) ** 2)
@@ -100,7 +102,7 @@ def test_covariance_modulated_noise_known_mean():
     f_const = np.full(T, 1.125 / (2 * np.pi))
     acc = 0.0
     for i in range(500):
-        x = scale * gauss_stream(RngStream(12, i), T)
+        x = scale * RngStream(12, i).generator().standard_normal(T)
         acc += lag_covariances(*half_input(dft_canonical(x), f_const), (1,))[0]
     assert abs(acc / 500 - 0.5 / 1.125) < 0.02
 
@@ -268,24 +270,24 @@ def grown_by_a_test(x):
 def test_chirp_dft_keeps_one_transform_between_calls(monkeypatch):
     # a warm-up at one routed length, then a first call at another: only the
     # chirp's transform of the second length stays allocated after it
-    monkeypatch.setattr(numerics, "_CHIRP", {})
+    monkeypatch.setattr(numerics._CHIRP, "kept", {})
     stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
     x = pipeline_input(1, 3 * 8209, seed=2)[0]
     grown = grown_by_a_test(x)
-    [(T, kept)] = numerics._CHIRP.items()
+    [(T, kept)] = numerics._CHIRP.kept.items()
     assert T == x.size and not kept.flags.writeable
     assert grown <= kept.nbytes + 16 * 1024
     # a transform above the bound is not kept, and the kept one stays
-    monkeypatch.setattr(numerics, "_MAX_CHIRP_BYTES", kept.nbytes - 1)
+    monkeypatch.setattr(numerics._CHIRP, "max_bytes", kept.nbytes - 1)
     stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
-    assert [*numerics._CHIRP] == [16381]
+    assert [*numerics._CHIRP.kept] == [16381]
     assert grown_by_a_test(x) <= 16 * 1024
-    assert [*numerics._CHIRP] == [16381]
+    assert [*numerics._CHIRP.kept] == [16381]
 
 
 def chirp_calls(monkeypatch):
     """The lengths whose chirp transform is built from here on, the memo emptied."""
-    monkeypatch.setattr(numerics, "_CHIRP", {})
+    monkeypatch.setattr(numerics._CHIRP, "kept", {})
     calls = []
     build = numerics._chirp_spectrum
     monkeypatch.setattr(numerics, "_chirp_spectrum",
@@ -311,13 +313,13 @@ def test_a_kept_chirp_gives_the_bits_of_a_fresh_one(monkeypatch):
         assert calls == [16411]
         assert run() == miss  # a hit
         assert calls == [16411]
-        monkeypatch.setattr(numerics, "_CHIRP", {})
+        monkeypatch.setattr(numerics._CHIRP, "kept", {})
         calls.clear()
     # depth 1's block of two rows of 16411 builds, then reuses, its transform
     # while depth 0's (2 * 16411) is over the bound and never kept
-    monkeypatch.setattr(numerics, "_MAX_CHIRP_BYTES", 2 ** 19)
+    monkeypatch.setattr(numerics._CHIRP, "max_bytes", 2 ** 19)
     miss = segmented_bytes(x)
-    assert calls == [2 * 16411, 16411] and [*numerics._CHIRP] == [16411]
+    assert calls == [2 * 16411, 16411] and [*numerics._CHIRP.kept] == [16411]
     assert segmented_bytes(x) == miss
     assert calls == [2 * 16411, 16411, 2 * 16411]
 
@@ -464,7 +466,7 @@ def test_null_rejection_rate_within_binomial_band():
     crit = 18.307038053275146  # chi-square 10 dof, upper 5%
     rej = 0
     for i in range(reps):
-        x = gauss_stream(RngStream(21, i), T)
+        x = RngStream(21, i).generator().standard_normal(T)
         res = stationarity_test(x, m=5)
         rej += res.statistic > crit
     assert 0.030 <= rej / reps <= 0.075
@@ -576,7 +578,6 @@ def flat_spectrum(u, w):
     ("T", lambda: GeneratorConfig(T=100.5)),
     ("burn_in", lambda: GeneratorConfig(T=100, burn_in=0.5)),
     ("master_seed", lambda: RngStream(1.5)),
-    ("draw count", lambda: gauss_stream(RngStream(0), 2.5)),
     ("depth", lambda: segmented_test(np.arange(256.0) % 7, depth=1.5)),
     ("m", lambda: stationarity_test(np.arange(256.0) % 7, m=2.5)),
 ])
@@ -585,11 +586,31 @@ def test_an_integer_argument_is_checked_not_truncated(name, call):
         call()
 
 
+@pytest.mark.parametrize("name, call", [
+    ("lags", lambda: stationarity_test(np.arange(256.0) % 7, lags=5)),
+    ("lags", lambda: McConfig(model=model_preset("model1"), T=256, lags=5)),
+    ("lags", lambda: lag_scan(model_preset("model1"), 256, 5)),
+    ("lags", lambda: power_profile(flat_spectrum, 5)),
+    ("bandwidth", lambda: KernelSpec(bandwidth="0.1")),
+    ("ridge_factor", lambda: stationarity_test(np.arange(256.0) % 7, ridge_factor=None)),
+    ("level", lambda: stationarity_test(np.arange(256.0) % 7, levels=["a"])),
+    ("levels", lambda: stationarity_test(np.arange(256.0) % 7, levels=0.05)),
+    ("level", lambda: McConfig(model=model_preset("model1"), T=256, level="0.05")),
+    ("chisq_quantile requires p", lambda: chisq_quantile("0.5", 2)),
+    ("chisq_sf requires x", lambda: chisq_sf("1", 2)),
+])
+def test_an_argument_of_the_wrong_type_is_an_input_error(name, call):
+    with pytest.raises(InputError, match=f"^{name} "):
+        call()
+
+
 def test_integral_floats_count_as_integers():
     x = np.random.default_rng(27).standard_normal(256)
     assert stationarity_test(x, m=3.0) == stationarity_test(x, m=3)
     assert segmented_test(x, depth=1.0).blocks == segmented_test(x, depth=1).blocks
-    assert np.array_equal(gauss_stream(RngStream(4.0, 2.0), 10.0), gauss_stream(RngStream(4, 2), 10))
+    floats = GeneratorConfig(T=64.0, burn_in=10.0, rng=RngStream(4.0, 2.0))
+    ints = GeneratorConfig(T=64, burn_in=10, rng=RngStream(4, 2))
+    assert np.array_equal(generate(ArmaSpec(), floats), generate(ArmaSpec(), ints))
     config = McConfig(model=model_preset("model1"), T=256.0, replications=3.0, burn_in=50.0)
     assert (config.T, config.replications, config.burn_in) == (256, 3, 50)
 
