@@ -44,6 +44,15 @@ def _as_tuple(values, name: str) -> tuple:
         raise InputError(f"{name} must be a sequence, got {values!r}") from None
 
 
+def _of_type(value, name: str, *kinds):
+    """``value`` if it is an instance of one of the classes ``kinds``, else
+    InputError naming it."""
+    if isinstance(value, kinds):
+        return value
+    raise InputError(f"{name} must be of type {' or '.join(k.__name__ for k in kinds)}, "
+                     f"got {value!r}")
+
+
 def _within(value, lo, hi, closed: bool = False) -> bool:
     """lo < value < hi, or lo <= value < hi when ``closed``; False for a value
     that does not compare with numbers (a str, None, a longer array, ...)."""

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args
 
 import numpy as np
 
-from .errors import ComputationError, InputError, StationarityTestError, _as_tuple, _checked_int
+from .errors import (ComputationError, InputError, StationarityTestError, _as_tuple,
+                     _checked_int, _of_type)
 from .numerics import RngStream, _gauss_rows, _Memo, chisq_quantile
 from .spectral import KernelSpec
 from .stattest import (
@@ -55,6 +56,7 @@ class McConfig:
     burn_in: int = 500
 
     def __post_init__(self):
+        _of_type(self.model, "model", *get_args(ModelSpec))
         for name in ("T", "replications", "master_seed", "burn_in"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         RngStream(self.master_seed)  # raises on a seed outside [0, 2**64)
@@ -288,6 +290,8 @@ def power_profile(f_local: Callable, lags, u_points: int = 257,
     evaluation, reduced to its row before the next, so memory stays at about
     one grid for any number of lags.
     """
+    if not callable(f_local):
+        raise InputError(f"f_local must be callable, got {f_local!r}")
     lags = tuple(_checked_int(r, "lag") for r in _as_tuple(lags, "lags"))
     if not lags:
         raise InputError("at least one lag is required")

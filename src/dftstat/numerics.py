@@ -78,17 +78,27 @@ def dft_canonical(series) -> np.ndarray:
     Internally one real FFT gives k = 0..T//2 and conjugate symmetry the
     rest, so T need not be a power of two: numpy's mixed-radix rfft, or,
     when T has a prime factor above 2**13, a chirp-z convolution at a
-    5-smooth length (see ``_half_dft_rows``). Equals the direct O(T^2)
+    5-smooth length whose transforms run as short ones along the two axes
+    of a matrix (see ``_half_dft_rows``). Equals the direct O(T^2)
     summation to 1e-9 relative.
     """
-    if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
-        raise InputError("series must be real")
-    x = np.asarray(series, dtype=float)
+    x = _real_array(series)
     if x.ndim != 1 or x.size < 2:
         raise InputError(
             f"dft_canonical needs a 1-d series of length >= 2, got shape {x.shape}"
         )
     return _unfold(_half_dft_rows(x), x.size)
+
+
+def _real_array(series) -> np.ndarray:
+    """``series`` as a float array, else InputError: complex (asarray would keep
+    the real part, with a warning) or not numbers."""
+    if np.iscomplexobj(series):
+        raise InputError("series must be real")
+    try:
+        return np.asarray(series, dtype=float)
+    except (TypeError, ValueError) as exc:  # a str, a ragged list, ...
+        raise InputError(f"series must be real numbers: {exc}") from None
 
 
 def _half_dft_rows(x: np.ndarray, demean: bool = False,
@@ -108,9 +118,10 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     (``_takes_chirp``, a rule of T alone). numpy transforms such a length by
     Bluestein's algorithm with a plan and buffers of about 2T points built
     anew on every call; those T take :func:`_chirp_rfft`, the same algorithm
-    at about 1.5T points with the chirp's transform built once per length
-    (kept for the last length and shared by every caller), which agrees with
-    numpy's rfft to 1.4e-15 of the largest entry. Other T give numpy's bits.
+    at about 1.5T points, as four-step transforms whose plans are a few KB,
+    with the chirp's transform built once per length (kept for the last
+    length and shared by every caller), which agrees with numpy's rfft to
+    1.5e-15 of the largest entry. Other T give numpy's bits.
     """
     T = x.shape[-1]
     rolled = np.empty(x.shape) if work is None else work
@@ -153,7 +164,7 @@ def _takes_chirp(T: int) -> bool:
     return T > _CHIRP_MIN_PRIME
 
 
-_CHIRP = _Memo(1, 2 ** 23)  # T: its chirp's transform; 8 MiB holds T up to about 349 000
+_CHIRP = _Memo(1, 2 ** 23)  # T: _chirp_spectrum's arrays; 8 MiB holds any T up to 324 000
 
 
 def _chirp_rfft(x: np.ndarray) -> np.ndarray:
@@ -165,12 +176,17 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     computed circularly at N = _fast_length(T + T//2) points, where the
     wrap-around misses k = 0..T//2. w_n is taken from n**2 mod 2T, and
     w_{T-n} = w_n for even T and -w_n for odd T, so only n <= T//2 are
-    evaluated, on every call. The chirp's transform, shared by the rows, is
-    kept in ``_CHIRP`` (6.3 MB at T = 262139), and a call that fails keeps
-    nothing. The work is one complex array of N per row, every transform in
-    place; the last row's result overwrites w. Agrees with numpy's rfft to
-    within 1.4e-15 of its largest entry (20 lengths from 32 to 1000003,
-    random normal rows).
+    evaluated, on every call. Both length-N transforms are forward
+    :func:`_four_step` transforms of the work array seen as (rows, P, Q),
+    whose numpy plans are a few KB (a length-N call builds about 12 MB anew
+    at N = 393216): the first into the order the chirp's transform is kept
+    in, so the product needs no permutation, the second back, where the
+    convolution comes out reversed. The chirp's transform and the twiddles,
+    shared by the rows, are kept in ``_CHIRP`` (6.9 MB at T = 262139), and a
+    call that fails keeps nothing. The work is one complex array of N per
+    row, every transform in place; the last row's result overwrites w.
+    Agrees with numpy's rfft to within 1.5e-15 of its largest entry (random
+    normal rows, lengths from 32 to 1000003).
 
     The rule in :func:`_takes_chirp` takes T alone. Its threshold is where
     one row, the single test of a long series, starts to gain (README.md,
@@ -191,34 +207,66 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     np.cos(w.imag, out=w.real)
     np.sin(w.imag, out=w.imag)
     kept = _CHIRP.get(T)
-    chirp = _chirp_spectrum(w, T) if kept is None else kept
+    spectrum = _chirp_spectrum(w, T) if kept is None else kept
+    chirp, U, V = spectrum
     a = np.empty((rows, chirp.size), dtype=complex)
     np.multiply(x[:, :K], w, out=a[:, :K])
     np.multiply(x[:, K:], w[L:0:-1], out=a[:, K:T])
     if T % 2:  # w_{T-n} = -w_n
         np.negative(a[:, K:T], out=a[:, K:T])
     a[:, T:] = 0.0
-    np.fft.fft(a, axis=-1, out=a)
-    a *= chirp
-    np.fft.ifft(a, axis=-1, out=a, norm="forward")
-    np.multiply(a[:-1, :K], w, out=out[:-1])
-    np.multiply(a[-1, :K], w, out=w)
-    _CHIRP.put(T, chirp, [chirp])
+    cube = a.reshape((rows,) + chirp.shape)
+    _four_step(cube, U, V, first=-2)
+    cube *= chirp
+    _four_step(cube, U, V, first=-1)  # the convolution at k is at N - 1 - k
+    np.multiply(a[:-1, :-K - 1:-1], w, out=out[:-1])
+    np.multiply(a[-1, :-K - 1:-1], w, out=w)
+    _CHIRP.put(T, spectrum, spectrum)
     return out.reshape(shape[:-1] + (K,))
 
 
-def _chirp_spectrum(w: np.ndarray, T: int) -> np.ndarray:
-    """The transform of the chirp conj(w_j), j = 1-T..T//2 at j mod N, from
-    w_n at n = 0..T//2, with the convolution's 1/N on it."""
+def _chirp_spectrum(w: np.ndarray, T: int) -> tuple:
+    """(the transform of the chirp conj(w_j), j = 1-T..T//2, at j + 1 mod N and
+    in :func:`_four_step`'s forward order, with the convolution's 1/N on it,
+    U, V), from w_n at n = 0..T//2. The shift by one leaves the convolution
+    at k at N - 1 - k after the forward transform back, the inverse at -k."""
     K, L, N = w.size, T - w.size, _fast_length(T + T // 2)
+    U, V = _twiddles(N)
     chirp = np.empty(N, dtype=complex)
     # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
     np.conjugate(w, out=chirp[:K])
     chirp[K:N - T + 1] = 0.0
     np.multiply(chirp[1:L + 1], -1.0 if T % 2 else 1.0, out=chirp[N - T + 1:N - K + 1])
     chirp[N - K + 1:] = chirp[K - 1:0:-1]
-    np.fft.fft(chirp, out=chirp, norm="forward")
-    return chirp
+    chirp = np.roll(chirp, 1).reshape(1, U.shape[0] * V.shape[0], -1)
+    _four_step(chirp, U, V, first=-2)
+    chirp *= 1.0 / N
+    return chirp[0], U, V
+
+
+def _twiddles(N: int) -> tuple:
+    """The twiddles omega**(k*q) = U[k // S, q] * V[k % S, q] of a length-N
+    :func:`_four_step`, k < P and q < Q = N / P, omega = exp(-2*pi*i/N), for
+    P the largest divisor of N at most sqrt(N) and S that of P: about
+    2 * N**0.75 values in all."""
+    P = max(d for d in range(1, math.isqrt(N) + 1) if N % d == 0)
+    S = max(d for d in range(1, math.isqrt(P) + 1) if P % d == 0)
+    U, V = (np.outer(k, np.arange(N // P)) % N for k in (np.arange(0, P, S), np.arange(S)))
+    for m in (U, V):  # exponents in (-N/2, N/2], the phases in [-pi, pi]
+        m -= N * (2 * m > N)
+    return tuple(np.exp(m * (-math.tau / N * 1j)) for m in (U, V))
+
+
+def _four_step(a: np.ndarray, U: np.ndarray, V: np.ndarray, first: int) -> None:
+    """The DFT sum_n x_n omega**(n*k), in place, of each (P, Q) ``a[i]`` by
+    FFTs along axis ``first`` and then the other, with the twiddles between
+    (Bailey 1990): ``first=-2`` takes x_n at [n // Q, n % Q] to X_k at
+    [k % P, k // P], and ``first=-1`` the latter order to the former."""
+    np.fft.fft(a, axis=first, out=a)
+    t = a.reshape(a.shape[0], U.shape[0], V.shape[0], -1)
+    t *= U[:, None]
+    t *= V
+    np.fft.fft(a, axis=-3 - first, out=a)
 
 
 def _fast_length(m: int) -> int:

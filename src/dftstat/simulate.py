@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 import numpy as np
 
-from .errors import InputError, _checked_int
+from .errors import InputError, _checked_int, _of_type
 from .numerics import RngStream, _gauss_rows
 from .stattest import MIN_SERIES_LENGTH
 
@@ -32,7 +32,10 @@ _SIGMA_PROBE = np.linspace(0.0, 1.0, 1025)  # where ModulatedNoiseSpec checks si
 def _ar_root_check(ar, context: str):
     """Stationarity check: roots of 1 - a1 z - ... - ap z^p outside the unit
     circle; non-finite coefficients are rejected first."""
-    a = tuple(map(float, ar))
+    try:  # a str, which map would read a character at a time, is refused as None is
+        a = tuple(map(float, None if isinstance(ar, str) else ar))
+    except (TypeError, ValueError):
+        raise InputError(f"{context}: AR coefficients must be numbers, got {ar!r}") from None
     if not all(map(math.isfinite, a)):
         raise InputError(f"{context}: AR coefficients must be finite, got {a}")
     min_mod = _min_root_modulus(a)
@@ -149,6 +152,7 @@ class GeneratorConfig:
             raise InputError(f"T must be >= {MIN_SERIES_LENGTH}, got {self.T}")
         if self.burn_in < 0:
             raise InputError(f"burn_in must be >= 0, got {self.burn_in}")
+        _of_type(self.rng, "rng", RngStream)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def generate(spec: ModelSpec, config: GeneratorConfig) -> np.ndarray:
         Length, burn-in and stream identity. A stream's draws do not depend
         on the model, so model variants driven by one stream share their noise.
     """
-    spec.validate()
+    _of_type(spec, "spec", *get_args(ModelSpec)).validate()
     eps = _gauss_rows(config.rng.master_seed, config.rng.stream_id, config.rng.stream_id + 1,
                       innovation_count(spec, config))
     return _filter_rows(spec, eps, config.T, config.burn_in)[0]

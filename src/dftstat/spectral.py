@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthWarning, InputError, _within
+from .errors import BandwidthWarning, InputError, _of_type, _within
 from .numerics import _fast_length
 
 _KERNEL_KINDS = ("daniell", "bartlett")
@@ -113,7 +113,7 @@ def _smoother(kernel: KernelSpec | None, T: int, ridge_factor: float):
     """
     if not _within(ridge_factor, 0.0, math.inf, closed=True):
         raise InputError(f"ridge_factor must be finite and >= 0, got {ridge_factor}")
-    kern = kernel if kernel is not None else KernelSpec()
+    kern = KernelSpec() if kernel is None else _of_type(kernel, "kernel", KernelSpec)
     b = kern.resolve_bandwidth(T)
     weights = _kernel_weights(kern.kind, b, T)
     n = _fast_length(T // 2 + weights.size)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, InputError, _as_tuple, _checked_int, _within
-from .numerics import _fast_length, _half_dft_rows, _Memo, _rfft_at, chisq_sf
+from .errors import ComputationError, InputError, _as_tuple, _checked_int, _of_type, _within
+from .numerics import _fast_length, _half_dft_rows, _Memo, _real_array, _rfft_at, chisq_sf
 from .spectral import KernelSpec, _smooth_half, _smoother
 
 _MAX_FLOAT = float(np.finfo(float).max)
@@ -242,12 +242,12 @@ class CorrectionSpec:
             p = np.asarray(self.psi, dtype=float)
             if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)) or p[0] == 0.0:
                 raise InputError("linear_plugin correction needs finite psi with psi[0] != 0")
-            if not math.isfinite(self.kappa4):
-                raise InputError(f"kappa4 must be finite, got {self.kappa4}")
-        if self.mode == "user" and len(self.kappa) == 0:
+            if not _within(self.kappa4, -math.inf, math.inf):
+                raise InputError(f"kappa4 must be a finite number, got {self.kappa4!r}")
+        if self.mode == "user" and len(_as_tuple(self.kappa, "kappa")) == 0:
             raise InputError("user correction needs explicit kappa values")
-        if self.mode == "user" and not np.all(np.isfinite(self.kappa)):
-            raise InputError(f"kappa values must be finite, got {self.kappa}")
+        if self.mode == "user" and not all(_within(k, -math.inf, math.inf) for k in self.kappa):
+            raise InputError(f"kappa values must be finite numbers, got {self.kappa}")
 
     @classmethod
     def linear(cls, psi, kappa4: float) -> "CorrectionSpec":
@@ -261,7 +261,7 @@ class CorrectionSpec:
 
 def _correction_denominators(spec: CorrectionSpec, lags, T: int) -> np.ndarray:
     """Denominators 1 + kappa_r / 2 for each requested (validated) lag."""
-    if spec.mode == "gaussian":
+    if _of_type(spec, "correction", CorrectionSpec).mode == "gaussian":
         return np.ones(len(lags))
     if spec.mode == "linear_plugin":
         denom = np.array(
@@ -327,6 +327,8 @@ _PLANS = _Memo(8, 2 ** 16)  # plans by test shape; 64 KiB holds a plan up to T o
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     """The plan of a test's shape, kept in ``_PLANS``, m keyed apart from the lags
     and only when they are None. Each call resolves the bandwidth, so each test warns."""
+    if not isinstance(demean, (bool, np.bool_)):
+        raise InputError(f"demean must be True or False, got {demean!r}")
     try:
         lags = lags if lags is None else tuple(lags)
     except TypeError:  # not iterable: validate_lags reports it
@@ -439,9 +441,7 @@ def _block_terms(S: np.ndarray, plan: _TestPlan, name):
 
 
 def _checked_series(series) -> np.ndarray:
-    if np.iscomplexobj(series):  # asarray would keep the real part, with a warning
-        raise InputError("series must be real")
-    x = np.asarray(series, dtype=float)
+    x = _real_array(series)
     if x.ndim != 1:
         raise InputError(f"series must be 1-d, got shape {x.shape}")
     return x

@@ -13,13 +13,17 @@ from dftstat import (
     chisq_sf,
     dft_canonical,
 )
+from dftstat import numerics
 from dftstat.numerics import (
     _chirp_rfft,
+    _fast_length,
+    _four_step,
     _gauss_rows,
     _half_dft_rows,
     _Memo,
     _rfft_at,
     _takes_chirp,
+    _twiddles,
     _unfold,
 )
 
@@ -183,6 +187,52 @@ def test_dft_route_depends_on_T_only(T, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
     _half_dft_rows(np.ones((2, T)))
     assert bool(calls) is (T not in (8209, 49143, 262139))
+
+
+def fft_lengths(monkeypatch):
+    """The axis length of every np.fft.fft and np.fft.ifft call from here on."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda a, *args, f=getattr(np.fft, name), axis=-1, **kw:
+                            lengths.append(np.shape(a)[axis]) or f(a, *args, axis=axis, **kw))
+    return lengths
+
+
+# one long row, the single test of a long series, and a block of three rows
+@pytest.mark.parametrize("rows, T", [(1, 262139), (3, 8209)])
+def test_chirp_dft_makes_only_short_transforms(rows, T, monkeypatch):
+    monkeypatch.setattr(numerics._CHIRP, "kept", {})
+    x = np.random.default_rng(T).standard_normal((rows, T))
+    lengths = fft_lengths(monkeypatch)
+    half = _chirp_rfft(x)  # builds and keeps the chirp's transform
+    [(chirp, *_)] = numerics._CHIRP.kept.values()
+    P, Q = chirp.shape
+    assert P * Q == _fast_length(T + T // 2) and 1 < P <= Q
+    assert max(lengths) <= Q
+    lengths.clear()
+    assert np.array_equal(_chirp_rfft(x), half)
+    assert lengths == [P, Q, Q, P]  # a kept chirp: the forward and the back four-step
+
+
+# 5-smooth lengths of two and of three radices; 393216 is the chirp's at T = 262139
+@pytest.mark.parametrize("N", [12500, 25000, 98304, 393216, 1518750])
+def test_four_step_transforms_equal_numpys(N):
+    U, V = _twiddles(N)
+    P = U.shape[0] * V.shape[0]
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    want = np.fft.fft(x)
+    a = x.reshape(1, P, -1).copy()
+    _four_step(a, U, V, first=-2)  # X_k at [k % P, k // P]
+    assert np.max(np.abs(a[0].T.ravel() - want)) <= 2e-15 * np.max(np.abs(want))
+    # from that order back to the natural one, N times the inverse at -n mod N
+    back = want.reshape(1, -1, P).transpose(0, 2, 1).copy()
+    _four_step(back, U, V, first=-1)
+    inverse = np.fft.ifft(want, norm="forward")
+    reversed_n = -np.arange(N) % N
+    assert np.max(np.abs(back.ravel()[reversed_n] - inverse)) <= 2e-15 * np.max(np.abs(inverse))
+    _four_step(a, U, V, first=-1)  # the round trip
+    assert np.max(np.abs(a.ravel()[reversed_n] / N - x)) <= 2e-15 * np.max(np.abs(x))
 
 
 def test_dft_cosine_concentrates_at_two_bins():

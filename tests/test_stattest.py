@@ -21,6 +21,7 @@ from dftstat import (
     lag_scan,
     model_preset,
     power_profile,
+    rejection_rate,
     segmented_test,
     stationarity_test,
 )
@@ -275,10 +276,11 @@ def test_chirp_dft_keeps_one_transform_between_calls(monkeypatch):
     x = pipeline_input(1, 3 * 8209, seed=2)[0]
     grown = grown_by_a_test(x)
     [(T, kept)] = numerics._CHIRP.kept.items()
-    assert T == x.size and not kept.flags.writeable
-    assert grown <= kept.nbytes + 16 * 1024
+    kept_bytes = sum(a.nbytes for a in kept)
+    assert T == x.size and not any(a.flags.writeable for a in kept)
+    assert grown <= kept_bytes + 16 * 1024
     # a transform above the bound is not kept, and the kept one stays
-    monkeypatch.setattr(numerics._CHIRP, "max_bytes", kept.nbytes - 1)
+    monkeypatch.setattr(numerics._CHIRP, "max_bytes", kept_bytes - 1)
     stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
     assert [*numerics._CHIRP.kept] == [16381]
     assert grown_by_a_test(x) <= 16 * 1024
@@ -598,6 +600,17 @@ def test_an_integer_argument_is_checked_not_truncated(name, call):
     ("level", lambda: McConfig(model=model_preset("model1"), T=256, level="0.05")),
     ("chisq_quantile requires p", lambda: chisq_quantile("0.5", 2)),
     ("chisq_sf requires x", lambda: chisq_sf("1", 2)),
+    # each of these escaped as AttributeError, TypeError or ValueError, or ran
+    ("kernel", lambda: stationarity_test(np.arange(256.0) % 7, kernel="daniell")),
+    ("correction", lambda: stationarity_test(np.arange(256.0) % 7, correction="gaussian")),
+    ("model", lambda: rejection_rate(McConfig(model="model1", T=256, replications=2))),
+    ("rng", lambda: generate(ArmaSpec(), GeneratorConfig(T=64, rng=3))),
+    ("kappa4", lambda: CorrectionSpec(mode="linear_plugin", psi=(1.0,), kappa4="1")),
+    ("kappa", lambda: CorrectionSpec(mode="user", kappa=("a",))),
+    ("f_local", lambda: power_profile(3, [1])),
+    ("ArmaSpec: AR coefficients", lambda: generate(ArmaSpec(ar="0.5"), GeneratorConfig(T=64))),
+    ("series", lambda: stationarity_test("abc")),
+    ("demean", lambda: stationarity_test(np.arange(256.0) % 7, demean="no")),
 ])
 def test_an_argument_of_the_wrong_type_is_an_input_error(name, call):
     with pytest.raises(InputError, match=f"^{name} "):
