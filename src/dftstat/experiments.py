@@ -126,7 +126,7 @@ def _replications(config: McConfig):
             fresh = fresh + [S] if size <= _SPECTRA.max_bytes else []  # outgrown: drop all
         yield _block_terms(S if kept is None else kept[i], plan, name)[1]
     if fresh:  # empty when the study was kept already or outgrew the bound
-        _SPECTRA.put(key, tuple(fresh), fresh)
+        _SPECTRA.put(key, tuple(fresh))
 
 
 def rejection_rate(config: McConfig) -> McReport:

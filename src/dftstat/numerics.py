@@ -31,13 +31,16 @@ _PHILOX = threading.local()  # per thread: (Philox, its Generator, a fresh state
 
 
 class _Memo:
-    """Values kept between calls. ``put`` keeps a value only if its key hashes, is
-    not kept yet and its ``arrays`` total at most ``max_bytes``: it makes them
-    read-only, drops the oldest values past ``entries`` and replaces ``kept``
-    whole, so threads need no lock. ``get`` is None on a miss or an unhashable key."""
+    """At most ``entries`` values kept between calls, whose arrays (``arrays(value)``,
+    by default the value's items) total at most ``max_bytes``. ``put`` keeps a
+    value only if its key hashes, is not kept yet and its arrays fit the budget
+    alone: it makes them read-only, drops the oldest values until the new one
+    fits and ``entries`` holds, and replaces ``kept`` whole, so threads need no
+    lock. The total is counted from ``kept`` on each put. ``get`` is None on a
+    miss or an unhashable key."""
 
-    def __init__(self, entries: int, max_bytes: int):
-        self.entries, self.max_bytes, self.kept = entries, max_bytes, {}
+    def __init__(self, entries: int, max_bytes: int, arrays=tuple):
+        self.entries, self.max_bytes, self.arrays, self.kept = entries, max_bytes, arrays, {}
 
     def get(self, key):
         try:
@@ -45,17 +48,19 @@ class _Memo:
         except TypeError:  # an unhashable key
             return None
 
-    def put(self, key, value, arrays) -> None:
-        kept = self.kept
+    def put(self, key, value) -> None:
+        kept, size = self.kept, lambda v: sum(a.nbytes for a in self.arrays(v))
         try:
-            if key in kept or sum(a.nbytes for a in arrays) > self.max_bytes:
+            if key in kept or size(value) > self.max_bytes:
                 return
         except TypeError:  # an unhashable key
             return
-        for a in arrays:
+        for a in self.arrays(value):
             a.flags.writeable = False
-        items = [*kept.items()]
-        self.kept = dict(items[max(0, len(items) + 1 - self.entries):] + [(key, value)])
+        items, total = [*kept.items()], sum(map(size, (*kept.values(), value)))
+        while len(items) >= self.entries or total > self.max_bytes:  # oldest first
+            total -= size(items.pop(0)[1])
+        self.kept = dict(items + [(key, value)])
 
 
 def dft_canonical(series) -> np.ndarray:
@@ -119,9 +124,10 @@ def _half_dft_rows(x: np.ndarray, demean: bool = False,
     Bluestein's algorithm with a plan and buffers of about 2T points built
     anew on every call; those T take :func:`_chirp_rfft`, the same algorithm
     at about 1.5T points, as four-step transforms whose plans are a few KB,
-    with the chirp's transform built once per length (kept for the last
-    length and shared by every caller), which agrees with numpy's rfft to
-    1.5e-15 of the largest entry. Other T give numpy's bits.
+    with the phases and the chirp's transform built once per length (kept
+    for the last 4 lengths within 16 MiB and shared by every caller), which
+    agrees with numpy's rfft to 1.5e-15 of the largest entry. Other T give
+    numpy's bits.
     """
     T = x.shape[-1]
     rolled = np.empty(x.shape) if work is None else work
@@ -164,7 +170,7 @@ def _takes_chirp(T: int) -> bool:
     return T > _CHIRP_MIN_PRIME
 
 
-_CHIRP = _Memo(1, 2 ** 23)  # T: _chirp_spectrum's arrays; 8 MiB holds any T up to 324 000
+_CHIRP = _Memo(4, 2 ** 24)  # T: _chirp_spectrum's arrays; 16 MiB holds any T up to 497 000
 
 
 def _chirp_rfft(x: np.ndarray) -> np.ndarray:
@@ -174,19 +180,18 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     rfft(x)_k = w_k * sum_n (x_n w_n) conj(w_{k-n}) (Bluestein 1970): one
     linear convolution of x*w with the chirp conj(w_j), j = 1-T..T//2,
     computed circularly at N = _fast_length(T + T//2) points, where the
-    wrap-around misses k = 0..T//2. w_n is taken from n**2 mod 2T, and
-    w_{T-n} = w_n for even T and -w_n for odd T, so only n <= T//2 are
-    evaluated, on every call. Both length-N transforms are forward
-    :func:`_four_step` transforms of the work array seen as (rows, P, Q),
-    whose numpy plans are a few KB (a length-N call builds about 12 MB anew
-    at N = 393216): the first into the order the chirp's transform is kept
-    in, so the product needs no permutation, the second back, where the
-    convolution comes out reversed. The chirp's transform and the twiddles,
-    shared by the rows, are kept in ``_CHIRP`` (6.9 MB at T = 262139), and a
-    call that fails keeps nothing. The work is one complex array of N per
-    row, every transform in place; the last row's result overwrites w.
-    Agrees with numpy's rfft to within 1.5e-15 of its largest entry (random
-    normal rows, lengths from 32 to 1000003).
+    wrap-around misses k = 0..T//2. w_{T-n} = w_n for even T and -w_n for
+    odd T, so only w_n at n <= T//2 is used. Both length-N transforms are
+    forward :func:`_four_step` transforms of the work array seen as (rows, P,
+    Q), whose numpy plans are a few KB (a length-N call builds about 12 MB
+    anew at N = 393216): the first into the order the chirp's transform is
+    kept in, so the product needs no permutation, the second back, where the
+    convolution comes out reversed. w, the chirp's transform and the
+    twiddles, shared by the rows, are kept in ``_CHIRP`` (8.98 MB at T =
+    262139), so a call at a kept length evaluates no phase; a call that fails
+    keeps nothing. The work is one complex array of N per row, every
+    transform in place. Agrees with numpy's rfft to within 1.5e-15 of its
+    largest entry (random normal rows, lengths from 32 to 1000003).
 
     The rule in :func:`_takes_chirp` takes T alone. Its threshold is where
     one row, the single test of a long series, starts to gain (README.md,
@@ -197,18 +202,8 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     rows = x.shape[0]
     K = T // 2 + 1
     L = T - K  # n = K..T-1 is T - n' with n' = L..1
-    out = np.empty((rows, K), dtype=complex)
-    w = out[-1]
-    n = np.arange(K, dtype=np.int64)
-    np.multiply(n, n, out=n)
-    np.remainder(n, 2 * T, out=n)
-    np.multiply(n, -math.pi / T, out=w.imag)  # the phase, for now
-    del n
-    np.cos(w.imag, out=w.real)
-    np.sin(w.imag, out=w.imag)
-    kept = _CHIRP.get(T)
-    spectrum = _chirp_spectrum(w, T) if kept is None else kept
-    chirp, U, V = spectrum
+    spectrum = _CHIRP.get(T) or _chirp_spectrum(T)
+    w, chirp, U, V = spectrum
     a = np.empty((rows, chirp.size), dtype=complex)
     np.multiply(x[:, :K], w, out=a[:, :K])
     np.multiply(x[:, K:], w[L:0:-1], out=a[:, K:T])
@@ -219,18 +214,23 @@ def _chirp_rfft(x: np.ndarray) -> np.ndarray:
     _four_step(cube, U, V, first=-2)
     cube *= chirp
     _four_step(cube, U, V, first=-1)  # the convolution at k is at N - 1 - k
-    np.multiply(a[:-1, :-K - 1:-1], w, out=out[:-1])
-    np.multiply(a[-1, :-K - 1:-1], w, out=w)
-    _CHIRP.put(T, spectrum, spectrum)
+    out = np.multiply(a[:, :-K - 1:-1], w)
+    _CHIRP.put(T, spectrum)
     return out.reshape(shape[:-1] + (K,))
 
 
-def _chirp_spectrum(w: np.ndarray, T: int) -> tuple:
-    """(the transform of the chirp conj(w_j), j = 1-T..T//2, at j + 1 mod N and
-    in :func:`_four_step`'s forward order, with the convolution's 1/N on it,
-    U, V), from w_n at n = 0..T//2. The shift by one leaves the convolution
-    at k at N - 1 - k after the forward transform back, the inverse at -k."""
-    K, L, N = w.size, T - w.size, _fast_length(T + T // 2)
+def _chirp_spectrum(T: int) -> tuple:
+    """(w_n at n = 0..T//2, the transform of the chirp conj(w_j), j =
+    1-T..T//2, at j + 1 mod N and in :func:`_four_step`'s forward order, with
+    the convolution's 1/N on it, U, V). w_n is taken from n**2 mod 2T. The
+    shift by one leaves the convolution at k at N - 1 - k after the forward
+    transform back, the inverse at -k."""
+    K, L, N = T // 2 + 1, (T - 1) // 2, _fast_length(T + T // 2)
+    n = np.arange(K, dtype=np.int64)
+    phase = np.remainder(n * n, 2 * T) * (-math.pi / T)
+    w = np.empty(K, dtype=complex)
+    np.cos(phase, out=w.real)
+    np.sin(phase, out=w.imag)
     U, V = _twiddles(N)
     chirp = np.empty(N, dtype=complex)
     # conj(w_j) at j mod N: j = 0..K-1, then j = 1-T..-K, then j = 1-K..-1
@@ -241,7 +241,7 @@ def _chirp_spectrum(w: np.ndarray, T: int) -> tuple:
     chirp = np.roll(chirp, 1).reshape(1, U.shape[0] * V.shape[0], -1)
     _four_step(chirp, U, V, first=-2)
     chirp *= 1.0 / N
-    return chirp[0], U, V
+    return w, chirp[0], U, V
 
 
 def _twiddles(N: int) -> tuple:

@@ -321,12 +321,14 @@ class _TestPlan:
     transform: bool
 
 
-_PLANS = _Memo(8, 2 ** 16)  # plans by test shape; 64 KiB holds a plan up to T of about 14 000
+# plans by test shape, their arrays 4 MiB in all: a plan at T = 2**18 holds 1.1 MB
+_PLANS = _Memo(8, 2 ** 22, lambda plan: (plan.weight_spectrum, plan.corrections))
 
 
 def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     """The plan of a test's shape, kept in ``_PLANS``, m keyed apart from the lags
-    and only when they are None. Each call resolves the bandwidth, so each test warns."""
+    and only when they are None; a kept plan needs neither ``_smoother`` nor
+    ``_fast_length``. Each call resolves the bandwidth, so each test warns."""
     if not isinstance(demean, (bool, np.bool_)):
         raise InputError(f"demean must be True or False, got {demean!r}")
     try:
@@ -344,7 +346,7 @@ def _plan(T, lags, m, kernel, correction, ridge_factor, demean) -> _TestPlan:
     plan = _TestPlan(T=T, lags=lags, kernel=kern, half_width=weights.size // 2,
                      smooth_length=n, weight_spectrum=spectrum, corrections=corr,
                      ridge_factor=ridge_factor, demean=demean, transform=_fast_length(T) == T)
-    _PLANS.put(key, plan, (spectrum, corr))
+    _PLANS.put(key, plan)
     return plan
 
 

@@ -39,7 +39,8 @@ study_table     rejection_rate at m 1, 5, 10, then lag_scan, of one replication
 chirp           stationarity_test at chirp-z lengths 16411, 3 * 8209, 16411, 16411,
                 then segmented_test at T 2 * 16411, depth 1 (a block of two rows
                 of 16411) and dft_canonical at 16411; the same at 174763 and
-                2 * 174763, whose depth-0 transform is not kept; segmented_test
+                2 * 174763, whose two depths' transforms do not fit the chirp
+                memo's budget together; segmented_test
                 at 4 * 65521, depth 2 (blocks of 2 and 4 long rows), and
                 dft_canonical at 2 * 65521
 cli             exit code, stdout, stderr and written files of dftstat test (json,
@@ -195,7 +196,7 @@ def chirp_family(ds):
     # and reuses the kept chirp-z transform, for one row, for two and for four
     out = {}
     for T, depth, tests in ((2 * 16411, 1, (16411, 3 * 8209, 16411, 16411)),
-                            (2 * 174763, 1, (174763,)),  # depth 0 over the memo's bound
+                            (2 * 174763, 1, (174763,)),  # depths 0 and 1 over the budget together
                             (4 * 65521, 2, ())):  # blocks of 2 and 4 long rows
         x = ds.generate(ds.model_preset("model3", T),
                         ds.GeneratorConfig(T=T, rng=ds.RngStream(20)))

@@ -308,10 +308,15 @@ def test_the_plan_memo_is_bounded(monkeypatch):
         rejection_rate(McConfig(model=spec, T=T, replications=1))
     assert sorted(key[0] for key in stattest._PLANS.kept) == list(range(66, 74))  # oldest out
     rejection_rate(McConfig(model=spec, T=2 ** 15, replications=1))  # a plan of 137 KiB
-    assert 2 ** 15 not in [key[0] for key in stattest._PLANS.kept]
+    assert [key[0] for key in stattest._PLANS.kept] == [*range(67, 74), 2 ** 15]
+    # a plan over the budget is not kept and evicts nothing
+    monkeypatch.setattr(stattest._PLANS, "max_bytes", 2 ** 17)
+    kept = stattest._PLANS.kept
+    rejection_rate(McConfig(model=spec, T=2 ** 15 + 2, replications=1))
+    assert stattest._PLANS.kept is kept
     assert len(stattest._PLANS.kept) == stattest._PLANS.entries
-    assert all(plan.weight_spectrum.nbytes + plan.corrections.nbytes <= 2 ** 16
-               for plan in stattest._PLANS.kept.values())
+    assert sum(plan.weight_spectrum.nbytes + plan.corrections.nbytes
+               for plan in stattest._PLANS.kept.values()) <= 2 ** 22
 
 
 @pytest.mark.parametrize("study_first", [True, False])
@@ -330,11 +335,16 @@ def test_a_single_test_shares_the_plan_of_a_study_of_its_shape(study_first, monk
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("T, rebuilt", [(5003, 0), (2 ** 15, 2)])
-def test_a_second_segmented_test_builds_only_the_plans_above_the_bound(T, rebuilt, monkeypatch):
+@pytest.mark.parametrize("T, budget, rebuilt", [(5003, None, 0), (2 ** 15, None, 0),
+                                                 (2 ** 15, 2 ** 16, 2)])
+def test_a_second_segmented_test_builds_only_the_plans_above_the_bound(T, budget, rebuilt,
+                                                                      monkeypatch):
     # 5003 at depth 3 has seven block lengths, each with a small plan; at 2**15
-    # the depths of 32768 and 16384 points have plans above 64 KiB
+    # the four depths' plans total 262 KiB, and under a 64 KiB budget those of
+    # 32768 and 16384 points (137 and 70 KiB) are over it
     monkeypatch.setattr(stattest._PLANS, "kept", {})
+    if budget is not None:
+        monkeypatch.setattr(stattest._PLANS, "max_bytes", budget)
     x = np.random.default_rng(81).standard_normal(T)
     first = segmented_test(x, depth=3)
     built = counting(monkeypatch, stattest, "_smoother")

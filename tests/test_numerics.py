@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -204,14 +205,30 @@ def test_chirp_dft_makes_only_short_transforms(rows, T, monkeypatch):
     monkeypatch.setattr(numerics._CHIRP, "kept", {})
     x = np.random.default_rng(T).standard_normal((rows, T))
     lengths = fft_lengths(monkeypatch)
-    half = _chirp_rfft(x)  # builds and keeps the chirp's transform
-    [(chirp, *_)] = numerics._CHIRP.kept.values()
+    half = _chirp_rfft(x)  # builds and keeps the phases and the chirp's transform
+    [(_, chirp, *_)] = numerics._CHIRP.kept.values()
     P, Q = chirp.shape
     assert P * Q == _fast_length(T + T // 2) and 1 < P <= Q
     assert max(lengths) <= Q
     lengths.clear()
     assert np.array_equal(_chirp_rfft(x), half)
     assert lengths == [P, Q, Q, P]  # a kept chirp: the forward and the back four-step
+
+
+def test_a_kept_chirp_length_allocates_only_the_work_array_and_the_result(monkeypatch):
+    monkeypatch.setattr(numerics._CHIRP, "kept", {})
+    T = 3 * 8209
+    x = np.random.default_rng(T).standard_normal(T)
+    half = _chirp_rfft(x)  # keeps the phases, the chirp's transform and the twiddles
+    assert not any(a.flags.writeable for a in numerics._CHIRP.get(T))
+    tracemalloc.start()
+    try:
+        assert np.array_equal(_chirp_rfft(x), half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no phase index (8 bytes a point) nor any other array of the length
+    assert peak <= 16 * _fast_length(T + T // 2) + half.nbytes + 16 * 1024
 
 
 # 5-smooth lengths of two and of three radices; 393216 is the chirp's at T = 262139
@@ -460,68 +477,98 @@ def test_chisq_quantile_invalid_inputs():
 # ---------------------------------------------------------------------------
 
 
+def numbers(entries, max_bytes):
+    """A memo of values that hold no arrays."""
+    return _Memo(entries, max_bytes, arrays=lambda value: ())
+
+
 def test_a_memo_of_one_keeps_only_the_newest_value():
     memo = _Memo(1, 64)
     for key in "abc":
-        memo.put(key, key.upper(), [np.zeros(2)])
-        assert memo.kept == {key: key.upper()}
-    assert memo.get("a") is None and memo.get("c") == "C"
+        value = (np.zeros(2),)
+        memo.put(key, value)
+        assert [*memo.kept] == [key] and memo.get(key) is value
+    assert memo.get("a") is None
 
 
 def test_a_memo_evicts_only_when_full_oldest_first():
-    memo = _Memo(8, 64)
+    memo = numbers(8, 64)
     for key in range(12):
-        memo.put(key, -key, [])
+        memo.put(key, -key)
         assert [*memo.kept] == list(range(max(0, key - 7), key + 1))
     assert [memo.get(key) for key in (3, 4, 11)] == [None, -4, -11]
 
 
+def test_a_memo_evicts_the_oldest_values_until_a_new_one_fits_the_total():
+    memo = _Memo(8, 64)
+    memo.put("a", (np.zeros(4),))  # 32 bytes
+    memo.put("b", (np.zeros(3),))  # 24 bytes: 56 in all
+    assert [*memo.kept] == ["a", "b"]
+    memo.put("c", (np.zeros(2), np.zeros(3)))  # 40 bytes: 96 with a, 64 without
+    assert [*memo.kept] == ["b", "c"]
+    memo.put("d", (np.zeros(8),))  # 64 bytes: fits alone
+    assert [*memo.kept] == ["d"]
+
+
 def test_a_value_over_the_bound_is_not_kept_and_the_kept_values_stay():
-    memo = _Memo(2, 64)
-    memo.put("a", 1, [np.zeros(8)])  # 64 bytes: at the bound
-    kept, big = memo.kept, [np.zeros(4), np.zeros(5)]  # 72 bytes together
-    memo.put("b", 2, big)
-    assert memo.kept is kept and memo.kept == {"a": 1}
+    memo = _Memo(4, 64)
+    memo.put("a", (np.zeros(5),))
+    memo.put("b", (np.zeros(3),))  # 64 bytes in all: at the bound
+    kept, big = memo.kept, (np.zeros(4), np.zeros(5))  # 72 bytes together
+    memo.put("c", big)
+    assert memo.kept is kept and [*memo.kept] == ["a", "b"]
     assert all(a.flags.writeable for a in big)
+
+
+def test_the_total_is_counted_from_the_kept_values(monkeypatch):
+    memo = _Memo(4, 64)
+    memo.put("a", (np.zeros(6),))  # 48 bytes
+    monkeypatch.setattr(memo, "kept", {})  # emptied: a new 64 bytes fit
+    memo.put("b", (np.zeros(8),))
+    assert [*memo.kept] == ["b"]
+    monkeypatch.setattr(memo, "kept", {"x": (np.zeros(6),)})  # 48 bytes set by hand
+    memo.put("c", (np.zeros(4),))  # 32 bytes: x goes
+    assert [*memo.kept] == ["c"]
 
 
 def test_an_unhashable_key_is_neither_read_nor_kept():
     memo = _Memo(2, 64)
-    memo.put("a", 1, [])
-    kept, arrays = memo.kept, [np.zeros(1)]
+    memo.put("a", ())
+    kept, value = memo.kept, (np.zeros(1),)
     for key in (["a"], ("a", [1])):
-        memo.put(key, 2, arrays)
+        memo.put(key, value)
         assert memo.get(key) is None
-    assert memo.kept is kept and memo.kept == {"a": 1} and arrays[0].flags.writeable
+    assert memo.kept is kept and [*memo.kept] == ["a"] and value[0].flags.writeable
 
 
 def test_a_key_already_kept_is_not_put_again():
-    memo = _Memo(2, 64)
-    memo.put("a", 1, [])
-    memo.put("b", 2, [])
-    kept, arrays = memo.kept, [np.zeros(1)]
-    memo.put("a", 3, arrays)
+    memo = numbers(2, 64)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    kept, arrays = memo.kept, (np.zeros(1),)
+    memo.put("a", arrays)
     assert memo.kept is kept and [*memo.kept.items()] == [("a", 1), ("b", 2)]
     assert arrays[0].flags.writeable
 
 
 def test_kept_arrays_are_read_only():
     memo = _Memo(1, 64)
-    arrays = [np.zeros(3), np.ones(2, dtype=complex)]
-    memo.put("k", tuple(arrays), arrays)
+    memo.put("k", (np.zeros(3), np.ones(2, dtype=complex)))
     assert not any(a.flags.writeable for a in memo.get("k"))
     with pytest.raises(ValueError):
         memo.get("k")[0][0] = 1.0
 
 
-def test_a_memo_shared_by_threads_never_raises_nor_overfills():
+# 16-byte values: the 3 entries bind; 24-byte values: the 64 bytes bind
+@pytest.mark.parametrize("floats, most", [(2, 3), (3, 2)])
+def test_a_memo_shared_by_threads_never_raises_nor_overfills(floats, most):
     memo, sizes = _Memo(3, 64), []
 
     def work(thread):
         for i in range(3000):
             key = (thread, i % 5)
             if memo.get(key) is None:
-                memo.put(key, i, [np.zeros(2)])
+                memo.put(key, (np.zeros(floats),))
             sizes.append(sum(1 for _ in memo.kept))  # a Python-level read, which threads interrupt
 
     interval = sys.getswitchinterval()
@@ -531,7 +578,7 @@ def test_a_memo_shared_by_threads_never_raises_nor_overfills():
             list(pool.map(work, range(4), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert max(sizes) == len(memo.kept) == 3
+    assert max(sizes) == len(memo.kept) == most
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dftstat import (
     segmented_test,
     stationarity_test,
 )
-from dftstat import numerics
+from dftstat import numerics, stattest
 from dftstat.numerics import _half_dft_rows, _takes_chirp, _unfold
 from dftstat.spectral import _smoother
 from dftstat.stattest import (
@@ -270,19 +270,22 @@ def grown_by_a_test(x):
 
 def test_chirp_dft_keeps_one_transform_between_calls(monkeypatch):
     # a warm-up at one routed length, then a first call at another: only the
-    # chirp's transform of the second length stays allocated after it
+    # phases and the chirp's transform of the second length, and its test
+    # plan, stay allocated after it
     monkeypatch.setattr(numerics._CHIRP, "kept", {})
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
     stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
     x = pipeline_input(1, 3 * 8209, seed=2)[0]
     grown = grown_by_a_test(x)
-    [(T, kept)] = numerics._CHIRP.kept.items()
+    assert [*numerics._CHIRP.kept] == [16381, x.size]
+    kept = numerics._CHIRP.get(x.size)
     kept_bytes = sum(a.nbytes for a in kept)
-    assert T == x.size and not any(a.flags.writeable for a in kept)
-    assert grown <= kept_bytes + 16 * 1024
-    # a transform above the bound is not kept, and the kept one stays
+    assert not any(a.flags.writeable for a in kept)
+    [plan] = [plan for key, plan in stattest._PLANS.kept.items() if key[0] == x.size]
+    assert grown <= kept_bytes + plan.weight_spectrum.nbytes + plan.corrections.nbytes + 16 * 1024
+    # a length above the budget is not kept, and the kept one stays
+    monkeypatch.setattr(numerics._CHIRP, "kept", {16381: numerics._CHIRP.get(16381)})
     monkeypatch.setattr(numerics._CHIRP, "max_bytes", kept_bytes - 1)
-    stationarity_test(pipeline_input(1, 16381, seed=1)[0], m=10)
-    assert [*numerics._CHIRP.kept] == [16381]
     assert grown_by_a_test(x) <= 16 * 1024
     assert [*numerics._CHIRP.kept] == [16381]
 
@@ -292,8 +295,7 @@ def chirp_calls(monkeypatch):
     monkeypatch.setattr(numerics._CHIRP, "kept", {})
     calls = []
     build = numerics._chirp_spectrum
-    monkeypatch.setattr(numerics, "_chirp_spectrum",
-                        lambda w, T: calls.append(T) or build(w, T))
+    monkeypatch.setattr(numerics, "_chirp_spectrum", lambda T: calls.append(T) or build(T))
     return calls
 
 
@@ -317,21 +319,43 @@ def test_a_kept_chirp_gives_the_bits_of_a_fresh_one(monkeypatch):
         assert calls == [16411]
         monkeypatch.setattr(numerics._CHIRP, "kept", {})
         calls.clear()
-    # depth 1's block of two rows of 16411 builds, then reuses, its transform
-    # while depth 0's (2 * 16411) is over the bound and never kept
-    monkeypatch.setattr(numerics._CHIRP, "max_bytes", 2 ** 19)
+    # depth 0 (2 * 16411) and depth 1's block of two rows of 16411 build
+    # their transforms once, and a second test reuses both
     miss = segmented_bytes(x)
-    assert calls == [2 * 16411, 16411] and [*numerics._CHIRP.kept] == [16411]
+    assert calls == [2 * 16411, 16411] and [*numerics._CHIRP.kept] == [2 * 16411, 16411]
     assert segmented_bytes(x) == miss
-    assert calls == [2 * 16411, 16411, 2 * 16411]
+    assert calls == [2 * 16411, 16411]
 
 
 def test_chirp_lengths_in_turn_rebuild_and_keep_the_bits(monkeypatch):
     calls = chirp_calls(monkeypatch)
     a, b = pipeline_input(1, 16411, seed=4)[0], pipeline_input(1, 3 * 8209, seed=5)[0]
     runs = [result_bytes(stationarity_test(x, m=10)) for x in (a, b, a, b, b)]
-    assert calls == [16411, 3 * 8209, 16411, 3 * 8209]  # the last one a hit
+    assert calls == [16411, 3 * 8209]  # both kept: the rest hit
     assert runs[0] == runs[2] and runs[1] == runs[3] == runs[4]
+    # under a budget below b's arrays, a is kept and b is built on every call
+    b_bytes = sum(arr.nbytes for arr in numerics._CHIRP.get(3 * 8209))
+    monkeypatch.setattr(numerics._CHIRP, "kept", {})
+    monkeypatch.setattr(numerics._CHIRP, "max_bytes", b_bytes - 1)
+    calls.clear()
+    assert [result_bytes(stationarity_test(x, m=10)) for x in (a, b, a, b, b)] == runs
+    assert calls == [16411, 3 * 8209, 3 * 8209, 3 * 8209] and [*numerics._CHIRP.kept] == [16411]
+
+
+@pytest.mark.parametrize("T", [2 ** 18, 262139])
+def test_a_second_long_test_builds_no_plan_and_evaluates_no_phases(T, monkeypatch):
+    monkeypatch.setattr(stattest._PLANS, "kept", {})
+    calls = chirp_calls(monkeypatch)
+    x = np.random.default_rng(T).standard_normal(T)
+    first = result_bytes(stationarity_test(x, m=10))
+    assert calls == ([T] if _takes_chirp(T) else [])
+    built, calls[:] = [], []
+    for owner, name in ((stattest, "_smoother"), (stattest, "_fast_length"),
+                        (np, "cos"), (np, "sin")):
+        monkeypatch.setattr(owner, name, lambda *args, f=getattr(owner, name), name=name, **kw:
+                            built.append(name) or f(*args, **kw))
+    assert result_bytes(stationarity_test(x, m=10)) == first
+    assert built == [] and calls == []
 
 
 def test_covariance_lag_validation():
